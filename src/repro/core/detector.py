@@ -100,6 +100,11 @@ class ResonanceDetector:
             self._quarters = sorted({int(q) for q in quarter_periods})
             if self._quarters[0] < 1:
                 raise ConfigurationError("quarter periods must be >= 1")
+        #: (quarter period, MT/8 threshold) per adder, built once
+        self._adders = tuple(
+            (quarter, 0.5 * self.threshold_amps * quarter)
+            for quarter in self._quarters
+        )
         self._current_history = CurrentHistoryRegister(self._quarters[-1])
         register_length = max_repetition_tolerance * self._h_max
         self._histories = {
@@ -141,21 +146,20 @@ class ResonanceDetector:
         history = self._current_history
         history.append(sensed_current_amps)
 
-        best_magnitude = 0.0
         polarity: Optional[Polarity] = None
-        comparisons = 0
-        for quarter in self._quarters:
-            if not history.ready(quarter):
-                continue
-            comparisons += 1
-            diff = history.quarter_diff(quarter)
-            threshold = 0.5 * self.threshold_amps * quarter
-            magnitude = abs(diff)
-            if magnitude >= threshold and magnitude / quarter > best_magnitude:
-                best_magnitude = magnitude / quarter
-                polarity = Polarity.LOW_HIGH if diff > 0 else Polarity.HIGH_LOW
+        diffs = history.ready_quarter_diffs(self._quarters)
+        # Thresholds grow with the quarter period, so no adder fires unless
+        # some difference reaches the first one; most cycles stop here.
+        lowest = self._adders[0][1]
+        if diffs and (max(diffs) >= lowest or min(diffs) <= -lowest):
+            best_magnitude = 0.0
+            for diff, (quarter, threshold) in zip(diffs, self._adders):
+                magnitude = abs(diff)
+                if magnitude >= threshold and magnitude / quarter > best_magnitude:
+                    best_magnitude = magnitude / quarter
+                    polarity = Polarity.LOW_HIGH if diff > 0 else Polarity.HIGH_LOW
 
-        self.comparisons = min(self.comparisons + comparisons, COUNTER_CAP)
+        self.comparisons = min(self.comparisons + len(diffs), COUNTER_CAP)
         self._histories[Polarity.HIGH_LOW].shift(
             cycle, polarity is Polarity.HIGH_LOW
         )

@@ -135,6 +135,39 @@ class CurrentHistoryRegister:
         # traces, leaving ``base`` bit-for-bit unchanged there.
         return base + correction
 
+    def ready_quarter_diffs(self, quarter_periods) -> "list[float]":
+        """``quarter_diff`` of each ready quarter period, in one pass.
+
+        ``quarter_periods`` must be ascending and within the register's
+        range.  Readiness grows with the period, so the ready ones are a
+        prefix: the result holds one difference for each period of that
+        prefix, in order, and stops at the first period still short of
+        history.  Each value is computed by ``quarter_diff``'s exact
+        expression, so the two agree bit for bit.  This is the detector's
+        per-cycle path: one call serves every adder.
+        """
+        if quarter_periods and not (
+            1 <= quarter_periods[0] and quarter_periods[-1] <= self.max_quarter_period
+        ):
+            raise SimulationError(
+                f"quarter periods {quarter_periods!r} outside register range"
+            )
+        cumsum, comp, mask = self._cumsum, self._comp, self._mask
+        newest = self._cycles_seen - 1
+        sum_newest = cumsum[newest & mask]
+        comp_newest = comp[newest & mask]
+        diffs = []
+        for quarter in quarter_periods:
+            oldest = newest - 2 * quarter
+            if oldest < -1:
+                break  # fewer than 2 * quarter cycles seen
+            mid = (newest - quarter) & mask
+            oldest &= mask
+            base = sum_newest - 2.0 * cumsum[mid] + cumsum[oldest]
+            correction = comp_newest - 2.0 * comp[mid] + comp[oldest]
+            diffs.append(base + correction)
+        return diffs
+
 
 class EventHistoryRegister:
     """One-bit-per-cycle shift register of resonant events of one polarity."""

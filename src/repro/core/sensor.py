@@ -46,8 +46,11 @@ class CurrentSensor:
 
     def read(self, true_current_amps: float) -> float:
         """Report this cycle's sensed current (quantized, delayed, noisy)."""
-        self._delay_line.append(true_current_amps)
-        value = self._delay_line[0]
+        if self.delay_cycles:
+            self._delay_line.append(true_current_amps)
+            value = self._delay_line[0]
+        else:
+            value = true_current_amps
         if self._rng is not None:
             value += self._rng.uniform(
                 -0.5 * self.noise_pp_amps, 0.5 * self.noise_pp_amps

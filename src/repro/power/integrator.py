@@ -76,26 +76,26 @@ class HeunIntegrator:
         """
         return self._dt, self._inv_c, self._inv_l, self._r, self.substeps
 
-    def _derivatives(self, voltage: float, inductor_current: float, cpu_current: float):
-        dv = (inductor_current - cpu_current) * self._inv_c
-        di = (-voltage - self._r * inductor_current) * self._inv_l
-        return dv, di
-
     def step(self, cpu_current: float) -> float:
         """Advance one processor cycle with the given CPU current (amps).
 
         Returns the raw die-node voltage deviation (IR drop *not* removed).
         """
-        v = self.state.voltage
-        i_l = self.state.inductor_current
-        dt = self._dt
+        state = self.state
+        v = state.voltage
+        i_l = state.inductor_current
+        dt, inv_c, inv_l, r = self._dt, self._inv_c, self._inv_l, self._r
         for _ in range(self.substeps):
-            dv1, di1 = self._derivatives(v, i_l, cpu_current)
+            # Heun: derivatives at the start, an Euler predictor, derivatives
+            # at the prediction, then the averaged step.
+            dv1 = (i_l - cpu_current) * inv_c
+            di1 = (-v - r * i_l) * inv_l
             v_pred = v + dt * dv1
             i_pred = i_l + dt * di1
-            dv2, di2 = self._derivatives(v_pred, i_pred, cpu_current)
+            dv2 = (i_pred - cpu_current) * inv_c
+            di2 = (-v_pred - r * i_pred) * inv_l
             v += 0.5 * dt * (dv1 + dv2)
             i_l += 0.5 * dt * (di1 + di2)
-        self.state.voltage = v
-        self.state.inductor_current = i_l
+        state.voltage = v
+        state.inductor_current = i_l
         return v

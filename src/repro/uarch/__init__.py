@@ -26,7 +26,6 @@ from repro.uarch.isa import EXECUTION_LATENCY, FU_FOR_OP, MemLevel, OpClass
 from repro.uarch.pipeline import ControlDirectives, CycleStats, NO_CONTROL, Pipeline
 from repro.uarch.power_model import EnergyWeights, PowerModel
 from repro.uarch.processor import Processor
-from repro.uarch.resources import CachePorts, FunctionalUnits
 from repro.uarch.serialization import load_trace, save_trace
 from repro.uarch.trace import SyntheticTrace, WorkloadProfile, generate_trace
 from repro.uarch.workloads import (
@@ -58,8 +57,6 @@ __all__ = [
     "EnergyWeights",
     "PowerModel",
     "Processor",
-    "CachePorts",
-    "FunctionalUnits",
     "SyntheticTrace",
     "load_trace",
     "save_trace",

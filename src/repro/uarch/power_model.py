@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.config import ProcessorConfig
 from repro.errors import ConfigurationError
-from repro.uarch.cache import CacheAccess
+from repro.uarch.cache import CacheAccess, longest_latency
 from repro.uarch.isa import OpClass
 
 __all__ = ["EnergyWeights", "PowerModel"]
-
-#: Ring-buffer horizon for spread current; must exceed the longest spread
-#: (an L1+L2+memory access, 94 cycles for the Table 1 hierarchy).
-_HORIZON = 256
 
 
 def _default_fu_weights() -> dict:
@@ -69,8 +63,23 @@ class PowerModel:
     def __init__(self, config: ProcessorConfig, weights: "EnergyWeights | None" = None):
         self.config = config
         self.weights = weights or EnergyWeights()
-        self._pending = np.zeros(_HORIZON)
+        # Ring of spread current still owed to future cycles, one slot per
+        # cycle.  No spread outlasts the slowest operation, so a ring that
+        # long never wraps onto itself (94 slots for Table 1).
+        self._horizon = longest_latency(config)
+        self._pending = [0.0] * self._horizon
         self._slot = 0
+        # Per-event values the accumulation loop would otherwise recompute
+        # (one IEEE division each, so precomputing keeps every bit).
+        self._fu_weight = [self.weights.fu_weight(op) for op in range(len(OpClass))]
+        self._cache_spreads = tuple(
+            (units / cycles, cycles)
+            for units, cycles in (
+                (self.weights.l1_access, config.l1_hit_cycles),
+                (self.weights.l2_access, config.l2_hit_cycles),
+                (self.weights.memory_access, config.memory_cycles),
+            )
+        )
         self._immediate = 0.0
         self._base = config.min_current_amps
         self._scale = self._calibrate_scale()
@@ -142,17 +151,18 @@ class PowerModel:
     def add_issue(self, op_class: int, latency: int) -> None:
         """Issue energy lands now; FU energy spreads over the latency."""
         self._immediate += self.weights.issue
-        fu = self.weights.fu_weight(op_class)
+        fu = self._fu_weight[op_class]
         if fu:
-            self._spread(fu, max(1, min(latency, _HORIZON)))
+            duration = max(1, min(latency, self._horizon))
+            self._spread(fu / duration, duration)
 
     def add_cache_access(self, access: CacheAccess) -> None:
-        config = self.config
-        self._spread(self.weights.l1_access, config.l1_hit_cycles)
+        l1, l2, memory = self._cache_spreads
+        self._spread(*l1)
         if access.touches_l2:
-            self._spread(self.weights.l2_access, config.l2_hit_cycles)
+            self._spread(*l2)
         if access.touches_memory:
-            self._spread(self.weights.memory_access, config.memory_cycles)
+            self._spread(*memory)
 
     def add_commit(self, count: int) -> None:
         self._immediate += count * self.weights.commit
@@ -160,11 +170,23 @@ class PowerModel:
     def add_occupancy(self, rob_count: int) -> None:
         self._immediate += rob_count * self.weights.rob_occupancy
 
-    def _spread(self, units: float, duration: int) -> None:
-        per_cycle = units / duration
-        slot = self._slot
-        for offset in range(duration):
-            self._pending[(slot + offset) % _HORIZON] += per_cycle
+    def _spread(self, per_cycle: float, duration: int) -> None:
+        """Add ``per_cycle`` to the open cycle and the ``duration - 1`` after.
+
+        Each slot gets exactly one addition per spread, in call order:
+        float addition is not associative, so the order of the additions
+        a slot receives is part of the model's output.
+        """
+        pending = self._pending
+        start = self._slot
+        end = start + duration
+        horizon = self._horizon
+        if end > horizon:
+            for slot in range(end - horizon):
+                pending[slot] += per_cycle
+            end = horizon
+        for slot in range(start, end):
+            pending[slot] += per_cycle
 
     def preview_current(self) -> float:
         """Current the open cycle would draw if closed now, without phantoms.
@@ -185,7 +207,8 @@ class PowerModel:
         activity = self._immediate + self._pending[slot]
         self._pending[slot] = 0.0
         self._immediate = 0.0
-        self._slot = (slot + 1) % _HORIZON
+        slot += 1
+        self._slot = 0 if slot == self._horizon else slot
         current = self._base + self._scale * activity + phantom_amps
         self.total_energy_joules += current * self._vdd * self._cycle_seconds
         self.phantom_energy_joules += phantom_amps * self._vdd * self._cycle_seconds

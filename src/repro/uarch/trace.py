@@ -341,28 +341,26 @@ def _write_low_segment(profile, position, op, dep1, dep2, mem_level, mispredict)
     kind = profile.osc_kind
     tail = min(profile.osc_low_instrs, n - 1 - position)
     if kind == "serial":
-        for offset in range(tail):
-            index = position + offset
-            op[index] = int(OpClass.INT_ALU)
-            mem_level[index] = int(MemLevel.NONE)
-            mispredict[index] = False
-            dep1[index] = min(1, index)
-            dep2[index] = 0
+        segment = slice(position, position + tail)
+        op[segment] = int(OpClass.INT_ALU)
+        mem_level[segment] = int(MemLevel.NONE)
+        mispredict[segment] = False
+        dep1[segment] = np.minimum(1, np.arange(position, position + tail))
+        dep2[segment] = 0
         return tail
     op[position] = int(OpClass.LOAD)
     mem_level[position] = int(MemLevel.MEMORY) if kind == "mem" else int(MemLevel.L2)
     mispredict[position] = False
     dep1[position] = min(1, position)
     dep2[position] = 0
-    for offset in range(1, tail + 1):
-        index = position + offset
-        if index >= n:
-            break
-        dep1[index] = offset            # depend on the missing load
-        dep2[index] = 0
-        mispredict[index] = False
-        if mem_level[index] == int(MemLevel.MEMORY):
-            mem_level[index] = int(MemLevel.L1)  # one stall at a time
+    # the rest of the segment depends on the missing load
+    end = min(position + tail + 1, n)
+    dependants = slice(position + 1, end)
+    dep1[dependants] = np.arange(1, end - position)
+    dep2[dependants] = 0
+    mispredict[dependants] = False
+    levels = mem_level[dependants]
+    levels[levels == int(MemLevel.MEMORY)] = int(MemLevel.L1)  # one stall at a time
     return tail + 1
 
 
@@ -381,13 +379,14 @@ def _write_boosted_high_segment(
     Memory operations are forced to L1 hits (a miss inside the hot phase
     would truncate it).
     """
-    for index in range(start, end):
-        if boost_dep > 0:
-            distance = boost_dep
-        else:
-            distance = 80 + (index * 7) % 40
-        dep1[index] = min(distance, index)
-        dep2[index] = 0
-        mispredict[index] = False
-        if mem_level[index] > int(MemLevel.L1):
-            mem_level[index] = int(MemLevel.L1)
+    indices = np.arange(start, end)
+    if boost_dep > 0:
+        distance = boost_dep
+    else:
+        distance = 80 + (indices * 7) % 40
+    segment = slice(start, end)
+    dep1[segment] = np.minimum(distance, indices)
+    dep2[segment] = 0
+    mispredict[segment] = False
+    levels = mem_level[segment]
+    levels[levels > int(MemLevel.L1)] = int(MemLevel.L1)

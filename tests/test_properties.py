@@ -124,6 +124,30 @@ class TestHistoryProperties:
             recent - previous, abs=1e-6
         )
 
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 120).map(float), st.floats(0.0, 120.0)),
+            min_size=1, max_size=300,
+        ),
+        st.lists(st.integers(1, 8), min_size=1, unique=True).map(sorted),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ready_quarter_diffs_match_quarter_diff(self, stream, quarters):
+        """One-pass diffs equal per-quarter ``quarter_diff`` bit for bit.
+
+        Whole-amp prefixes keep every addition exact; a later fractional
+        sample makes the compensation terms nonzero mid-stream.
+        """
+        register = CurrentHistoryRegister(max_quarter_period=8)
+        for value in stream:
+            register.append(value)
+            expected = [
+                register.quarter_diff(q).hex()
+                for q in quarters if register.ready(q)
+            ]
+            got = [diff.hex() for diff in register.ready_quarter_diffs(quarters)]
+            assert got == expected
+
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_event_history_matches_reference(self, bits):

@@ -1,5 +1,6 @@
-"""Unit tests for cache, resources, branch and power-model components."""
+"""Unit tests for cache, issue-slot, branch and power-model components."""
 
+import numpy as np
 import pytest
 
 from repro.config import ProcessorConfig, TABLE1_PROCESSOR, TABLE1_SUPPLY
@@ -7,13 +8,35 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.uarch import (
     BranchUnit,
     CacheHierarchy,
-    CachePorts,
+    ControlDirectives,
     EnergyWeights,
-    FunctionalUnits,
     MemLevel,
     OpClass,
+    Pipeline,
     PowerModel,
+    SyntheticTrace,
+    WorkloadProfile,
 )
+
+
+def independent_ops(op_class, n=400):
+    """A trace of ``n`` independent ops of one class; memory ops hit in L1."""
+    is_memory = op_class in (OpClass.LOAD, OpClass.STORE)
+    level = MemLevel.L1 if is_memory else MemLevel.NONE
+    return SyntheticTrace(
+        profile=WorkloadProfile(name="independent"),
+        op_class=np.full(n, int(op_class), dtype=np.int8),
+        dep1=np.zeros(n, dtype=np.int32),
+        dep2=np.zeros(n, dtype=np.int32),
+        mem_level=np.full(n, int(level), dtype=np.int8),
+        mispredict=np.zeros(n, dtype=bool),
+    )
+
+
+def step_stats(trace, cycles, directives=ControlDirectives()):
+    """Step a Table 1 pipeline and return every cycle's ``CycleStats``."""
+    pipeline = Pipeline(trace, TABLE1_PROCESSOR)
+    return [pipeline.step(directives) for _ in range(cycles)]
 
 
 class TestCacheHierarchy:
@@ -56,61 +79,35 @@ class TestCacheHierarchy:
 
 
 class TestFunctionalUnits:
+    """The issue loop's per-cycle functional-unit pools."""
+
     def test_pool_exhaustion(self):
-        fus = FunctionalUnits(TABLE1_PROCESSOR)
-        fus.new_cycle()
-        for _ in range(TABLE1_PROCESSOR.int_muls):
-            assert fus.try_claim(int(OpClass.INT_MUL))
-        assert not fus.try_claim(int(OpClass.INT_MUL))
+        stats = step_stats(independent_ops(OpClass.INT_MUL), 20)
+        # All ops dispatched in cycle 0 are ready in cycle 1; the pool caps it.
+        assert stats[0].dispatched > TABLE1_PROCESSOR.int_muls
+        assert stats[1].issued == TABLE1_PROCESSOR.int_muls
+        assert max(s.issued for s in stats) == TABLE1_PROCESSOR.int_muls
 
     def test_new_cycle_resets(self):
-        fus = FunctionalUnits(TABLE1_PROCESSOR)
-        fus.new_cycle()
-        for _ in range(TABLE1_PROCESSOR.int_muls):
-            fus.try_claim(int(OpClass.INT_MUL))
-        fus.new_cycle()
-        assert fus.try_claim(int(OpClass.INT_MUL))
-
-    def test_branches_share_int_alus(self):
-        fus = FunctionalUnits(TABLE1_PROCESSOR)
-        fus.new_cycle()
-        for _ in range(TABLE1_PROCESSOR.int_alus):
-            assert fus.try_claim(int(OpClass.BRANCH))
-        assert not fus.try_claim(int(OpClass.INT_ALU))
-
-    def test_memory_ops_not_limited_here(self):
-        fus = FunctionalUnits(TABLE1_PROCESSOR)
-        fus.new_cycle()
-        for _ in range(100):
-            assert fus.try_claim(int(OpClass.LOAD))
-
-    def test_unknown_pool_raises(self):
-        fus = FunctionalUnits(TABLE1_PROCESSOR)
-        with pytest.raises(SimulationError):
-            fus.capacity("vector")
+        stats = step_stats(independent_ops(OpClass.INT_MUL), 20)
+        # An exhausted pool is full again the next cycle, every cycle.
+        assert [s.issued for s in stats[1:]] == [TABLE1_PROCESSOR.int_muls] * 19
 
 
 class TestCachePorts:
+    """The issue loop's per-cycle L1 data-cache ports."""
+
     def test_two_ports_by_default(self):
-        ports = CachePorts(TABLE1_PROCESSOR)
-        ports.new_cycle()
-        assert ports.try_claim()
-        assert ports.try_claim()
-        assert not ports.try_claim()
+        stats = step_stats(independent_ops(OpClass.LOAD), 20)
+        assert TABLE1_PROCESSOR.cache_ports == 2
+        assert [s.issued for s in stats[1:]] == [2] * 19
 
     def test_limit_clamps_ports(self):
         """The first-level response reduces ports from 2 to 1."""
-        ports = CachePorts(TABLE1_PROCESSOR)
-        ports.new_cycle(limit=1)
-        assert ports.try_claim()
-        assert not ports.try_claim()
-
-    def test_limit_cannot_exceed_capacity(self):
-        ports = CachePorts(TABLE1_PROCESSOR)
-        ports.new_cycle(limit=10)
-        assert ports.try_claim()
-        assert ports.try_claim()
-        assert not ports.try_claim()
+        stats = step_stats(
+            independent_ops(OpClass.LOAD), 20, ControlDirectives(cache_ports_limit=1)
+        )
+        assert [s.issued for s in stats[1:]] == [1] * 19
 
 
 class TestBranchUnit:
@@ -222,3 +219,21 @@ class TestPowerModel:
         model.end_cycle()
         # 35 A * 1 V * 0.1 ns = 3.5 nJ
         assert model.total_energy_joules == pytest.approx(3.5e-9)
+
+    def test_memory_spread_longer_than_table1_ring_does_not_wrap(self):
+        """The ring is sized from the config, so any memory latency fits.
+
+        One memory access draws ``memory_access / memory_cycles`` units in
+        each of exactly ``memory_cycles`` cycles: a fixed 256-slot ring
+        would charge cycles 0-43 twice and 256-299 not at all.
+        """
+        config = ProcessorConfig(memory_cycles=300)
+        weights = EnergyWeights(l1_access=0.0, l2_access=0.0)
+        model = PowerModel(config, weights)
+        access = CacheHierarchy(config).access(int(MemLevel.MEMORY), is_store=False)
+        model.add_cache_access(access)
+        base = config.min_current_amps
+        drawn = base + model.amps_per_unit * (weights.memory_access / 300)
+        currents = [model.end_cycle() for _ in range(400)]
+        assert currents[:300] == [drawn] * 300
+        assert currents[300:] == [base] * 100

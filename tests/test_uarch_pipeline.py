@@ -70,6 +70,16 @@ class TestBasicExecution:
             pipeline.step()
         assert pipeline.ipc == pytest.approx(2.0, rel=0.15)
 
+    def test_branches_share_int_alus(self):
+        """Branches and integer ALU ops draw from one pool of int ALUs."""
+        config = ProcessorConfig(int_alus=2)
+        ops = [int(OpClass.INT_ALU), int(OpClass.BRANCH)] * 4000
+        pipeline = Pipeline(make_trace(ops), config)
+        for _ in range(400):
+            stats = pipeline.step()
+            assert stats.issued <= config.int_alus
+        assert pipeline.ipc == pytest.approx(config.int_alus, rel=0.1)
+
     def test_loads_limited_by_cache_ports(self):
         trace = make_trace([int(OpClass.LOAD)] * 4000)
         pipeline = Pipeline(trace, TABLE1_PROCESSOR)
@@ -184,6 +194,17 @@ class TestControlDirectives:
         for _ in range(400):
             pipeline.step(directives)
         assert pipeline.ipc == pytest.approx(1.0, rel=0.15)
+
+    def test_cache_port_limit_above_capacity_clamps_to_capacity(self):
+        trace = make_trace([int(OpClass.LOAD)] * 20_000)
+        pipeline = Pipeline(trace, TABLE1_PROCESSOR)
+        directives = ControlDirectives(cache_ports_limit=10)
+        for _ in range(400):
+            stats = pipeline.step(directives)
+            assert stats.issued <= TABLE1_PROCESSOR.cache_ports
+        assert pipeline.ipc == pytest.approx(
+            TABLE1_PROCESSOR.cache_ports, rel=0.15
+        )
 
     def test_stall_issue_stops_execution(self, busy_trace):
         pipeline = Pipeline(busy_trace, TABLE1_PROCESSOR)

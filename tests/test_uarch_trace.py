@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, TraceError
 from repro.uarch import MemLevel, OpClass, WorkloadProfile, generate_trace
+from repro.uarch import trace as trace_module
 from repro.uarch.trace import MAX_DEP_DISTANCE
+
+from tests.strategies import workload_profiles
 
 
 def make_profile(**kwargs):
@@ -219,6 +223,75 @@ class TestOscillationOverlay:
         a = generate_trace(fixed, 5000)
         b = generate_trace(jittered, 5000)
         assert not np.array_equal(a.dep1, b.dep1)
+
+
+def _loop_low_segment(profile, position, op, dep1, dep2, mem_level, mispredict):
+    """Element-by-element reference for ``trace._write_low_segment``."""
+    n = len(op)
+    tail = min(profile.osc_low_instrs, n - 1 - position)
+    if profile.osc_kind == "serial":
+        for offset in range(tail):
+            index = position + offset
+            op[index] = int(OpClass.INT_ALU)
+            mem_level[index] = int(MemLevel.NONE)
+            mispredict[index] = False
+            dep1[index] = min(1, index)
+            dep2[index] = 0
+        return tail
+    op[position] = int(OpClass.LOAD)
+    mem_level[position] = (
+        int(MemLevel.MEMORY) if profile.osc_kind == "mem" else int(MemLevel.L2)
+    )
+    mispredict[position] = False
+    dep1[position] = min(1, position)
+    dep2[position] = 0
+    for offset in range(1, tail + 1):
+        index = position + offset
+        if index >= n:
+            break
+        dep1[index] = offset
+        dep2[index] = 0
+        mispredict[index] = False
+        if mem_level[index] == int(MemLevel.MEMORY):
+            mem_level[index] = int(MemLevel.L1)
+    return tail + 1
+
+
+def _loop_boosted_high_segment(start, end, boost_dep, dep1, dep2, mem_level,
+                               mispredict):
+    """Element-by-element reference for ``trace._write_boosted_high_segment``."""
+    for index in range(start, end):
+        distance = boost_dep if boost_dep > 0 else 80 + (index * 7) % 40
+        dep1[index] = min(distance, index)
+        dep2[index] = 0
+        mispredict[index] = False
+        if mem_level[index] > int(MemLevel.L1):
+            mem_level[index] = int(MemLevel.L1)
+
+
+class TestOverlayMatchesLoopReference:
+    """The overlay writes whole segments as numpy slices; the per-element
+    loops they replaced must produce byte-identical traces."""
+
+    @given(
+        profile=workload_profiles(),
+        n_instructions=st.sampled_from([50, 1_000, 20_000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_byte_identical(self, profile, n_instructions):
+        sliced = generate_trace(profile, n_instructions)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace_module, "_write_low_segment", _loop_low_segment)
+            patch.setattr(
+                trace_module, "_write_boosted_high_segment",
+                _loop_boosted_high_segment,
+            )
+            looped = generate_trace(profile, n_instructions)
+        for column in ("op_class", "dep1", "dep2", "mem_level", "mispredict",
+                       "icache_miss"):
+            a, b = getattr(sliced, column), getattr(looped, column)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes(), column
 
 
 class TestSerialization:
