@@ -1,11 +1,11 @@
-"""Bench: sweep backends (sequential / pool / dist) on a multi-technique grid.
+"""Bench: sweep backends (sequential / pool) on a multi-technique grid.
 
-Runs the same 4-benchmark x 3-technique x 4-seed grid with ``workers=1``,
-``workers=4`` and the distributed backend, records each backend's wall
-clock plus the sweeps' per-phase ``timings`` breakdown, and asserts the
-aggregates are byte-identical across all three.  The speedup assertion
-only fires on machines with at least 4 cores -- on smaller hosts the
-fan-out runs still must match bit-for-bit.
+Runs the same 4-benchmark x 3-technique x 4-seed grid with ``workers=1``
+and ``workers=4``, records each backend's wall clock plus the sweeps'
+per-phase ``timings`` breakdown, and asserts the aggregates are
+byte-identical across both.  The speedup assertion only fires on
+machines with at least 4 cores -- on smaller hosts the fan-out run still
+must match bit-for-bit.
 
 The measured figures are also written to a ``BENCH_sweep.json``
 perf-trajectory artifact (per-backend wall time and cells/s; path
@@ -44,7 +44,7 @@ def _fingerprints(summaries):
     }
 
 
-def _run_grid(workers, backend="auto"):
+def _run_grid(workers):
     """Sweep every technique over the grid; return summaries + wall clock."""
     config = SweepConfig(n_cycles=GRID_CYCLES)
     summaries = {}
@@ -55,7 +55,7 @@ def _run_grid(workers, backend="auto"):
                 factory,
                 benchmarks=GRID_BENCHMARKS,
                 seeds=GRID_SEEDS,
-                resilience=ResilienceConfig(workers=workers, backend=backend),
+                resilience=ResilienceConfig(workers=workers),
             )
     return summaries, time.perf_counter() - start
 
@@ -94,7 +94,6 @@ def _write_artifact(cells, walls):
 def test_bench_sweep_parallel(benchmark):
     sequential, seq_wall = _run_grid(1)
     parallel, par_wall = run_once(benchmark, _run_grid, 4)
-    dist, dist_wall = _run_grid(4, backend="dist")
 
     cells = len(GRID_BENCHMARKS) * len(GRID_SEEDS) * len(TECHNIQUES)
     print()
@@ -102,8 +101,6 @@ def test_bench_sweep_parallel(benchmark):
     print(f"sequential  wall clock : {seq_wall:8.2f} s")
     print(f"pool        wall clock : {par_wall:8.2f} s"
           f"  (x{seq_wall / par_wall:.2f})")
-    print(f"distributed wall clock : {dist_wall:8.2f} s"
-          f"  (x{seq_wall / dist_wall:.2f})")
     for name, summary in parallel.items():
         timings = summary.timings
         print(f"  {name:12s} workers={timings['workers']:.0f}"
@@ -112,24 +109,15 @@ def test_bench_sweep_parallel(benchmark):
               f" aggregate={timings['aggregate']:.3f}s"
               f" total={timings['total']:.2f}s")
 
-    _write_artifact(cells, {
-        "sequential": seq_wall, "pool": par_wall, "dist": dist_wall,
-    })
+    _write_artifact(cells, {"sequential": seq_wall, "pool": par_wall})
 
     # Fan-out dispatch must not change a single byte of the results.
     assert _fingerprints(parallel) == _fingerprints(sequential)
-    assert _fingerprints(dist) == _fingerprints(sequential)
     for name, summary in parallel.items():
         assert len(summary.per_benchmark) == len(GRID_BENCHMARKS) * len(GRID_SEEDS)
         assert not summary.failures
-    for name, summary in dist.items():
-        assert not summary.failures
-        assert getattr(summary, "incidents", ()) == ()
 
     if (os.cpu_count() or 1) >= 4:
         assert seq_wall / par_wall >= 2.0, (
             f"workers=4 speedup {seq_wall / par_wall:.2f}x below 2x"
-        )
-        assert seq_wall / dist_wall >= 1.5, (
-            f"dist speedup {seq_wall / dist_wall:.2f}x below 1.5x"
         )

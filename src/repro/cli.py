@@ -163,19 +163,7 @@ def _cmd_compare(args) -> int:
             resilience=ResilienceConfig(
                 workers=args.workers,
                 checkpoint_path=args.checkpoint,
-                backend=args.backend,
-                # Override-only: absent flags keep the config defaults.
-                **{
-                    field: value
-                    for field, value in (
-                        ("lease_timeout_s", args.lease_timeout_s),
-                        ("quarantine_failures", args.quarantine_failures),
-                        ("connect_deadline_s", args.connect_deadline_s),
-                        ("dist_transport", args.dist_transport),
-                        ("trace_store_path", args.trace_store),
-                    )
-                    if value is not None
-                },
+                trace_store_path=args.trace_store,
                 replay=not args.no_replay,
             ),
         )
@@ -274,27 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="convolution: systematic estimate gain")
     compare.add_argument("--workers", type=int, default=1,
                          help="worker processes for the comparison sweep")
-    compare.add_argument("--backend",
-                         choices=["auto", "sequential", "pool", "dist"],
-                         default="auto",
-                         help="sweep backend (dist leases cells to worker"
-                              " subprocesses over a socket)")
-    compare.add_argument("--lease-timeout-s", type=float, default=None,
-                         metavar="S",
-                         help="dist: requeue a cell whose lease has not been"
-                              " renewed for S seconds (default 60)")
-    compare.add_argument("--quarantine-failures", type=int, default=None,
-                         metavar="N",
-                         help="dist: stop leasing to a worker after N"
-                              " attributed failures (default 3)")
-    compare.add_argument("--connect-deadline-s", type=float, default=None,
-                         metavar="S",
-                         help="dist: fall back to a local backend if no"
-                              " worker connects within S seconds (default 10)")
-    compare.add_argument("--dist-transport", choices=["unix", "tcp"],
-                         default=None,
-                         help="dist: scheduler/worker socket transport"
-                              " (default unix)")
     compare.add_argument("--checkpoint", metavar="PATH", default=None,
                          help="JSON checkpoint updated after every completed"
                               " cell (also written as PATH.summary.json)")

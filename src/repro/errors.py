@@ -59,7 +59,7 @@ class ResilienceConfigError(ConfigurationError, HarnessError):
     """A :class:`~repro.sim.runner.ResilienceConfig` knob is out of range.
 
     Raised at *construction* so a bad timeout, backoff, worker count or
-    lease setting fails immediately with a clear message instead of
+    drain deadline fails immediately with a clear message instead of
     failing (or silently misbehaving) mid-sweep.  Subclasses both
     :class:`ConfigurationError` (it is a bad configuration) and
     :class:`HarnessError` (it concerns the harness, not the physics), so
@@ -74,17 +74,6 @@ class TraceStoreError(HarnessError):
     invalid store construction).  *Corruption* of store entries is never
     an error: the guard rejects the entry, quarantines the file, records
     an incident and the caller falls back to full simulation.
-    """
-
-
-class DistributedError(HarnessError):
-    """The distributed sweep backend's scheduler or transport failed.
-
-    Covers protocol violations (oversized or malformed frames), a
-    scheduler socket that cannot be bound, and worker launches that fail
-    outright.  Recoverable conditions -- a worker crashing mid-cell, an
-    expired lease, a partitioned connection -- are *not* errors: the
-    scheduler requeues and records an incident instead.
     """
 
 

@@ -246,44 +246,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              " first cell exhausted its retry budget",
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "sequential", "pool", "dist"),
-        default=None,
-        help="sweep execution backend (default auto: --workers > 1 means"
-             " the local process pool, else sequential; dist leases cells"
-             " to worker subprocesses over a socket)",
-    )
-    parser.add_argument(
-        "--lease-timeout-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="dist backend: requeue a cell whose worker has not renewed"
-             " its lease for S seconds (default 60)",
-    )
-    parser.add_argument(
-        "--quarantine-failures",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dist backend: stop leasing to a worker after N attributed"
-             " failures (default 3)",
-    )
-    parser.add_argument(
-        "--connect-deadline-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="dist backend: degrade to a local backend if no worker"
-             " connects within S seconds (default 10)",
-    )
-    parser.add_argument(
-        "--dist-transport",
-        choices=("unix", "tcp"),
-        default=None,
-        help="dist backend socket transport (default unix)",
-    )
-    parser.add_argument(
         "--trace-store",
         metavar="PATH",
         default=None,
@@ -333,16 +295,6 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
         overrides["drain_deadline_s"] = args.drain_deadline_s
     if getattr(args, "no_circuit_breaker", False):
         overrides["circuit_breaker"] = False
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "lease_timeout_s", None) is not None:
-        overrides["lease_timeout_s"] = args.lease_timeout_s
-    if getattr(args, "quarantine_failures", None) is not None:
-        overrides["quarantine_failures"] = args.quarantine_failures
-    if getattr(args, "connect_deadline_s", None) is not None:
-        overrides["connect_deadline_s"] = args.connect_deadline_s
-    if getattr(args, "dist_transport", None) is not None:
-        overrides["dist_transport"] = args.dist_transport
     if getattr(args, "trace_store", None) is not None:
         overrides["trace_store_path"] = args.trace_store
     if getattr(args, "no_replay", False):

@@ -31,32 +31,10 @@ __all__ = [
     "KillWorkerOnce",
     "HangOnce",
     "HangAlways",
-    "DropConnectionOnce",
-    "PartitionWorkerOnce",
-    "DelayResultOnce",
-    "DuplicateResultOnce",
-    "ComposeTransforms",
     "truncate_file",
     "flip_bit",
     "inject_fsync_faults",
 ]
-
-
-class ComposeTransforms:
-    """Chain several supply transforms into one (stays picklable).
-
-    Lets a single sweep suffer several independent injectors at once --
-    e.g. a delayed result on one benchmark and a duplicated result on
-    another.
-    """
-
-    def __init__(self, *transforms):
-        self.transforms = transforms
-
-    def __call__(self, supply, benchmark: str):
-        for transform in self.transforms:
-            supply = transform(supply, benchmark)
-        return supply
 
 
 class _SabotagedSupply:
@@ -156,78 +134,6 @@ class HangAlways:
         return _SabotagedSupply(
             supply, lambda: time.sleep(self.sleep_s), self.after_cycles
         )
-
-
-# ----------------------------------------------------------------------
-# Network chaos for the distributed backend
-# ----------------------------------------------------------------------
-#
-# These transforms run inside a dist worker subprocess (the supply is
-# built where the cell executes) and arm the module-level chaos hooks of
-# :mod:`repro.dist.worker`, which applies them at the result boundary --
-# where a real network actually fails.  On any other backend the armed
-# flag has no consumer and the run proceeds clean, so the same scenario
-# plan is safe everywhere.
-
-class DropConnectionOnce(_OneShotSabotage):
-    """Sever the worker's scheduler connection mid-cell, exactly once.
-
-    The worker computes the cell, then closes its socket and exits
-    instead of delivering the result: the scheduler sees an EOF with the
-    lease outstanding, steals the cell back, and the requeued run
-    (marker present) completes normally.
-    """
-
-    def _sabotage(self) -> None:
-        from repro.dist import worker
-
-        worker.chaos_drop_connection()
-
-
-class PartitionWorkerOnce(_OneShotSabotage):
-    """Partition the worker off the network for ``silence_s``, once.
-
-    Heartbeats stop and the result is held back, as if a switch dropped
-    the link and later healed: depending on the scheduler's lease and
-    staleness thresholds the cell is either delivered late (and possibly
-    deduplicated against a stolen re-run) or the worker is declared
-    stale.
-    """
-
-    def __init__(self, marker_path: str, benchmark: str,
-                 after_cycles: int = 400, silence_s: float = 2.0):
-        super().__init__(marker_path, benchmark, after_cycles)
-        self.silence_s = silence_s
-
-    def _sabotage(self) -> None:
-        from repro.dist import worker
-
-        worker.chaos_partition(self.silence_s)
-
-
-class DelayResultOnce(_OneShotSabotage):
-    """Delay one result's delivery by ``delay_s`` (heartbeats keep
-    flowing -- pure latency, not a partition)."""
-
-    def __init__(self, marker_path: str, benchmark: str,
-                 after_cycles: int = 400, delay_s: float = 2.0):
-        super().__init__(marker_path, benchmark, after_cycles)
-        self.delay_s = delay_s
-
-    def _sabotage(self) -> None:
-        from repro.dist import worker
-
-        worker.chaos_delay_result(self.delay_s)
-
-
-class DuplicateResultOnce(_OneShotSabotage):
-    """Deliver one result frame twice (a retransmit the scheduler must
-    deduplicate rather than double-count)."""
-
-    def _sabotage(self) -> None:
-        from repro.dist import worker
-
-        worker.chaos_duplicate_result()
 
 
 def truncate_file(path: str, keep_fraction: float) -> int:

@@ -25,9 +25,8 @@ individually:
 
 Worker processes inherit the configuration through
 :func:`worker_spec` / :func:`init_worker` (wired into the sweep pool
-initializer and the dist welcome frame), writing their spans and profile
-samples into their own shard files and shipping metric deltas back with
-each cell result.  Trace spans carry deterministic
+initializer), writing their spans and profile samples into their own
+shard files and shipping metric deltas back with each cell result.  Trace spans carry deterministic
 :class:`~repro.obs.context.TraceContext` ids, so one job's lifecycle
 links across every process boundary.
 """

@@ -9,10 +9,10 @@ every backend.  That determinism is what lets the goldens and the chaos
 convergence checks stay bit-exact with tracing enabled.
 
 Contexts cross process boundaries as plain dicts — in the pool worker
-cell submission, in the ``repro.dist`` lease frame, and in the
-``traceparent`` HTTP header — and are re-installed on the far side with
-:func:`use_context`.  The current context is thread-local because
-``repro serve`` runs concurrent job threads in one process.
+cell submission and in the ``traceparent`` HTTP header — and are
+re-installed on the far side with :func:`use_context`.  The current
+context is thread-local because ``repro serve`` runs concurrent job
+threads in one process.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ def _slowest_cells(events: List[dict], top: int = 10) -> List[dict]:
 
 
 def _timeline(events: List[dict]) -> List[dict]:
-    """Supervision instants plus lease/request spans, time-ordered."""
+    """Supervision instants, time-ordered."""
     items = []
     origin = None
     for event in events:

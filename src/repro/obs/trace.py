@@ -40,13 +40,12 @@ __all__ = [
 
 #: Categories used by the built-in instrumentation (documented in
 #: docs/observability.md): phase/cell spans and supervision instants,
-#: serve request and dist lease spans, and cross-process flow arrows.
+#: serve request spans, and cross-process flow arrows.
 CAT_PHASE = "phase"
 CAT_CELL = "cell"
 CAT_SIM = "sim"
 CAT_SUPERVISION = "supervision"
 CAT_SERVE = "serve"
-CAT_DIST = "dist"
 CAT_FLOW = "flow"
 
 
@@ -85,8 +84,7 @@ class Tracer:
 
     def _emit_locked(self, event: dict) -> None:
         event["pid"] = self._pid
-        if "tid" not in event:  # synthetic per-worker lease tracks keep theirs
-            event["tid"] = threading.get_ident() % 1_000_000
+        event["tid"] = threading.get_ident() % 1_000_000
         event["seq"] = self._seq
         self._seq += 1
         self._handle.write(json.dumps(event, sort_keys=True) + "\n")
@@ -140,47 +138,34 @@ class Tracer:
         ended: float,
         args: Optional[dict] = None,
         ctx=None,
-        tid: Optional[int] = None,
     ) -> None:
         """Record a complete span from explicit ``time.monotonic`` stamps.
 
         Used where the span is only known after the fact: the serve HTTP
-        request span (status known once the response is written) and the
-        dist scheduler lease span (closed when the result frame lands).
-        An explicit ``tid`` places the span on a synthetic track (one per
-        dist worker) so concurrent leases do not overlap on one track.
+        request span (status known once the response is written).
         """
         span_args: dict = dict(args or {})
         if ctx is not None:
             span_args.update(ctx.span_args())
-        event = {
+        self._write({
             "ph": "X",
             "name": name,
             "cat": cat,
             "ts": round(started * 1e6, 3),
             "dur": round(max(ended - started, 0.0) * 1e6, 3),
             "args": span_args,
-        }
-        if tid is not None:
-            event["tid"] = tid
-        self._write(event)
+        })
 
-    def flow_start(
-        self, flow_id: str, name: str = "dispatch",
-        ts: Optional[float] = None, tid: Optional[int] = None,
-    ) -> None:
+    def flow_start(self, flow_id: str, name: str = "dispatch") -> None:
         """Open a flow arrow at the dispatch site (inside the open span)."""
-        event = {
+        self._write({
             "ph": "s",
             "name": name,
             "cat": CAT_FLOW,
             "id": flow_id,
-            "ts": round((time.monotonic() if ts is None else ts) * 1e6, 3),
+            "ts": round(time.monotonic() * 1e6, 3),
             "args": {},
-        }
-        if tid is not None:
-            event["tid"] = tid
-        self._write(event)
+        })
 
     def flow_end(self, flow_id: str, name: str = "dispatch") -> None:
         """Close a flow arrow inside the receiving span (other process)."""

@@ -13,6 +13,7 @@ chaos harness's golden-convergence invariants assert).
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
@@ -24,9 +25,10 @@ from repro.uarch.workloads import SPEC2K
 __all__ = ["JobSpec", "TECHNIQUES", "controller_factory"]
 
 #: Technique name -> (builder qualname in repro.cli, parameter table).
-#: Each parameter row is (spec key, builder kwarg, default, converter);
-#: defaults match the ``repro compare`` flags so a spec with no params
-#: behaves exactly like the bare CLI command.
+#: Each parameter row is (spec key, builder kwarg, default); defaults
+#: match the ``repro compare`` flags so a spec with no params behaves
+#: exactly like the bare CLI command.  An integer default marks a param
+#: that must be integral.
 TECHNIQUES: Dict[str, Tuple[str, Tuple[Tuple[str, str, object], ...]]] = {
     "tuning": ("_build_tuning", (
         ("response_time", "response_time", 100),
@@ -63,9 +65,19 @@ def _as_int(value, name: str) -> int:
     return value
 
 
-def _as_number(value, name: str) -> float:
+def _is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that is neither NaN nor infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _reject(f"{name} must be a number, got {value!r}")
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _as_number(value, name: str) -> float:
+    if not _is_finite_number(value):
+        _reject(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -96,11 +108,8 @@ class JobSpec:
     #: cell).  Production jobs leave it 0; the chaos harness uses it to
     #: hold the kill-window open deterministically on fast grids.
     pace_s: float = 0.0
-    #: sweep execution backend: "auto" picks sequential/pool from
-    #: ``workers``; "dist" leases cells to worker subprocesses.  Every
-    #: backend yields byte-identical aggregates.
-    backend: str = "auto"
-    #: worker processes for the pool/dist backends; 1 = in-process
+    #: worker processes: more than one fans the cells out to the local
+    #: process pool; 1 = in-process.  Both yield byte-identical aggregates.
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -154,13 +163,6 @@ class JobSpec:
             )
         if self.pace_s < 0 or self.pace_s > 5.0:
             _reject(f"pace_s must be within [0, 5], got {self.pace_s!r}")
-        # Hardcoded choices (not imported from the backend registry) keep
-        # spec validation import-light and the wire contract explicit.
-        if self.backend not in ("auto", "sequential", "pool", "dist"):
-            _reject(
-                f"backend must be one of ['auto', 'sequential', 'pool',"
-                f" 'dist'], got {self.backend!r}"
-            )
         if (
             isinstance(self.workers, bool)
             or not isinstance(self.workers, int)
@@ -178,6 +180,12 @@ class JobSpec:
                 f"unknown params {extra!r} for technique"
                 f" {self.technique!r} (expected a subset of {sorted(known)})"
             )
+        for key, _, default in param_table:
+            value = self.params.get(key, default)
+            if not _is_finite_number(value):
+                _reject(f"param {key} must be a finite number, got {value!r}")
+            if isinstance(default, int) and not float(value).is_integer():
+                _reject(f"param {key} must be an integer, got {value!r}")
 
     # ------------------------------------------------------------------
     # Wire format
@@ -233,10 +241,15 @@ class JobSpec:
             ),
             pace_s=_as_number(data.get("pace_s", 0.0), "pace_s"),
         )
+        # Records persisted while specs still named a backend carry one.
+        # ``workers`` alone picks the backend now, and every local choice
+        # gave byte-identical aggregates, so those values are ignored.
         backend = data.get("backend", "auto")
-        if not isinstance(backend, str):
-            _reject(f"backend must be a string, got {backend!r}")
-        kwargs["backend"] = backend
+        if backend not in ("auto", "sequential", "pool"):
+            _reject(
+                f"backend must be 'auto', 'sequential' or 'pool' (the"
+                f" backend follows workers), got {backend!r}"
+            )
         kwargs["workers"] = _as_int(data.get("workers", 1), "workers")
         tenant = data.get("tenant", "default")
         if not isinstance(tenant, str):
@@ -272,32 +285,21 @@ def controller_factory(spec: JobSpec):
 
     builder_name, param_table = TECHNIQUES[spec.technique]
     builder = getattr(_cli, builder_name)
-    kwargs = {}
-    for spec_key, kwarg, default in param_table:
-        value = spec.params.get(spec_key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _reject(f"param {spec_key} must be a number, got {value!r}")
-        kwargs[kwarg] = value
+    # JobSpec validation already admitted every value: finite numbers,
+    # integral where the default is an integer.
+    kwargs = {
+        kwarg: spec.params.get(spec_key, default)
+        for spec_key, kwarg, default in param_table
+    }
     if spec.technique == "tuning":
-        response_time = kwargs.pop("response_time")
-        if isinstance(response_time, float):
-            if not response_time.is_integer():
-                _reject(
-                    f"param response_time must be an integer,"
-                    f" got {response_time!r}"
-                )
-            response_time = int(response_time)
         return functools.partial(
             _cli._build_tuning,
-            tuning=TuningConfig(initial_response_time=response_time),
+            tuning=TuningConfig(
+                initial_response_time=int(kwargs["response_time"])
+            ),
         )
     if spec.technique == "voltage-threshold":
         kwargs["threshold_volts"] = kwargs.pop("threshold_mv") * 1e-3
         kwargs["noise_volts"] = kwargs.pop("noise_mv") * 1e-3
-        delay = kwargs.pop("delay_cycles")
-        if isinstance(delay, float):
-            if not delay.is_integer():
-                _reject(f"param delay must be an integer, got {delay!r}")
-            delay = int(delay)
-        kwargs["delay_cycles"] = delay
+        kwargs["delay_cycles"] = int(kwargs["delay_cycles"])
     return functools.partial(builder, **kwargs)

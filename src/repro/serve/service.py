@@ -2,8 +2,8 @@
 
 One asyncio event loop owns the listener, admission, scheduling and SSE
 streams; each admitted job runs :meth:`BenchmarkRunner.sweep` on its own
-worker thread (sweeps are blocking and CPU-bound; the pool/dist backends
-already fan the cells out further when a spec asks for it).  The thread
+worker thread (sweeps are blocking and CPU-bound; the process pool
+already fans the cells out further when a spec asks for it).  The thread
 talks back to the loop only through ``call_soon_threadsafe`` and through
 the job's in-memory event buffer, so no cross-thread state is mutated
 without the store lock.
@@ -599,7 +599,6 @@ class SweepService:
                 resume=os.path.exists(checkpoint),
                 max_retries=spec.max_retries,
                 workers=spec.workers,
-                backend=spec.backend,
             )
             config = SweepConfig(
                 n_cycles=spec.n_cycles, warmup_cycles=spec.warmup_cycles
@@ -644,7 +643,6 @@ class SweepService:
                             args={
                                 "job_id": job_id,
                                 "technique": spec.technique,
-                                "backend": spec.backend,
                             },
                             ctx=job_ctx,
                         ))

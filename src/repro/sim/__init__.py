@@ -1,7 +1,6 @@
 """Simulation harness: the cycle loop, metrics and batch sweeps."""
 
 from repro.sim.backends import (
-    BACKEND_CHOICES,
     ProcessPoolBackend,
     SequentialBackend,
     SweepBackend,
@@ -22,7 +21,6 @@ from repro.sim.runner import (
 from repro.sim.simulation import Simulation
 
 __all__ = [
-    "BACKEND_CHOICES",
     "RelativeMetrics",
     "SimulationResult",
     "BenchmarkRunner",

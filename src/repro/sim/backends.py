@@ -5,24 +5,19 @@
 pending work to a backend as a :class:`SweepJob`.  A backend's only
 contract is :meth:`SweepBackend.execute`: run every pending cell (or
 park it as a :class:`~repro.sim.runner.FailureReport`), honouring the
-job's drain flag, circuit breaker, checkpointing and incident log.  All
+job's drain flag, circuit breaker, checkpointing and incident log.  Both
 backends must be *interchangeable*: the same sweep produces byte-
-identical aggregates, failures, and checkpoint files on every backend,
-and a checkpoint written by one backend resumes on any other.
+identical aggregates, failures, and checkpoint files on either backend,
+and a checkpoint written by one backend resumes on the other.
 
-Three backends exist:
+Two backends exist:
 
 * :class:`SequentialBackend` -- cells run in-process, in grid order;
 * :class:`ProcessPoolBackend` -- cells fan out to a supervised local
-  ``ProcessPoolExecutor`` (heartbeats, stale-kill, pool rebuild);
-* :class:`repro.dist.backend.DistributedBackend` -- cells are leased to
-  independent worker subprocesses over a socket protocol (registered
-  here lazily to keep ``repro.sim`` import-light).
+  ``ProcessPoolExecutor`` (heartbeats, stale-kill, pool rebuild).
 
-Selection is by ``ResilienceConfig.backend``: ``"auto"`` (the default)
-keeps the historical behaviour -- ``workers > 1`` means the process
-pool, otherwise sequential -- while ``"sequential"``, ``"pool"`` and
-``"dist"`` force a specific backend.
+``ResilienceConfig.workers`` alone selects between them (see
+:func:`select_backend`).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import ConfigurationError, SweepInterrupted
+from repro.errors import SweepInterrupted
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -52,11 +47,7 @@ __all__ = [
     "SequentialBackend",
     "ProcessPoolBackend",
     "select_backend",
-    "BACKEND_CHOICES",
 ]
-
-#: Valid values of ``ResilienceConfig.backend``.
-BACKEND_CHOICES = ("auto", "sequential", "pool", "dist")
 
 Cell = Tuple[str, Optional[int]]
 
@@ -229,18 +220,13 @@ class SequentialBackend(SweepBackend):
         resilience = job.resilience
         open_benchmarks: set = set()
         probed: set = set()
-        pending = [
-            cell
-            for cell in job.grid
-            if cell not in job.results and cell not in job.failure_map
-        ]
-        if len(pending) > 1:
+        if len(job.pending) > 1:
             # Warm the base cache with one lane-batched kernel call; a
             # failed prefetch only costs the optimization (each cell's
             # scalar path reproduces any error under its retry policy).
             try:
                 job.runner.prefetch_base_batch(
-                    pending,
+                    job.pending,
                     timeout_s=resilience.timeout_s,
                     should_stop=job.drain.is_set,
                 )
@@ -251,8 +237,6 @@ class SequentialBackend(SweepBackend):
             if cell in job.results:  # resumed from the checkpoint
                 if job.progress is not None:
                     job.progress(name, job.results[cell])
-                continue
-            if cell in job.failure_map:  # parked before a degradation
                 continue
             if job.drain.is_set():
                 raise job.drain_now()
@@ -586,51 +570,14 @@ def _spec_is_picklable(runner, factory) -> bool:
 
 
 def select_backend(runner, resilience, factory, n_pending) -> SweepBackend:
-    """The backend this sweep runs on (``ResilienceConfig.backend``).
+    """The backend this sweep runs on, chosen by ``resilience.workers``.
 
-    ``"auto"`` preserves the historical rule: ``workers > 1`` fans out
-    to the process pool, anything else runs sequentially.  Fan-out
-    backends degrade to :class:`SequentialBackend` with a warning when
-    the cell spec cannot pickle or when at most one cell is pending --
-    never silently change results, always run the sweep.
+    More than one worker with more than one pending cell fans out to the
+    process pool; anything else runs sequentially.  A cell spec that
+    cannot pickle degrades to :class:`SequentialBackend` with a warning
+    -- never silently change results, always run the sweep.
     """
-    choice = getattr(resilience, "backend", "auto")
-    if choice not in BACKEND_CHOICES:
-        raise ConfigurationError(
-            f"unknown sweep backend {choice!r}"
-            f" (choose from {', '.join(BACKEND_CHOICES)})"
-        )
-    if choice == "sequential":
-        return SequentialBackend()
-    if choice == "dist":
-        if not _spec_is_picklable(runner, factory):
-            return SequentialBackend()
-        # Dist workers are fresh interpreters, not forks of this process:
-        # anything pickled by reference to __main__ cannot be resolved on
-        # the other side, so degrade up front instead of failing every
-        # lease.
-        main_bound = [
-            obj for obj in (factory, runner.supply_transform)
-            if getattr(obj, "__module__", None) == "__main__"
-            or getattr(type(obj), "__module__", None) == "__main__"
-        ]
-        if main_bound:
-            warn_once(
-                "distributed sweep disabled: the controller factory or"
-                " supply transform is defined in __main__, which worker"
-                " subprocesses cannot import; running sequentially",
-                stacklevel=5,
-            )
-            return SequentialBackend()
-        from repro.dist.backend import DistributedBackend
-
-        return DistributedBackend(resilience.workers)
-    # "pool" and "auto" share the worker arithmetic.
-    if choice == "auto" and resilience.workers <= 1:
-        return SequentialBackend()
-    workers = min(max(resilience.workers, 1), max(n_pending, 1))
-    if workers <= 1 or n_pending <= 1:
-        return SequentialBackend()
-    if not _spec_is_picklable(runner, factory):
+    workers = min(resilience.workers, n_pending)
+    if workers <= 1 or not _spec_is_picklable(runner, factory):
         return SequentialBackend()
     return ProcessPoolBackend(workers)

@@ -151,9 +151,8 @@ class ResilienceConfig:
     checkpoint_path: Optional[str] = None
     #: load the checkpoint and skip already-completed cells
     resume: bool = False
-    #: worker processes executing sweep cells; 1 = in-process (sequential),
-    #: 0 = none launched locally (sequential on auto; external workers
-    #: only on the distributed backend)
+    #: worker processes executing sweep cells: more than one fans out to
+    #: the local process pool; 0 and 1 run in-process (sequential)
     workers: int = 1
     #: a parallel worker whose current cell has not progressed for this
     #: many seconds is presumed hung, killed, and its cell requeued;
@@ -175,24 +174,6 @@ class ResilienceConfig:
     #: after SIGTERM/SIGINT, how long the parallel drain waits for
     #: in-flight cells before killing the pool and exiting resumable
     drain_deadline_s: float = 10.0
-    #: execution backend: "auto" (workers > 1 means the local process
-    #: pool, else sequential), or force "sequential" / "pool" / "dist"
-    backend: str = "auto"
-    #: distributed backend: seconds a worker holds a cell's lease before
-    #: the scheduler presumes it lost and requeues the cell (renewed at
-    #: every retry attempt the worker reports)
-    lease_timeout_s: float = 60.0
-    #: distributed backend: quarantine a worker (stop leasing to it)
-    #: after this many attributed failures -- expired leases, dropped
-    #: connections, crashes
-    quarantine_failures: int = 3
-    #: distributed backend: if no worker has connected this many seconds
-    #: after the scheduler starts listening, degrade to the local pool
-    #: backend instead of stalling the sweep
-    connect_deadline_s: float = 10.0
-    #: distributed backend transport: "unix" (socketpair-fast, same
-    #: host) or "tcp" (127.0.0.1; the shape of a multi-host deployment)
-    dist_transport: str = "unix"
     #: directory of the content-addressed trace record/replay store
     #: (:mod:`repro.trace`): base-schedule cells record their current
     #: trace on the first run of a front end and replay it (bit-exactly)
@@ -226,7 +207,7 @@ class ResilienceConfig:
         if self.workers < 0:
             reject(
                 f"workers must be non-negative, got {self.workers!r}"
-                f" (0 = no local workers, 1 = sequential, N = fan out)"
+                f" (0 or 1 = sequential, N = fan out)"
             )
         if self.heartbeat_stale_s is not None and self.heartbeat_stale_s <= 0:
             reject(
@@ -257,33 +238,6 @@ class ResilienceConfig:
             reject(
                 f"drain_deadline_s must be positive,"
                 f" got {self.drain_deadline_s!r}"
-            )
-        from repro.sim.backends import BACKEND_CHOICES
-
-        if self.backend not in BACKEND_CHOICES:
-            reject(
-                f"backend must be one of {', '.join(BACKEND_CHOICES)},"
-                f" got {self.backend!r}"
-            )
-        if self.lease_timeout_s <= 0:
-            reject(
-                f"lease_timeout_s must be positive,"
-                f" got {self.lease_timeout_s!r}"
-            )
-        if self.quarantine_failures < 1:
-            reject(
-                f"quarantine_failures must be at least 1,"
-                f" got {self.quarantine_failures!r}"
-            )
-        if self.connect_deadline_s <= 0:
-            reject(
-                f"connect_deadline_s must be positive,"
-                f" got {self.connect_deadline_s!r}"
-            )
-        if self.dist_transport not in ("unix", "tcp"):
-            reject(
-                f"dist_transport must be 'unix' or 'tcp',"
-                f" got {self.dist_transport!r}"
             )
         if self.trace_store_path is not None and not str(self.trace_store_path):
             reject("trace_store_path must be a non-empty path when set")
@@ -1280,7 +1234,7 @@ class BenchmarkRunner:
     def _trace_spec(
         self, resilience: Optional[ResilienceConfig] = None
     ) -> Optional[str]:
-        """Store root to ship to pool/dist workers (None = replay off)."""
+        """Store root to ship to pool workers (None = replay off)."""
         store = self._trace_layer(resilience)
         return None if store is None else store.root
 
@@ -1670,9 +1624,9 @@ class BenchmarkRunner:
             span_args: dict = {}
             if tracer is not None:
                 # The cell context is derived, not random, so the
-                # dispatching side (pool submit / dist scheduler) computes
-                # the same span id for its flow arrow, and fixed-seed runs
-                # produce identical linkage on every backend.
+                # dispatching side (the pool submit) computes the same
+                # span id for its flow arrow, and fixed-seed runs produce
+                # identical linkage on every backend.
                 cell_ctx = None
                 remote = obs_context.context_is_remote()
                 parent_ctx = obs_context.current_context()
@@ -1936,7 +1890,7 @@ class BenchmarkRunner:
                 # fingerprints identical to a cold one.  Guard failures
                 # become incidents: the result is still correct (full
                 # simulation ran), but the operator should know the store
-                # is rotting.  Pool/dist workers keep their own stores;
+                # is rotting.  Pool workers keep their own stores;
                 # their counts arrive via the merged obs telemetry.
                 for stat, value in trace_store.stats.items():
                     timings[f"trace_{stat}"] = float(

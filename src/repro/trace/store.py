@@ -510,7 +510,7 @@ class TraceStore:
     def _atomic_write_json(self, path: str, payload: dict) -> None:
         """v2 checkpoint discipline: temp file + fsync + replace + dir fsync.
 
-        The temp name carries the pid so concurrent pool/dist workers
+        The temp name carries the pid so concurrent pool workers
         recording the same key never collide mid-write; the final
         ``os.replace`` is atomic, and content addressing makes racing
         writers idempotent (they write identical bytes).

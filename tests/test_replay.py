@@ -44,7 +44,7 @@ def fingerprint(summary):
 
 
 def tuning_factory(supply, processor):
-    """Module-level factory: picklable into pool and dist workers."""
+    """Module-level factory: picklable into pool workers."""
     return ResonanceTuningController(supply, processor)
 
 
@@ -301,7 +301,7 @@ class TestRunnerReplayDifferential:
 class TestCrossBackendReplay:
     BENCHMARKS = ("swim", "gzip")
 
-    def test_sequential_pool_dist_share_one_store(self, tmp_path):
+    def test_sequential_and_pool_share_one_store(self, tmp_path):
         store_dir = str(tmp_path / "store")
         plain = BenchmarkRunner(SMALL).sweep(
             tuning_factory, benchmarks=self.BENCHMARKS
@@ -317,16 +317,8 @@ class TestCrossBackendReplay:
                     workers=2, trace_store_path=store_dir
                 ),
             )
-        dist = BenchmarkRunner(SMALL).sweep(
-            tuning_factory, benchmarks=self.BENCHMARKS,
-            resilience=ResilienceConfig(
-                workers=2, backend="dist", connect_deadline_s=30.0,
-                trace_store_path=store_dir,
-            ),
-        )
         assert fingerprint(sequential) == fingerprint(plain)
         assert fingerprint(pooled) == fingerprint(plain)
-        assert fingerprint(dist) == fingerprint(plain)
 
     def test_cold_then_warm_summaries_identical(self, tmp_path):
         store_dir = str(tmp_path / "store")

@@ -237,8 +237,8 @@ class TestFallbacks:
             ResilienceConfig(workers=-1)
 
     def test_zero_workers_runs_sequentially_on_auto(self):
-        # 0 = "no local workers": meaningful for the distributed backend
-        # (external workers only); on auto it degrades to sequential.
+        # 0 and 1 both mean "no worker processes": the sweep runs
+        # in-process.
         with BenchmarkRunner(SMALL) as runner:
             summary = runner.sweep(
                 tuning_factory,

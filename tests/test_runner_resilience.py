@@ -90,44 +90,14 @@ class TestResilienceConfigValidation:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(heartbeat_stale_s=0)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backend="carrier-pigeon")
-
-    def test_rejects_non_positive_lease_timeout(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(lease_timeout_s=0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(lease_timeout_s=-1.0)
-
-    def test_rejects_zero_quarantine_threshold(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(quarantine_failures=0)
-
-    def test_rejects_non_positive_connect_deadline(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(connect_deadline_s=0)
-
-    def test_rejects_unknown_dist_transport(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(dist_transport="infiniband")
-
-    def test_dist_validation_error_is_a_harness_error(self):
+    def test_harness_error_names_knob_and_value(self):
         from repro.errors import HarnessError
 
         with pytest.raises(HarnessError) as caught:
-            ResilienceConfig(backend="nope")
+            ResilienceConfig(drain_deadline_s=-2.5)
         # The message must name the knob and the offending value.
-        assert "backend" in str(caught.value)
-        assert "nope" in str(caught.value)
-
-    def test_valid_dist_config_constructs(self):
-        config = ResilienceConfig(
-            backend="dist", workers=2, lease_timeout_s=5.0,
-            quarantine_failures=1, connect_deadline_s=0.5,
-            dist_transport="tcp",
-        )
-        assert config.backend == "dist"
+        assert "drain_deadline_s" in str(caught.value)
+        assert "-2.5" in str(caught.value)
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,17 @@ class TestJobSpec:
         spec_dict(technique=7),
         [],
         "spec",
+        # POST /jobs parses with json.loads, which admits NaN and Infinity.
+        spec_dict(pace_s=float("nan")),
+        spec_dict(deadline_s=float("nan")),
+        spec_dict(deadline_s=float("inf")),
+        spec_dict(technique="damping", params={"delta_amps": float("nan")}),
+        spec_dict(technique="damping", params={"delta_amps": float("-inf")}),
+        spec_dict(technique="damping", params={"delta_amps": "abc"}),
+        spec_dict(params={"response_time": 80.5}),
+        spec_dict(technique="voltage-threshold", params={"delay": 1.5}),
+        spec_dict(backend="dist"),
+        spec_dict(backend=3),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(JobSpecError):
@@ -120,11 +131,22 @@ class TestJobSpec:
         )
 
     def test_factory_param_validation(self):
-        spec = JobSpec.from_dict(spec_dict(
-            technique="damping", params={"delta_amps": "wide"},
-        ))
+        # A bad param fails at submission, before any factory is built ...
         with pytest.raises(JobSpecError):
-            controller_factory(spec)
+            JobSpec.from_dict(spec_dict(
+                technique="damping", params={"delta_amps": "wide"},
+            ))
+        # ... and an integral float reaches the builder as an int.
+        spec = JobSpec.from_dict(spec_dict(params={"response_time": 80.0}))
+        tuning = controller_factory(spec).keywords["tuning"]
+        assert tuning.initial_response_time == 80
+        assert isinstance(tuning.initial_response_time, int)
+
+    @pytest.mark.parametrize("backend", ["auto", "sequential", "pool"])
+    def test_legacy_local_backend_key_is_ignored(self, backend):
+        spec = JobSpec.from_dict(spec_dict(backend=backend, workers=2))
+        assert spec == JobSpec.from_dict(spec_dict(workers=2))
+        assert "backend" not in spec.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +409,34 @@ class TestServiceIntegration:
             status, _, body = fx.request("POST", "/jobs", body=None)
             assert status == 400
 
+    def test_non_finite_submission_is_rejected_without_a_record(
+        self, tmp_path
+    ):
+        with ServiceFixture(tmp_path) as fx:
+            # json.dumps writes float("nan") as the bare token NaN.
+            status, _, body = fx.request(
+                "POST", "/jobs", spec_dict(pace_s=float("nan"), **TINY)
+            )
+            assert status == 400
+            assert "pace_s" in body["error"]
+            assert fx.service.store.list_records() == []
+            assert os.listdir(fx.service.store.jobs_dir) == []
+
+    def test_records_persisted_with_a_backend_still_run(self, tmp_path):
+        # Job records written while specs carried a "backend" field: a
+        # local choice is ignored, anything else fails the job cleanly.
+        store = JobStore(str(tmp_path / "serve"))
+        legacy = store.create(
+            "default", spec_dict(backend="auto", **TINY), total_cells=1
+        )
+        dist = store.create(
+            "default", spec_dict(backend="dist", **TINY), total_cells=1
+        )
+        with ServiceFixture(tmp_path) as fx:
+            fx.wait_state(legacy.job_id, ("done",), timeout_s=60.0)
+            failed = fx.wait_state(dist.job_id, ("failed",), timeout_s=10.0)
+        assert failed["error"]["type"] == "JobSpecError"
+
     def test_overflow_sheds_with_deterministic_retry_after(self, tmp_path):
         policy = AdmissionPolicy(max_queued=1, tenant_max_active=8,
                                  tenant_max_cells=512)
@@ -531,10 +581,10 @@ class TestDebugEndpoints:
 
 
 class TestEndToEndTraceCorrelation:
-    """The acceptance demo: one job through serve backed by the dist
-    backend must land every tier's span in one causally-linked trace."""
+    """The acceptance demo: one job through serve backed by the process
+    pool must land every tier's span in one causally-linked trace."""
 
-    def test_serve_dist_job_links_one_trace(self, tmp_path, clean_obs):
+    def test_serve_pool_job_links_one_trace(self, tmp_path, clean_obs):
         from repro.obs.context import TraceContext
         from repro.obs.trace import load_trace_events
 
@@ -544,7 +594,8 @@ class TestEndToEndTraceCorrelation:
         with ServiceFixture(tmp_path) as fx:
             status, _, record = fx.request(
                 "POST", "/jobs",
-                spec_dict(backend="dist", workers=1, **TINY),
+                # Two pending cells: one would run in-process.
+                spec_dict(benchmarks=["swim", "gzip"], workers=2, **TINY),
                 {"traceparent": client_ctx.to_traceparent()},
             )
             assert status == 201
@@ -579,7 +630,6 @@ class TestEndToEndTraceCorrelation:
         (http_id, _, http_parent, _), = find("http POST /jobs")
         (job_sid, _, job_parent, _), = find(f"job {job_id}")
         (sweep_id, _, sweep_parent, _), = find("sweep")
-        lease = find("lease ")
         cells = find("cell ")
         runs = find("run ")
 
@@ -587,13 +637,11 @@ class TestEndToEndTraceCorrelation:
         assert http_parent == client_ctx.span_id
         assert job_parent == http_id
         assert sweep_parent == job_sid
-        assert {entry[2] for entry in lease} == {sweep_id}
-        lease_ids = {entry[0] for entry in lease}
-        assert {entry[2] for entry in cells} <= lease_ids
+        assert {entry[2] for entry in cells} == {sweep_id}
         cell_ids = {entry[0] for entry in cells}
         assert all(entry[2] in cell_ids for entry in runs)
 
-        # ... and across at least two processes (service + dist worker)
+        # ... and across at least two processes (service + pool worker)
         pids = {info[2] for info in spans.values()}
         assert len(pids) >= 2
         worker_pids = {entry[3] for entry in cells}

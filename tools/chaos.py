@@ -41,12 +41,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from repro.core import ResonanceTuningController  # noqa: E402
 from repro.errors import SweepInterrupted  # noqa: E402
 from repro.faults.chaos import (  # noqa: E402
-    ComposeTransforms,
-    DelayResultOnce,
-    DropConnectionOnce,
-    DuplicateResultOnce,
     KillWorkerOnce,
-    PartitionWorkerOnce,
     flip_bit,
     inject_fsync_faults,
     truncate_file,
@@ -63,24 +58,6 @@ from repro.sim.runner import _cell_key  # noqa: E402
 def tuning_factory(supply, processor):
     """Module-level (picklable) controller factory for worker processes."""
     return ResonanceTuningController(supply, processor)
-
-
-def worker_safe_factory():
-    """The tuning factory bound to an *importable* module object.
-
-    Pool workers are forks, so ``__main__.tuning_factory`` resolves for
-    them even when this file runs as a script.  Dist workers are fresh
-    interpreters: anything pickled by reference to ``__main__`` is
-    unresolvable there, so dist scenarios pickle the factory through the
-    canonical ``chaos`` module instead (this directory is ``sys.path[0]``
-    when the script runs, and the scheduler's ``sys.path`` is propagated
-    to every worker).
-    """
-    if __name__ != "__main__":
-        return tuning_factory
-    import chaos
-
-    return chaos.tuning_factory
 
 
 def fingerprint(summary) -> str:
@@ -294,132 +271,6 @@ def scenario_sigterm(plan: Plan, tmp: pathlib.Path):
         problems.append("resume after drain diverged from the golden run")
     if set(load_checkpoint(str(ck))["cells"]) != plan.grid_keys():
         problems.append("final checkpoint does not match the sweep grid")
-    return problems
-
-
-# ----------------------------------------------------------------------
-# Network chaos: the distributed backend under unreliable transport
-# ----------------------------------------------------------------------
-
-def _dist_sweep(plan: Plan, transform, checkpoint: pathlib.Path,
-                **resilience_kw):
-    """One dist-backend sweep with a sabotaged supply transform."""
-    resilience_kw.setdefault("workers", 2)
-    with BenchmarkRunner(plan.config, supply_transform=transform) as runner:
-        return runner.sweep(
-            worker_safe_factory(),
-            benchmarks=plan.benchmarks,
-            seeds=plan.seeds,
-            resilience=ResilienceConfig(
-                backend="dist", checkpoint_path=str(checkpoint),
-                **resilience_kw,
-            ),
-        )
-
-
-def _check_dist_convergence(plan: Plan, summary, ck: pathlib.Path,
-                            marker: pathlib.Path, label: str):
-    problems = []
-    if not marker.exists():
-        problems.append(f"{label}: injector never fired")
-    if fingerprint(summary) != plan.golden:
-        problems.append(f"{label}: aggregates diverged from the golden run")
-    if summary.failures:
-        problems.append(f"{label}: unexpected cell failures:"
-                        f" {summary.failures}")
-    if set(load_checkpoint(str(ck))["cells"]) != plan.grid_keys():
-        problems.append(f"{label}: checkpoint cells do not match the grid")
-    return problems
-
-
-def scenario_dist_worker_crash(plan: Plan, tmp: pathlib.Path):
-    """SIGKILL a dist worker mid-cell: the scheduler sees the connection
-    die with the lease outstanding, steals the cell back, relaunches a
-    replacement worker, and still converges byte-identically."""
-    ck, marker = tmp / "crash.json", tmp / "crash.marker"
-    target = plan.rng.choice(plan.benchmarks)
-    summary = _dist_sweep(
-        plan, KillWorkerOnce(str(marker), target, after_cycles=300), ck
-    )
-    problems = _check_dist_convergence(plan, summary, ck, marker, "crash")
-    incidents = getattr(summary, "incidents", ())
-    if marker.exists() and not any(
-        i.error_type == "WorkerLostError" for i in incidents
-    ):
-        problems.append("crash: worker loss left no incident record")
-    return problems
-
-
-def scenario_dist_connection_drop(plan: Plan, tmp: pathlib.Path):
-    """Sever a worker's connection right before it delivers a result:
-    the computed cell is lost with its lease, requeued, and recomputed
-    -- never half-recorded."""
-    ck, marker = tmp / "drop.json", tmp / "drop.marker"
-    target = plan.rng.choice(plan.benchmarks)
-    summary = _dist_sweep(
-        plan, DropConnectionOnce(str(marker), target, after_cycles=300), ck
-    )
-    problems = _check_dist_convergence(plan, summary, ck, marker, "drop")
-    incidents = getattr(summary, "incidents", ())
-    if marker.exists() and not any(
-        i.error_type == "WorkerLostError" for i in incidents
-    ):
-        problems.append("drop: dropped connection left no incident record")
-    return problems
-
-
-def scenario_dist_partition(plan: Plan, tmp: pathlib.Path):
-    """Partition a worker past its lease deadline: the lease must expire
-    deterministically, the cell must be stolen and re-run elsewhere, and
-    the partitioned worker's late result must be deduplicated."""
-    ck, marker = tmp / "partition.json", tmp / "partition.marker"
-    target = plan.rng.choice(plan.benchmarks)
-    summary = _dist_sweep(
-        plan,
-        PartitionWorkerOnce(
-            str(marker), target, after_cycles=300, silence_s=4.0
-        ),
-        ck,
-        lease_timeout_s=1.0,
-    )
-    problems = _check_dist_convergence(plan, summary, ck, marker, "partition")
-    incidents = getattr(summary, "incidents", ())
-    if marker.exists() and not any(
-        i.error_type == "LeaseExpired" for i in incidents
-    ):
-        problems.append("partition: expired lease left no incident record")
-    return problems
-
-
-def scenario_dist_delay_dup(plan: Plan, tmp: pathlib.Path):
-    """Delay one result and duplicate another: late delivery within the
-    lease is accepted once, the retransmitted frame is dropped, and the
-    aggregates never double-count."""
-    ck = tmp / "delaydup.json"
-    delay_marker, dup_marker = tmp / "delay.marker", tmp / "dup.marker"
-    delayed, duplicated = plan.rng.sample(list(plan.benchmarks), 2)
-    summary = _dist_sweep(
-        plan,
-        ComposeTransforms(
-            DelayResultOnce(
-                str(delay_marker), delayed, after_cycles=300, delay_s=0.5
-            ),
-            DuplicateResultOnce(
-                str(dup_marker), duplicated, after_cycles=300
-            ),
-        ),
-        ck,
-    )
-    problems = _check_dist_convergence(
-        plan, summary, ck, delay_marker, "delay-dup"
-    )
-    if not dup_marker.exists():
-        problems.append("delay-dup: duplicate injector never fired")
-    incidents = getattr(summary, "incidents", ())
-    # Neither fault loses work, so neither may park a cell or invent a
-    # spurious worker-loss incident.
-    if any(i.error_type == "WorkerLostError" for i in incidents):
-        problems.append("delay-dup: spurious worker-loss incident")
     return problems
 
 
@@ -837,10 +688,6 @@ SCENARIOS = {
     "checkpoint-corruption": scenario_checkpoint_corruption,
     "write-faults": scenario_write_faults,
     "sigterm": scenario_sigterm,
-    "dist-worker-crash": scenario_dist_worker_crash,
-    "dist-connection-drop": scenario_dist_connection_drop,
-    "dist-partition": scenario_dist_partition,
-    "dist-delay-dup": scenario_dist_delay_dup,
     "serve-kill9-resume": scenario_serve_kill9_resume,
     "serve-client-disconnect": scenario_serve_client_disconnect,
     "serve-overflow-storm": scenario_serve_overflow_storm,

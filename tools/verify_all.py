@@ -126,26 +126,6 @@ def hook_parallel():
         raise SystemExit("parallel backend diverged from sequential results")
 
 
-def hook_dist():
-    """Distributed backend vs sequential: byte-identical aggregates."""
-    # The dist workers are fresh interpreters, so the factory must pickle
-    # by reference to an importable module -- chaos.py's, not this
-    # script's __main__ (tools/ is sys.path[0] when this runs as a script).
-    import chaos as chaos_mod
-    dist_sequential = BenchmarkRunner(SweepConfig(n_cycles=6000)).sweep(
-        chaos_mod.tuning_factory, benchmarks=TRIO
-    )
-    with BenchmarkRunner(SweepConfig(n_cycles=6000)) as dist_runner:
-        dist = dist_runner.sweep(
-            chaos_mod.tuning_factory, benchmarks=TRIO,
-            resilience=ResilienceConfig(workers=2, backend="dist"),
-        )
-    match = fingerprint(dist_sequential) == fingerprint(dist)
-    print(f"byte-identical aggregates: {match}")
-    if not match:
-        raise SystemExit("distributed backend diverged from sequential results")
-
-
 def hook_serve():
     """Sweep service round trip: submit over HTTP, stream SSE to the end,
     fetch the result, and compare byte-identically to a direct run."""
@@ -214,7 +194,6 @@ HOOKS = {
     "kernel": hook_kernel,
     "replay": hook_replay,
     "parallel": hook_parallel,
-    "dist": hook_dist,
     "serve": hook_serve,
     "faults": hook_faults,
     "grid": hook_grid,
