@@ -4,7 +4,8 @@ Where :mod:`repro.faults.models` lies to the *sensors*, this module
 attacks the *harness*: supply transforms that SIGKILL or hang the worker
 process running a chosen benchmark, file mutilators that truncate or
 bit-flip a checkpoint between runs, and an fsync fault injector that
-simulates a full or dying disk during checkpoint writes.
+simulates a full or dying disk under every durable write
+(:mod:`repro.durable`: checkpoints, trace store, job records).
 
 Everything here is a plain module-level class or function, so the supply
 transforms pickle by qualified name and survive the trip into pool
@@ -159,18 +160,19 @@ def flip_bit(path: str, offset: Optional[int] = None, bit: int = 0) -> int:
 
 @contextlib.contextmanager
 def inject_fsync_faults(every: int = 2, error_number: int = errno.ENOSPC):
-    """Make every ``every``-th checkpoint fsync raise an injected OSError.
+    """Make every ``every``-th durable fsync raise an injected OSError.
 
-    Patches the :data:`repro.sim.runner._fsync` seam for the duration of
-    the context (ENOSPC by default -- a full disk -- or any errno, e.g.
+    Patches the fsync seam of :mod:`repro.durable` for the duration of
+    the context, so checkpoint, trace-store and job-record writes all see
+    the faults (ENOSPC by default -- a full disk -- or any errno, e.g.
     ``errno.EIO``).  Yields a counter dict: ``calls`` fsyncs attempted,
     ``faults`` injected.
     """
-    from repro.sim import runner
+    from repro import durable
 
     if every < 1:
         raise ValueError("every must be >= 1")
-    original = runner._fsync
+    original = durable._fsync
     counter = {"calls": 0, "faults": 0}
 
     def faulty_fsync(fd):
@@ -180,8 +182,8 @@ def inject_fsync_faults(every: int = 2, error_number: int = errno.ENOSPC):
             raise OSError(error_number, f"{os.strerror(error_number)} (injected)")
         return original(fd)
 
-    runner._fsync = faulty_fsync
+    durable._fsync = faulty_fsync
     try:
         yield counter
     finally:
-        runner._fsync = original
+        durable._fsync = original

@@ -1,12 +1,13 @@
 """Durable job records: the service's crash-safe source of truth.
 
 Every job lives in exactly one JSON file, ``<data_dir>/jobs/<id>.json``,
-written through the same durability discipline as sweep checkpoints
-(:func:`repro.sim.runner._atomic_write_json`: temp + fsync + atomic
-replace + directory fsync) and self-validated the same way (a ``_meta``
-header whose SHA-256 checksum covers the record).  A file that fails
-validation is quarantined as ``<file>.corrupt-<n>`` and surfaced as an
-incident -- never silently dropped, never allowed to poison recovery.
+written through the same durable write as sweep checkpoints
+(:func:`repro.durable.atomic_write`: temp + fsync + atomic replace +
+directory fsync) and self-validated the same way (a ``_meta`` header whose
+:func:`repro.durable.content_digest` checksum covers the record).  A file
+that fails validation is quarantined as ``<file>.corrupt-<n>`` and
+surfaced as an incident -- never silently dropped, never allowed to poison
+recovery.
 
 The lifecycle is a small state machine::
 
@@ -22,6 +23,7 @@ process died mid-job; recovery re-adopts them back to ``queued`` (bumping
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -29,12 +31,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.durable import atomic_write, content_digest, quarantine
 from repro.errors import JobStateError, ServeError
-from repro.sim.runner import (
-    _atomic_write_json,
-    _content_digest,
-    _quarantine_corrupt,
-)
 
 __all__ = [
     "JobRecord",
@@ -171,12 +169,15 @@ class JobStore:
         body = record.to_dict()
         payload = {
             "_meta": {
-                "checksum": _content_digest(body),
+                "checksum": content_digest(body),
                 "version": _RECORD_VERSION,
             },
             "record": body,
         }
-        _atomic_write_json(self.record_path(record.job_id), payload)
+        atomic_write(
+            self.record_path(record.job_id),
+            json.dumps(payload, indent=0, sort_keys=True),
+        )
 
     @staticmethod
     def _validate(payload: object) -> Optional[dict]:
@@ -189,7 +190,7 @@ class JobStore:
             return None
         if meta.get("version") != _RECORD_VERSION:
             return None
-        if meta.get("checksum") != _content_digest(body):
+        if meta.get("checksum") != content_digest(body):
             return None
         if body.get("state") not in STATES:
             return None
@@ -207,8 +208,6 @@ class JobStore:
         :attr:`corrupt_files`, and skipped -- one rotten record must not
         take down recovery of the rest.
         """
-        import json
-
         adopted: List[JobRecord] = []
         with self._lock:
             for entry in sorted(os.listdir(self.jobs_dir)):
@@ -222,7 +221,7 @@ class JobStore:
                     payload = None
                 body = self._validate(payload)
                 if body is None or body["job_id"] != entry[:-len(".json")]:
-                    self.corrupt_files.append(_quarantine_corrupt(path))
+                    self.corrupt_files.append(quarantine(path))
                     continue
                 record = JobRecord.from_dict(body)
                 if record.state in ("running", "draining"):

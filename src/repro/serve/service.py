@@ -10,8 +10,8 @@ without the store lock.
 
 Durability contract (the chaos scenarios assert all of it):
 
-* every lifecycle transition is persisted through the v2 checkpoint
-  discipline *before* it is visible over HTTP;
+* every lifecycle transition is persisted through
+  :func:`repro.durable.atomic_write` *before* it is visible over HTTP;
 * a ``kill -9`` at any instant loses at most the in-flight cell: restart
   re-adopts running jobs to ``queued`` and their sweeps resume from their
   checkpoints, converging to byte-identical aggregates;
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import obs
+from repro.durable import atomic_write
 from repro.obs import context as obs_context
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
@@ -57,12 +58,7 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import JobRecord, JobStore, TERMINAL_STATES
 from repro.serve.jobspec import JobSpec, controller_factory
-from repro.sim.runner import (
-    BenchmarkRunner,
-    ResilienceConfig,
-    SweepConfig,
-    _atomic_write_json,
-)
+from repro.sim.runner import BenchmarkRunner, ResilienceConfig, SweepConfig
 
 __all__ = ["ServeConfig", "SweepService"]
 
@@ -750,12 +746,12 @@ class SweepService:
     def _write_ready_file(self) -> None:
         if self.config.ready_file is None:
             return
-        _atomic_write_json(self.config.ready_file, {
+        atomic_write(self.config.ready_file, json.dumps({
             "host": self.config.host,
             "port": self.bound_port,
             "pid": os.getpid(),
             "url": f"http://{self.config.host}:{self.bound_port}",
-        })
+        }, indent=0, sort_keys=True))
 
     async def run(self) -> int:
         """Serve until SIGTERM/SIGINT (or ``initiate_drain``); returns the

@@ -7,6 +7,7 @@ from repro.sim.backends import (
     SweepJob,
     select_backend,
 )
+from repro.sim.checkpoint import load_checkpoint
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.runner import (
     BenchmarkRunner,
@@ -15,7 +16,6 @@ from repro.sim.runner import (
     SeedStatistics,
     SweepConfig,
     TechniqueSummary,
-    load_checkpoint,
     summarize,
 )
 from repro.sim.simulation import Simulation

@@ -28,7 +28,7 @@ import pickle
 import signal
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
@@ -39,6 +39,7 @@ from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import warn_once
+from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import RelativeMetrics
 
 __all__ = [
@@ -56,9 +57,9 @@ Cell = Tuple[str, Optional[int]]
 class SweepJob:
     """Everything one sweep execution needs, bundled for a backend.
 
-    The mutable mappings (``results``, ``failure_map``, ``cells``,
-    ``timings``) belong to the caller -- :meth:`BenchmarkRunner.sweep`
-    aggregates from them after ``execute`` returns -- so backends write
+    The mutable state (``results``, ``failure_map``, ``checkpoint``,
+    ``timings``) belongs to the caller -- :meth:`BenchmarkRunner.sweep`
+    aggregates from it after ``execute`` returns -- so backends write
     results through the :meth:`record_success` / :meth:`record_failure`
     helpers, which also keep the checkpoint and progress callback
     consistent across backends.
@@ -67,12 +68,11 @@ class SweepJob:
     runner: "object"  # BenchmarkRunner (untyped to avoid a module cycle)
     grid: Sequence[Cell]
     pending: Sequence[Cell]
-    ordinal: int
     technique: str
     factory: Callable
     resilience: "object"  # ResilienceConfig
     progress: Optional[Callable[[str, RelativeMetrics], None]]
-    cells: Dict[str, dict]
+    checkpoint: SweepCheckpoint
     results: Dict[Cell, RelativeMetrics]
     failure_map: Dict[Cell, "object"]
     timings: Dict[str, float]
@@ -86,20 +86,19 @@ class SweepJob:
     # ------------------------------------------------------------------
     # Shared result/failure/drain bookkeeping
     # ------------------------------------------------------------------
-    def record_success(self, cell: Cell, metrics: RelativeMetrics) -> None:
-        """Store a completed cell: results, checkpoint, progress."""
-        from repro.sim.runner import _cell_key
-
-        name, seed = cell
+    def keep(self, cell: Cell, metrics: RelativeMetrics) -> None:
+        """Hold a completed cell in the results and the checkpoint mirror."""
         self.results[cell] = metrics
-        self.cells[
-            _cell_key(self.ordinal, name, self.technique, seed)
-        ] = asdict(metrics)
+        self.checkpoint.record(cell, metrics)
+
+    def record_success(self, cell: Cell, metrics: RelativeMetrics) -> None:
+        """Store a completed cell: results, checkpoint flush, progress."""
+        self.keep(cell, metrics)
         t_io = time.perf_counter()
-        self.runner._save_cells(self.resilience)
+        self.checkpoint.flush()
         self.timings["checkpoint_io"] += time.perf_counter() - t_io
         if self.progress is not None:
-            self.progress(name, metrics)
+            self.progress(cell[0], metrics)
 
     def record_failure(self, cell: Cell, failure) -> None:
         self.failure_map[cell] = failure
@@ -116,9 +115,24 @@ class SweepJob:
     def drain_now(self) -> SweepInterrupted:
         """Flush the checkpoint, write the shutdown summary, and return
         the :class:`SweepInterrupted` for the backend to raise."""
-        return self.runner._drain_now(
-            self.resilience, self.technique, self.drain,
-            len(self.results), self.pending_after(),
+        completed, pending = len(self.results), self.pending_after()
+        signal_name = self.drain.signal_name
+        tracer = obs_trace.active_tracer()
+        if tracer is not None:
+            tracer.instant("drain", cat=obs_trace.CAT_SUPERVISION, args={
+                "signal": signal_name,
+                "completed": completed,
+                "pending": len(pending),
+            })
+        self.checkpoint.flush()
+        self.checkpoint.write_shutdown(signal_name, completed, pending)
+        return SweepInterrupted(
+            f"sweep drained on {signal_name}: {completed} cell(s)"
+            f" completed and checkpointed, {len(pending)} pending;"
+            f" rerun with --resume to finish",
+            signum=self.drain.signum,
+            completed=completed,
+            pending=len(pending),
         )
 
 
@@ -299,7 +313,6 @@ class ProcessPoolBackend(SweepBackend):
     def execute(self, job: SweepJob) -> None:
         from repro.sim import runner as runner_module
         from repro.sim.runner import (
-            _cell_key,
             _merge_worker_telemetry,
             _worker_lost_report,
             _worker_run_cell,
@@ -456,13 +469,7 @@ class ProcessPoolBackend(SweepBackend):
                         continue  # lost to the drain; --resume recomputes
                     _merge_worker_telemetry(telemetry)
                     if failure is None:
-                        name, seed = cell
-                        job.results[cell] = metrics
-                        job.cells[
-                            _cell_key(
-                                job.ordinal, name, job.technique, seed
-                            )
-                        ] = asdict(metrics)
+                        job.keep(cell, metrics)
             for future in inflight:
                 future.cancel()
             if inflight:  # still running past the deadline: kill the pool

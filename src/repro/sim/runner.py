@@ -8,11 +8,12 @@ relative to it.
 
 Sweeps are *resilient*: a :class:`ResilienceConfig` adds per-cell
 wall-clock timeouts, bounded retry with deterministic re-seeding, and a
-JSON checkpoint written after every completed (benchmark, technique, seed)
-cell, so a killed sweep resumes exactly where it stopped (see
-``docs/robustness.md``).  Cells that exhaust their retry budget become
-structured :class:`FailureReport` entries on the :class:`TechniqueSummary`
-instead of aborting the whole sweep.
+JSON checkpoint (:mod:`repro.sim.checkpoint`) written after every
+completed (benchmark, technique, seed) cell, so a killed sweep resumes
+exactly where it stopped (see ``docs/robustness.md``).  Cells that
+exhaust their retry budget become structured :class:`FailureReport`
+entries on the :class:`TechniqueSummary` instead of aborting the whole
+sweep.
 
 Sweeps are also *parallel*: ``ResilienceConfig(workers=N)`` dispatches the
 (benchmark, seed) cell grid to a ``ProcessPoolExecutor``.  Each worker
@@ -29,20 +30,16 @@ are always aggregated in grid order.
 from __future__ import annotations
 
 import contextlib
-import errno
-import hashlib
-import json
 import multiprocessing
 import os
 import pickle
 import random
-import re
 import signal
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import (
@@ -53,11 +50,9 @@ from repro.config import (
 )
 from repro.core.controller import NoiseController, NullController
 from repro.errors import (
-    CheckpointError,
     ConfigurationError,
     FaultError,
     HarnessError,
-    SweepInterrupted,
     WorkerLostError,
 )
 from repro import obs
@@ -65,9 +60,9 @@ from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.obs.log import warn_once
 from repro.power.supply import PowerSupply
 from repro.sim.backends import SweepJob, select_backend
+from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.simulation import Simulation
 from repro.uarch.processor import Processor
@@ -81,7 +76,6 @@ __all__ = [
     "SeedStatistics",
     "BenchmarkRunner",
     "summarize",
-    "load_checkpoint",
     "DEFAULT_RESILIENCE",
 ]
 
@@ -99,12 +93,6 @@ DEFAULT_RESILIENCE: Optional["ResilienceConfig"] = None
 #: regenerated trace whose seed is a deterministic function of (profile
 #: seed, attempt), so retries are reproducible run to run.
 _RESEED_STRIDE = 104_729
-
-#: Version tag of the checkpoint JSON schema.  Version 2 adds the
-#: ``_meta`` header (content checksum + sweep parameters, serialized
-#: *before* the cells so a truncated file keeps it) and per-cell record
-#: digests; version-1 files are still readable.
-_CHECKPOINT_VERSION = 2
 
 #: How often the parallel supervisor wakes to check heartbeats and drain
 #: requests while no future has completed, in seconds.
@@ -314,314 +302,8 @@ class TechniqueSummary:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint I/O
+# Failure reports
 # ----------------------------------------------------------------------
-
-def _cell_key(
-    ordinal: int, benchmark: str, technique: str, seed: Optional[int]
-) -> str:
-    """Checkpoint key of one cell.
-
-    ``ordinal`` is the index of the sweep within its runner: experiments
-    routinely sweep several *variants* of one technique (same controller
-    name, different knobs) through one runner, and the ordinal keeps their
-    cells distinct.  Re-running the same experiment replays the same sweep
-    order, so ordinals are stable across a kill/resume boundary.
-    """
-    return f"s{ordinal}|{benchmark}|{technique}|{'-' if seed is None else seed}"
-
-
-def _canonical_json(obj) -> str:
-    """Stable serialisation used for every digest and checksum."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _content_digest(obj) -> str:
-    return hashlib.sha256(_canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-#: Injection point for the chaos harness (and a seam for exotic
-#: filesystems): every checkpoint fsync goes through here.
-_fsync = os.fsync
-
-
-def _fsync_directory(directory: str) -> None:
-    """Persist a rename by fsyncing its directory (no-op where unsupported)."""
-    try:
-        fd = os.open(directory or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        _fsync(fd)
-    except OSError as error:
-        if error.errno not in (errno.EINVAL, errno.ENOTSUP, errno.EBADF):
-            raise
-    finally:
-        os.close(fd)
-
-
-def _atomic_write_json(path: str, payload: dict) -> None:
-    """Durable write-temp-fsync-rename-fsync-dir replacement of ``path``.
-
-    The temp file is fsynced before ``os.replace`` and the containing
-    directory after it, so a host crash at any instant leaves either the
-    old complete file or the new complete file -- never an empty or
-    half-written one behind the rename.
-    """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp_path = f"{path}.tmp"
-    registry = obs_metrics.active_registry()
-    try:
-        with open(tmp_path, "w") as handle:
-            json.dump(payload, handle, indent=0, sort_keys=True)
-            written_bytes = handle.tell()
-            handle.flush()
-            _fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp_path)
-        raise
-    _fsync_directory(directory)
-    if registry is not None:
-        registry.counter(
-            "runner_checkpoint_bytes_total",
-            help="bytes durably written through the checkpoint path",
-        ).inc(written_bytes)
-        registry.counter(
-            "runner_checkpoint_fsyncs_total",
-            help="fsync calls issued by durable checkpoint writes"
-                 " (file plus directory)",
-        ).inc(2)
-
-
-def _checkpoint_payload(
-    n_cycles: int, warmup_cycles: int, cells: Dict[str, dict]
-) -> dict:
-    """The self-validating on-disk form of a checkpoint.
-
-    ``_meta`` sorts before ``cells``, so ``indent=0`` serialisation puts
-    the checksum and sweep parameters on the first lines of the file --
-    a tail truncation loses cell records, never the header.
-    """
-    cell_block = {
-        key: {"digest": _content_digest(record), "metrics": record}
-        for key, record in cells.items()
-    }
-    return {
-        "_meta": {
-            "checksum": _content_digest(cell_block),
-            "n_cycles": n_cycles,
-            "version": _CHECKPOINT_VERSION,
-            "warmup_cycles": warmup_cycles,
-        },
-        "cells": cell_block,
-    }
-
-
-def _write_checkpoint(path: str, payload: dict) -> None:
-    """Atomically and durably replace the checkpoint file."""
-    _atomic_write_json(path, payload)
-
-
-def _quarantine_corrupt(path: str) -> str:
-    """Move a corrupt checkpoint aside to ``<path>.corrupt-<n>``."""
-    n = 0
-    while True:
-        candidate = f"{path}.corrupt-{n}"
-        if not os.path.exists(candidate):
-            break
-        n += 1
-    os.replace(path, candidate)
-    return candidate
-
-
-#: One serialized v2 cell record, as written by ``json.dump(indent=0)``:
-#: the key, its digest, and a flat metrics object (RelativeMetrics holds
-#: only scalars and strings, so the inner object never nests).
-_CELL_RECORD_RE = re.compile(
-    r'"((?:s\d+\|)[^"\n]*)":\s*\{\s*"digest":\s*"([0-9a-f]{64})",'
-    r'\s*"metrics":\s*(\{[^{}]*\})\s*\}',
-    re.DOTALL,
-)
-
-
-def _salvage_cells(text: str) -> Dict[str, dict]:
-    """Digest-validated cell records recoverable from corrupt file text."""
-    salvaged: Dict[str, dict] = {}
-    for match in _CELL_RECORD_RE.finditer(text):
-        key, digest, metrics_text = match.groups()
-        try:
-            record = json.loads(metrics_text)
-        except ValueError:
-            continue
-        if _content_digest(record) == digest:
-            salvaged[key] = record
-    return salvaged
-
-
-def _salvage_meta(text: str) -> Dict[str, Optional[int]]:
-    """Sweep parameters recoverable from a corrupt file's ``_meta`` header."""
-    recovered: Dict[str, Optional[int]] = {}
-    for field in ("n_cycles", "warmup_cycles"):
-        match = re.search(rf'"{field}":\s*(\d+)', text)
-        recovered[field] = int(match.group(1)) if match else None
-    return recovered
-
-
-def _normalized_checkpoint(
-    version: int,
-    n_cycles: Optional[int],
-    warmup_cycles: Optional[int],
-    cells: Dict[str, dict],
-    salvaged: bool = False,
-    quarantined: Optional[str] = None,
-) -> dict:
-    return {
-        "version": version,
-        "n_cycles": n_cycles,
-        "warmup_cycles": warmup_cycles,
-        "cells": cells,
-        "salvaged": salvaged,
-        "quarantined": quarantined,
-    }
-
-
-def _salvage_checkpoint(path: str, text: str, reason: str) -> dict:
-    """Recover the digest-valid subset of a corrupt checkpoint.
-
-    The corrupt original is quarantined to ``<path>.corrupt-<n>`` (so the
-    next durable write starts clean and the evidence survives) and a
-    RuntimeWarning names both the damage and the salvage yield.
-    """
-    cells = _salvage_cells(text)
-    meta = _salvage_meta(text)
-    quarantined = _quarantine_corrupt(path)
-    warn_once(
-        f"checkpoint {path!r} is corrupt ({reason}); salvaged"
-        f" {len(cells)} digest-valid cell(s), quarantined the original to"
-        f" {quarantined!r}",
-        stacklevel=3,
-    )
-    return _normalized_checkpoint(
-        _CHECKPOINT_VERSION,
-        meta["n_cycles"],
-        meta["warmup_cycles"],
-        cells,
-        salvaged=True,
-        quarantined=quarantined,
-    )
-
-
-def load_checkpoint(path: str, salvage: bool = False) -> dict:
-    """Read and verify a sweep checkpoint.
-
-    Returns a normalized dictionary with ``version``, ``n_cycles``,
-    ``warmup_cycles``, ``cells`` (cell key -> metrics record), ``salvaged``
-    and ``quarantined`` entries regardless of the on-disk schema version.
-
-    Integrity is verified end to end: the ``_meta`` checksum must match
-    the cell block, and every cell record must match its own digest.  With
-    ``salvage=False`` (the default) any damage -- missing file, truncated
-    or bit-flipped JSON, wrong payload type, checksum or digest mismatch
-    -- raises :class:`~repro.errors.CheckpointError` naming the path and a
-    recovery hint.  With ``salvage=True`` a damaged file is quarantined to
-    ``<path>.corrupt-<n>`` and the digest-valid subset of its cells is
-    returned instead, so ``--resume`` keeps every provably good cell and
-    recomputes only the rest.
-    """
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise CheckpointError(
-            path,
-            "file does not exist",
-            hint="run without --resume to start fresh, or point --checkpoint"
-                 " at the file a previous run actually wrote",
-        ) from None
-    try:
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"payload is {type(data).__name__}, expected an object"
-            )
-    except ValueError as error:
-        if salvage:
-            return _salvage_checkpoint(path, text, str(error))
-        raise CheckpointError(
-            path,
-            f"unreadable JSON ({error})",
-            hint="the file is truncated or corrupt; --resume salvages the"
-                 " valid cells automatically, or delete it to start fresh",
-        ) from None
-
-    if "_meta" not in data:  # legacy version-1 schema: no integrity data
-        version = data.get("version")
-        if version != 1:
-            raise CheckpointError(
-                path,
-                f"has version {version!r}, expected 1 or"
-                f" {_CHECKPOINT_VERSION}",
-                hint="this file was written by an incompatible release;"
-                     " delete it or regenerate the sweep",
-            )
-        cells = data.get("cells", {})
-        if not isinstance(cells, dict):
-            raise CheckpointError(
-                path, "legacy 'cells' entry is not an object",
-                hint="delete the file and rerun without --resume",
-            )
-        return _normalized_checkpoint(
-            1, data.get("n_cycles"), data.get("warmup_cycles"), dict(cells)
-        )
-
-    meta = data["_meta"]
-    cell_block = data.get("cells")
-    damage = None
-    if not isinstance(meta, dict) or not isinstance(cell_block, dict):
-        damage = "malformed _meta/cells structure"
-    elif meta.get("version") != _CHECKPOINT_VERSION:
-        raise CheckpointError(
-            path,
-            f"has version {meta.get('version')!r},"
-            f" expected {_CHECKPOINT_VERSION}",
-            hint="this file was written by an incompatible release;"
-                 " delete it or regenerate the sweep",
-        )
-    elif _content_digest(cell_block) != meta.get("checksum"):
-        damage = "content checksum mismatch"
-    if damage is None:
-        cells = {}
-        for key, record in cell_block.items():
-            if (
-                not isinstance(record, dict)
-                or _content_digest(record.get("metrics")) != record.get("digest")
-            ):
-                damage = f"cell {key!r} fails its digest"
-                break
-            cells[key] = record["metrics"]
-    if damage is not None:
-        if salvage:
-            return _salvage_checkpoint(path, text, damage)
-        raise CheckpointError(
-            path,
-            damage,
-            hint="the file was corrupted on disk; --resume salvages the"
-                 " valid cells automatically, or delete it to start fresh",
-        )
-    return _normalized_checkpoint(
-        _CHECKPOINT_VERSION, meta.get("n_cycles"), meta.get("warmup_cycles"),
-        cells,
-    )
-
-
-def _metrics_from_dict(data: dict) -> RelativeMetrics:
-    names = {f.name for f in fields(RelativeMetrics)}
-    return RelativeMetrics(**{k: v for k, v in data.items() if k in names})
-
 
 def _circuit_open_report(
     benchmark: str, technique: str, seed: Optional[int]
@@ -1055,7 +737,6 @@ class BenchmarkRunner:
         self._manager = None
         self._heartbeats = None
         self._closed = False
-        self._checkpoint_write_warned = False
 
     # ------------------------------------------------------------------
     # Process-pool lifecycle
@@ -1516,83 +1197,6 @@ class BenchmarkRunner:
             return DEFAULT_RESILIENCE
         return ResilienceConfig()
 
-    def _load_cells(self, resilience: ResilienceConfig) -> Dict[str, dict]:
-        """The in-memory mirror of the checkpoint's completed cells.
-
-        A corrupt or truncated checkpoint is salvaged (digest-valid cells
-        kept, the original quarantined) rather than failing the resume;
-        only a checkpoint from an incompatible sweep configuration is
-        refused outright.
-        """
-        if self._checkpoint_cells is not None:
-            return self._checkpoint_cells
-        cells: Dict[str, dict] = {}
-        path = resilience.checkpoint_path
-        if resilience.resume and path and os.path.exists(path):
-            data = load_checkpoint(path, salvage=True)
-            recovered_n = data.get("n_cycles")
-            recovered_warmup = data.get("warmup_cycles")
-            mismatched = (
-                recovered_n is not None
-                and recovered_n != self.config.n_cycles
-            ) or (
-                recovered_warmup is not None
-                and recovered_warmup != self.config.warmup_cycles
-            )
-            if mismatched:
-                raise ConfigurationError(
-                    f"checkpoint {path!r} was written for"
-                    f" n_cycles={recovered_n}"
-                    f" warmup_cycles={recovered_warmup}, which does"
-                    f" not match this sweep"
-                    f" (n_cycles={self.config.n_cycles},"
-                    f" warmup_cycles={self.config.warmup_cycles})"
-                )
-            cells = dict(data.get("cells", {}))
-            if data.get("quarantined"):
-                # Salvage moved the damaged original aside; re-persist
-                # the recovered subset immediately so the checkpoint
-                # path stays valid even if no cell re-runs (e.g. every
-                # record survived the damage).
-                self._checkpoint_cells = cells
-                self._save_cells(resilience)
-        self._checkpoint_cells = cells
-        return cells
-
-    def _save_cells(self, resilience: ResilienceConfig) -> None:
-        """Flush the completed cells to the checkpoint, durably.
-
-        A failing write (disk full, I/O error) is reported once as a
-        RuntimeWarning and otherwise tolerated: results are still held in
-        memory and the next successful flush persists them, so a sick disk
-        degrades durability without aborting the sweep.
-        """
-        if resilience.checkpoint_path is None:
-            return
-        payload = _checkpoint_payload(
-            self.config.n_cycles,
-            self.config.warmup_cycles,
-            self._checkpoint_cells or {},
-        )
-        tracer = obs_trace.active_tracer()
-        try:
-            with _maybe_span(
-                tracer, "checkpoint_io",
-                args={"cells": len(self._checkpoint_cells or {})},
-            ):
-                _write_checkpoint(resilience.checkpoint_path, payload)
-        except OSError as error:
-            if not self._checkpoint_write_warned:
-                self._checkpoint_write_warned = True
-                warn_once(
-                    f"checkpoint write to"
-                    f" {resilience.checkpoint_path!r} failed"
-                    f" ({type(error).__name__}: {error}); the sweep"
-                    f" continues, but completed cells stay unflushed until"
-                    f" a write succeeds",
-                    stacklevel=3,
-                )
-
     def _run_cell(
         self,
         benchmark: str,
@@ -1788,7 +1392,6 @@ class BenchmarkRunner:
                 sweep_stack.callback(
                     setattr, self, "_active_resilience", None
                 )
-                self._checkpoint_write_warned = False
                 names = (
                     list(benchmarks) if benchmarks is not None
                     else sorted(SPEC2K)
@@ -1805,8 +1408,12 @@ class BenchmarkRunner:
                 technique = factory(
                     self.config.supply, self.config.processor
                 ).name
-                cells = self._load_cells(resilience)
                 ordinal = self._sweep_count
+                checkpoint = SweepCheckpoint.open(
+                    resilience, self.config, ordinal, technique,
+                    cells=self._checkpoint_cells,
+                )
+                self._checkpoint_cells = checkpoint.cells
                 self._sweep_count += 1
                 grid = [(name, seed) for name in names for seed in seed_list]
 
@@ -1815,12 +1422,12 @@ class BenchmarkRunner:
                     Tuple[str, Optional[int]], FailureReport
                 ] = {}
                 pending: List[Tuple[str, Optional[int]]] = []
-                for name, seed in grid:
-                    key = _cell_key(ordinal, name, technique, seed)
-                    if key in cells:
-                        results[(name, seed)] = _metrics_from_dict(cells[key])
+                for cell in grid:
+                    metrics = checkpoint.completed(cell)
+                    if metrics is not None:
+                        results[cell] = metrics
                     else:
-                        pending.append((name, seed))
+                        pending.append(cell)
                 backend = select_backend(
                     self, resilience, factory, len(pending)
                 )
@@ -1869,12 +1476,11 @@ class BenchmarkRunner:
                     runner=self,
                     grid=grid,
                     pending=pending,
-                    ordinal=ordinal,
                     technique=technique,
                     factory=factory,
                     resilience=resilience,
                     progress=progress,
-                    cells=cells,
+                    checkpoint=checkpoint,
                     results=results,
                     failure_map=failure_map,
                     timings=timings,
@@ -1951,7 +1557,7 @@ class BenchmarkRunner:
                     registry, technique, workers, grid, pending, results,
                     failure_map, incidents,
                 )
-            self._write_summary_sidecar(resilience, summary)
+            checkpoint.write_summary(summary)
             return summary
 
     @staticmethod
@@ -1988,88 +1594,6 @@ class BenchmarkRunner:
             "runner_incidents_total",
             help="worker-supervision incidents (lost or hung workers)",
         ).inc(len(incidents))
-
-    def _write_summary_sidecar(
-        self,
-        resilience: ResilienceConfig,
-        summary: "TechniqueSummary",
-    ) -> None:
-        """Persist the summary (timings and incidents included) next to the
-        checkpoint as ``<checkpoint>.summary.json``.
-
-        Best-effort durability, like the checkpoint itself: an unwritable
-        sidecar must not fail a sweep that already has its results.
-        """
-        if resilience.checkpoint_path is None:
-            return
-        # Function-level import: repro.sim.export imports this module.
-        from repro.sim.export import summary_to_dict
-
-        with contextlib.suppress(OSError):
-            _atomic_write_json(
-                f"{resilience.checkpoint_path}.summary.json",
-                summary_to_dict(summary),
-            )
-
-    def _shutdown_summary(
-        self,
-        resilience: ResilienceConfig,
-        technique: str,
-        drain: "_DrainFlag",
-        completed: int,
-        pending_cells: Sequence[Tuple[str, Optional[int]]],
-    ) -> None:
-        """Write ``<checkpoint>.shutdown.json`` describing the drain."""
-        if resilience.checkpoint_path is None:
-            return
-        payload = {
-            "signal": drain.signal_name,
-            "technique": technique,
-            "completed_cells": completed,
-            "pending_cells": [
-                [name, seed] for name, seed in pending_cells
-            ],
-            "resumable": resilience.checkpoint_path is not None,
-            "checkpoint": resilience.checkpoint_path,
-        }
-        with contextlib.suppress(OSError):
-            _atomic_write_json(
-                f"{resilience.checkpoint_path}.shutdown.json", payload
-            )
-
-    def _drain_now(
-        self,
-        resilience: ResilienceConfig,
-        technique: str,
-        drain: "_DrainFlag",
-        completed: int,
-        pending_cells: Sequence[Tuple[str, Optional[int]]],
-    ) -> "SweepInterrupted":
-        """Final checkpoint flush + shutdown summary; returns the exception."""
-        tracer = obs_trace.active_tracer()
-        if tracer is not None:
-            tracer.instant(
-                "drain",
-                cat=obs_trace.CAT_SUPERVISION,
-                args={
-                    "signal": drain.signal_name,
-                    "completed": completed,
-                    "pending": len(pending_cells),
-                },
-            )
-        self._save_cells(resilience)
-        self._shutdown_summary(
-            resilience, technique, drain, completed, pending_cells
-        )
-        return SweepInterrupted(
-            f"sweep drained on {drain.signal_name}: {completed} cell(s)"
-            f" completed and checkpointed, {len(pending_cells)} pending;"
-            f" rerun with --resume to finish",
-            signum=drain.signum,
-            completed=completed,
-            pending=len(pending_cells),
-        )
-
 
 
 def summarize(

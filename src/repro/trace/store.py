@@ -20,16 +20,18 @@ Layout of a store rooted at ``root/``::
     root/index/<config_digest>.json      front-end key digest -> content
                                          address + integrity metadata
 
-Writes follow the v2 checkpoint durability discipline: unique temp file in
-the target directory, fsync, atomic ``os.replace``, directory fsync.
-Corrupt or mismatched entries are quarantined to ``<file>.corrupt-<n>`` and
-reported as incidents; the caller then re-simulates and (on success)
-re-records.  Nothing in here imports the simulator -- the replay side lives
-in :mod:`repro.trace.replay`.
+Writes go through :func:`repro.durable.atomic_write` (pid-suffixed temp
+file in the target directory, fsync, atomic ``os.replace``, directory
+fsync).  Corrupt or mismatched entries are moved aside by
+:func:`repro.durable.quarantine` to ``<file>.corrupt-<n>`` and reported as
+incidents; the caller then re-simulates and (on success) re-records.
+Nothing in here imports the simulator -- the replay side lives in
+:mod:`repro.trace.replay`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -38,6 +40,7 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro import durable
 from repro.errors import TraceStoreError
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import warn_once
@@ -56,10 +59,6 @@ __all__ = [
 #: Bump on any change to the key schema or payload encoding: a version
 #: mismatch is a guard miss (old entries are re-recorded), never a crash.
 STORE_VERSION = 1
-
-# Patchable seam, mirroring runner._fsync, so chaos tests can inject
-# ENOSPC/EIO at the durability boundary.
-_fsync = os.fsync
 
 
 def stream_digest(values: Iterable) -> str:
@@ -93,8 +92,12 @@ def _hexify(obj):
 
 def canonical_digest(obj) -> str:
     """SHA-256 of the canonical (sorted-key, compact, float.hex) JSON."""
-    payload = json.dumps(_hexify(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return durable.content_digest(_hexify(obj))
+
+
+def _compact_json(obj) -> str:
+    """The on-disk form of index entries and objects."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def overlay_token(supply_transform) -> Optional[str]:
@@ -206,17 +209,6 @@ class TraceCapture:
         return True
 
 
-def _fsync_directory(path: str) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        return
-    try:
-        _fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class TraceStore:
     """Durable content-addressed store with guard-on-load semantics.
 
@@ -266,17 +258,6 @@ class TraceStore:
             "reason": reason,
             "benchmark": self._context_label or "trace-store",
         })
-
-    def _quarantine(self, path: str) -> None:
-        """Move a bad entry aside (never deleted: evidence for forensics)."""
-        for attempt in range(100):
-            target = f"{path}.corrupt-{attempt}"
-            if not os.path.exists(target):
-                try:
-                    os.replace(path, target)
-                except OSError:
-                    pass
-                return
 
     # ------------------------------------------------------------------
     # paths
@@ -336,7 +317,9 @@ class TraceStore:
         self._count("fallbacks")
         self._incident(kind, path, reason)
         if quarantine:
-            self._quarantine(path)
+            # Moved aside, never deleted: evidence for forensics.
+            with contextlib.suppress(OSError):
+                durable.quarantine(path)
         warn_once(
             f"trace store entry rejected ({reason}); falling back "
             f"to full simulation: {path}",
@@ -457,6 +440,9 @@ class TraceStore:
 
         Storage failures are non-fatal by design (the sweep already has
         its full-simulation result); they warn and return ``False``.
+        Racing writers of one key (pool workers) are safe: temp names
+        carry the pid, and content addressing makes them write identical
+        bytes.
         """
         if not capture.completed:
             raise TraceStoreError(
@@ -489,14 +475,12 @@ class TraceStore:
             "overlay": key.overlay,
         }
         try:
-            os.makedirs(self.objects_dir, exist_ok=True)
-            os.makedirs(self.index_dir, exist_ok=True)
             object_path = self._object_path(sha)
             # Content-addressed objects are immutable: an existing file
             # with this name already holds these bytes.
             if not os.path.exists(object_path):
-                self._atomic_write_json(object_path, obj)
-            self._atomic_write_json(self._index_path(digest), index)
+                durable.atomic_write(object_path, _compact_json(obj))
+            durable.atomic_write(self._index_path(digest), _compact_json(index))
         except OSError as exc:
             warn_once(
                 f"trace store write failed ({exc}); this cell will "
@@ -506,31 +490,6 @@ class TraceStore:
             return False
         self._count("records")
         return True
-
-    def _atomic_write_json(self, path: str, payload: dict) -> None:
-        """v2 checkpoint discipline: temp file + fsync + replace + dir fsync.
-
-        The temp name carries the pid so concurrent pool workers
-        recording the same key never collide mid-write; the final
-        ``os.replace`` is atomic, and content addressing makes racing
-        writers idempotent (they write identical bytes).
-        """
-        directory = os.path.dirname(path)
-        tmp_path = f"{path}.tmp-{os.getpid()}"
-        data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                fh.write(data)
-                fh.flush()
-                _fsync(fh.fileno())
-            os.replace(tmp_path, path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        _fsync_directory(directory)
 
     # ------------------------------------------------------------------
     # incident draining (for sweep summaries)

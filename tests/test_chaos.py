@@ -28,7 +28,7 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.runner import _cell_key
+from repro.sim.checkpoint import cell_key
 
 
 def tuning_factory(supply, processor):
@@ -42,7 +42,7 @@ def fingerprint(summary):
 SMALL = SweepConfig(n_cycles=2000, warmup_cycles=200)
 BENCHMARKS = ("swim", "gzip")
 GRID_KEYS = {
-    _cell_key(0, name, "resonance-tuning", None) for name in BENCHMARKS
+    cell_key(0, name, "resonance-tuning", None) for name in BENCHMARKS
 }
 
 

@@ -22,7 +22,7 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.runner import _cell_key
+from repro.sim.checkpoint import cell_key
 
 
 def tuning_factory(supply, processor):
@@ -118,7 +118,7 @@ class TestParallelEquivalence:
         assert summary_fingerprint(parallel) == summary_fingerprint(expected)
         assert len(parallel.per_benchmark) == len(BENCHMARKS) * len(seeds)
         assert set(load_checkpoint(path)["cells"]) == {
-            _cell_key(0, name, "resonance-tuning", seed)
+            cell_key(0, name, "resonance-tuning", seed)
             for name in BENCHMARKS
             for seed in seeds
         }

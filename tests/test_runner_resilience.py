@@ -21,7 +21,7 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.runner import _cell_key
+from repro.sim.checkpoint import cell_key
 
 
 def tuning_factory(supply, processor):
@@ -286,7 +286,7 @@ class TestCheckpointResume:
         data = load_checkpoint(path)
         assert data["n_cycles"] == SMALL.n_cycles
         assert set(data["cells"]) == {
-            _cell_key(0, name, "resonance-tuning", None)
+            cell_key(0, name, "resonance-tuning", None)
             for name in self.BENCHMARKS
         }
 
@@ -378,8 +378,8 @@ class TestCheckpointResume:
         runner.sweep(tuning_factory, benchmarks=("swim",))
         keys = set(load_checkpoint(path)["cells"])
         assert keys == {
-            _cell_key(0, "swim", "resonance-tuning", None),
-            _cell_key(1, "swim", "resonance-tuning", None),
+            cell_key(0, "swim", "resonance-tuning", None),
+            cell_key(1, "swim", "resonance-tuning", None),
         }
 
 

@@ -32,8 +32,8 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim import runner as runner_module
-from repro.sim.runner import _backoff_delay_s, _call_with_alarm, _cell_key
+from repro import durable
+from repro.sim.runner import _backoff_delay_s, _call_with_alarm
 
 
 def tuning_factory(supply, processor):
@@ -387,9 +387,9 @@ class TestRunnerLifecycle:
 class TestCheckpointDurability:
     def test_fsync_covers_file_and_directory(self, tmp_path, monkeypatch):
         synced = []
-        original = runner_module._fsync
+        original = durable._fsync
         monkeypatch.setattr(
-            runner_module, "_fsync",
+            durable, "_fsync",
             lambda fd: (synced.append(fd), original(fd))[1],
         )
         BenchmarkRunner(SMALL).sweep(
@@ -406,7 +406,7 @@ class TestCheckpointDurability:
         def explode(fd):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(runner_module, "_fsync", explode)
+        monkeypatch.setattr(durable, "_fsync", explode)
         with pytest.warns(RuntimeWarning, match="checkpoint write"):
             BenchmarkRunner(SMALL).sweep(
                 tuning_factory,
@@ -465,7 +465,7 @@ class TestCheckpointErrors:
         payload["cells"][key]["metrics"]["slowdown"] = 0.123456
         # recompute the outer checksum so only the per-record digest can
         # catch the tampering
-        payload["_meta"]["checksum"] = runner_module._content_digest(
+        payload["_meta"]["checksum"] = durable.content_digest(
             payload["cells"]
         )
         ck.write_text(json.dumps(payload))

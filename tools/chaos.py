@@ -52,7 +52,7 @@ from repro.sim import (  # noqa: E402
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.runner import _cell_key  # noqa: E402
+from repro.sim.checkpoint import cell_key  # noqa: E402
 
 
 def tuning_factory(supply, processor):
@@ -89,7 +89,7 @@ class Plan:
 
     def grid_keys(self, ordinal: int = 0):
         return {
-            _cell_key(ordinal, name, "resonance-tuning", seed)
+            cell_key(ordinal, name, "resonance-tuning", seed)
             for name in self.benchmarks
             for seed in self.seeds
         }
