@@ -71,9 +71,10 @@ class TraceStoreError(HarnessError):
     """The trace record/replay store was used incorrectly.
 
     Raised only for programmatic misuse (storing an unvalidated capture,
-    invalid store construction).  *Corruption* of store entries is never
-    an error: the guard rejects the entry, quarantines the file, records
-    an incident and the caller falls back to full simulation.
+    replaying under a feedback controller or for the wrong cycle count).
+    *Corruption* of store entries is never an error: the guard rejects
+    the entry, quarantines the file, records an incident and the caller
+    falls back to full simulation.
     """
 
 

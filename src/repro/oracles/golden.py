@@ -165,13 +165,15 @@ def _golden_trace_key(cell: GoldenCell):
 
 
 def _verified_replay_digest(cell: GoldenCell, capture, result) -> str:
-    """Content address of the recorded trace, gated by a replay self-check.
+    """``float.hex`` fingerprint of the recorded trace, gated by a replay
+    self-check.
 
-    The captured front-end trace is replayed in memory (a
-    :class:`~repro.trace.replay.ReplaySimulation` against a fresh supply)
-    and the replayed :class:`SimulationResult` -- recorded current and
-    voltage streams included -- must equal the full run's bit-for-bit
-    before the digest may enter the goldens.  A divergence raises, so
+    The captured front-end trace is encoded the way a trace store encodes
+    it, decoded and replayed in memory (a
+    :class:`~repro.trace.replay.ReplaySimulation` against a fresh supply);
+    the replayed :class:`SimulationResult` -- recorded current and voltage
+    streams included -- must equal the full run's bit-for-bit before the
+    fingerprint may enter the goldens.  A divergence raises, so
     ``tools/conformance.py`` fails loudly instead of committing a
     fingerprint the replay path cannot reproduce.
     """
@@ -182,15 +184,7 @@ def _verified_replay_digest(cell: GoldenCell, capture, result) -> str:
         raise SimulationError(
             f"golden cell {cell.key} did not produce a replayable capture"
         )
-    payload = TracePayload(
-        content_sha256=stream_digest(capture.currents),
-        config_digest=capture.key.digest(),
-        n_cycles=cell.n_cycles,
-        warmup_cycles=cell.warmup_cycles,
-        instructions_warmup=capture.instructions_warmup,
-        instructions_total=capture.instructions_total,
-        currents=list(capture.currents),
-    )
+    payload = TracePayload.from_capture(capture)
     supply = PowerSupply(TABLE1_SUPPLY, initial_current=_INITIAL_CURRENT_AMPS)
     replayed = ReplaySimulation(
         payload, supply, None, record=True, benchmark=cell.benchmark
@@ -200,7 +194,7 @@ def _verified_replay_digest(cell: GoldenCell, capture, result) -> str:
             f"replayed golden cell {cell.key} diverged from the full"
             f" simulation"
         )
-    return payload.content_sha256
+    return stream_digest(payload.currents)
 
 
 def compute_cell(cell: GoldenCell) -> dict:
@@ -248,9 +242,10 @@ def compute_cell(cell: GoldenCell) -> dict:
         "currents_sha256": stream_digest(currents),
         "voltages_sha256": stream_digest(voltages),
         "events_sha256": stream_digest(events, kind="str"),
-        # Content address of the full recorded trace in a repro.trace
-        # store (None for unreplayable schedules); verified by an
-        # in-memory replay round trip before it lands here.
+        # float.hex fingerprint of the full (warmup + measured) recorded
+        # trace, None for unreplayable schedules; verified by an
+        # in-memory replay round trip before it lands here.  It is not
+        # the trace's file name in a repro.trace store.
         "replay_trace_sha256": replay_sha,
         # Human-readable context so a failing diff says what moved.
         "n_events": len(events),

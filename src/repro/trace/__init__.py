@@ -15,7 +15,6 @@ from repro.trace.store import (
     TraceStore,
     canonical_digest,
     overlay_token,
-    stream_digest,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "canonical_digest",
     "overlay_token",
     "schedule_token",
-    "stream_digest",
 ]

@@ -20,13 +20,13 @@ store key.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.controller import NoiseController, NullController
 from repro.errors import TraceStoreError
 from repro.power.supply import PowerSupply
 from repro.sim.simulation import Simulation
-from repro.trace.store import TracePayload
+from repro.trace.store import TracePayload, energy_ledger
 
 __all__ = ["ReplayFrontEnd", "ReplaySimulation", "schedule_token"]
 
@@ -57,20 +57,19 @@ def schedule_token(controller: Optional[NoiseController]) -> Optional[str]:
 class ReplayFrontEnd:
     """Stand-in for :class:`~repro.uarch.processor.Processor` during replay.
 
-    Re-derives the energy ledger from the recorded currents with the exact
-    accumulation the power model uses (``energy += amps * vdd *
-    cycle_seconds``, in trace order, from zero), so the ledger is
-    bit-identical for *any* supply the replay attaches -- recorded traces
-    are supply-independent and one record serves every RLC variant.
-    Committed-instruction counts are integers carried verbatim in the
-    payload; phantom energy is identically zero (captures with phantom
-    energy are never recorded, see :class:`~repro.trace.store.TraceCapture`).
+    Re-derives the energy ledger from the recorded currents with
+    :func:`~repro.trace.store.energy_ledger`, the function whose result
+    :class:`~repro.trace.store.TraceCapture` proved equal to the power
+    model's, so the ledger is bit-identical for *any* supply the replay
+    attaches -- recorded traces are supply-independent and one record
+    serves every RLC variant.  Committed-instruction counts are integers
+    carried verbatim in the payload; phantom energy is identically zero
+    (captures with phantom energy are never recorded).
     """
 
     def __init__(self, payload: TracePayload):
         self.payload = payload
-        self._vdd = 1.0
-        self._cycle_seconds = 1e-10
+        self._ledger = (0.0, 0.0)
         self.total_energy_joules = 0.0
         self.committed_instructions = 0
         self.phantom_energy_joules = 0.0
@@ -81,26 +80,18 @@ class ReplayFrontEnd:
         return self
 
     def attach_supply(self, vdd_volts: float, cycle_seconds: float) -> None:
-        self._vdd = vdd_volts
-        self._cycle_seconds = cycle_seconds
-
-    def _accumulate(self, currents: List[float]) -> None:
-        energy = self.total_energy_joules
-        vdd = self._vdd
-        cycle_seconds = self._cycle_seconds
-        for amps in currents:
-            energy += amps * vdd * cycle_seconds
-        self.total_energy_joules = energy
+        payload = self.payload
+        self._ledger = energy_ledger(
+            payload.currents, payload.warmup_cycles, vdd_volts, cycle_seconds
+        )
 
     def advance_to_boundary(self) -> None:
-        payload = self.payload
-        self._accumulate(payload.currents[:payload.warmup_cycles])
-        self.committed_instructions = payload.instructions_warmup
+        self.total_energy_joules = self._ledger[0]
+        self.committed_instructions = self.payload.instructions_warmup
 
     def advance_to_end(self) -> None:
-        payload = self.payload
-        self._accumulate(payload.currents[payload.warmup_cycles:])
-        self.committed_instructions = payload.instructions_total
+        self.total_energy_joules = self._ledger[1]
+        self.committed_instructions = self.payload.instructions_total
 
 
 class ReplaySimulation(Simulation):
@@ -164,6 +155,10 @@ class ReplaySimulation(Simulation):
             # Feedback-free declarers get their observe calls (late, as
             # the kernel path always delivers them) with stats=None.
             stats_log = [None] * len(currents)
+        if stats_log is not None or self.record:
+            # observe and the recorded trace see plain floats, as in a
+            # full run; run_supply takes the array as it is.
+            currents = currents.tolist()
         return currents, stats_log, snapshot
 
     # -- scalar path: REPRO_KERNEL=0 or an overlay-wrapped supply.
@@ -171,7 +166,7 @@ class ReplaySimulation(Simulation):
         front_end = self.processor
         supply = self.supply
         controller = self.controller
-        currents = self._payload.currents
+        currents = self._payload.currents.tolist()
         record = self.record
         warmup = self.warmup_cycles
         observe = (

@@ -13,12 +13,20 @@ correctness.
 
 Layout of a store rooted at ``root/``::
 
-    root/objects/<content_sha256>.json   the trace itself, addressed by the
-                                         SHA-256 of its canonical float.hex
-                                         encoding (same algorithm as the
-                                         golden fingerprints)
+    root/objects/<content_sha256>.json   {"blob": <base64>, "version": 2};
+                                         the blob is the instruction counts
+                                         at the warmup boundary and at the
+                                         end (two little-endian int64s),
+                                         then one little-endian float64
+                                         current per cycle, and the file is
+                                         named by the SHA-256 of the blob
     root/index/<config_digest>.json      front-end key digest -> content
-                                         address + integrity metadata
+                                         address, cycle counts and the
+                                         key's readable fields
+
+An object is pure content: every per-key field lives in the index, so
+keys that record the same trace share one object without disagreeing
+about it.
 
 Writes go through :func:`repro.durable.atomic_write` (pid-suffixed temp
 file in the target directory, fsync, atomic ``os.replace``, directory
@@ -31,6 +39,7 @@ Nothing in here imports the simulator -- the replay side lives in
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import hashlib
@@ -38,7 +47,9 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import durable
 from repro.errors import TraceStoreError
@@ -52,26 +63,19 @@ __all__ = [
     "TraceCapture",
     "TraceStore",
     "canonical_digest",
+    "energy_ledger",
     "overlay_token",
-    "stream_digest",
 ]
 
-#: Bump on any change to the key schema or payload encoding: a version
-#: mismatch is a guard miss (old entries are re-recorded), never a crash.
-STORE_VERSION = 1
+#: Bump on any change to the key schema or payload encoding.  The key
+#: digest includes the version, so entries of another version sit under
+#: other index names and are never looked up.
+STORE_VERSION = 2
 
-
-def stream_digest(values: Iterable) -> str:
-    """Canonical SHA-256 of a float stream: newline-joined ``float.hex``.
-
-    Deliberately the same algorithm as the golden fingerprints
-    (:func:`repro.oracles.golden.stream_digest` with ``kind="float"``) --
-    two streams hash equal iff they are bit-identical -- duplicated here
-    so the store does not import the oracle package.  A conformance test
-    asserts the two implementations agree.
-    """
-    lines = [float(v).hex() for v in values]
-    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+#: Blob layout: two instruction counts, then the per-cycle currents.
+_COUNT = np.dtype("<i8")
+_SAMPLE = np.dtype("<f8")
+_HEADER_BYTES = 2 * _COUNT.itemsize
 
 
 def _hexify(obj):
@@ -98,6 +102,25 @@ def canonical_digest(obj) -> str:
 def _compact_json(obj) -> str:
     """The on-disk form of index entries and objects."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def energy_ledger(
+    currents: Sequence[float],
+    warmup: int,
+    vdd_volts: float,
+    cycle_seconds: float,
+) -> Tuple[float, float]:
+    """Energy after the first ``warmup`` samples and after all of them.
+
+    Bit-identical to the power model's per-cycle ``energy += amps * vdd *
+    cycle_seconds`` from zero, in trace order: the products are formed
+    elementwise in the same order, and ``np.cumsum`` adds strictly left to
+    right, starting from the same ``0.0``.
+    """
+    ledger = np.cumsum(np.concatenate((
+        [0.0], np.asarray(currents, dtype=float) * vdd_volts * cycle_seconds
+    )))
+    return float(ledger[warmup]), float(ledger[-1])
 
 
 def overlay_token(supply_transform) -> Optional[str]:
@@ -150,15 +173,45 @@ class TraceKey:
 
 @dataclass
 class TracePayload:
-    """A decoded, integrity-checked store entry ready for replay."""
+    """A decoded, integrity-checked trace ready for replay.
+
+    ``currents`` is a read-only float64 array of the warmup and measured
+    samples; ``content_sha256`` is the SHA-256 of the encoded blob.
+    """
 
     content_sha256: str
-    config_digest: str
     n_cycles: int
     warmup_cycles: int
     instructions_warmup: int
     instructions_total: int
-    currents: List[float]
+    currents: np.ndarray
+
+    @classmethod
+    def from_capture(cls, capture: "TraceCapture") -> "TracePayload":
+        """What a store load of ``capture`` returns, without the disk."""
+        blob = _encode(capture)
+        return _decode(blob, hashlib.sha256(blob).hexdigest(), capture.key)
+
+
+def _encode(capture: "TraceCapture") -> bytes:
+    counts = np.array(
+        [capture.instructions_warmup, capture.instructions_total], _COUNT
+    )
+    return counts.tobytes() + np.asarray(capture.currents, _SAMPLE).tobytes()
+
+
+def _decode(blob: bytes, sha: str, key: TraceKey) -> TracePayload:
+    instructions_warmup, instructions_total = np.frombuffer(
+        blob, _COUNT, count=2
+    ).tolist()
+    return TracePayload(
+        content_sha256=sha,
+        n_cycles=key.n_cycles,
+        warmup_cycles=key.warmup_cycles,
+        instructions_warmup=instructions_warmup,
+        instructions_total=instructions_total,
+        currents=np.frombuffer(blob, _SAMPLE, offset=_HEADER_BYTES),
+    )
 
 
 class TraceCapture:
@@ -167,12 +220,12 @@ class TraceCapture:
     Attached to a :class:`~repro.sim.simulation.Simulation` as
     ``sim.capture``; the scalar loop and the kernel collect stage feed
     ``currents``, and ``finish`` runs the replayability proof before the
-    capture may be persisted: the recorded trace, re-accumulated exactly
-    the way the power model accumulates energy, must reproduce the run's
-    boundary and end energies bit-for-bit, and the run must carry no
-    phantom energy (phantom current is not derivable from the trace).  A
-    capture that fails the proof is simply not recorded -- the run's own
-    result is unaffected.
+    capture may be persisted: the recorded trace, re-accumulated by
+    :func:`energy_ledger`, must reproduce the run's boundary and end
+    energies bit-for-bit, and the run must carry no phantom energy
+    (phantom current is not derivable from the trace).  A capture that
+    fails the proof is simply not recorded -- the run's own result is
+    unaffected.
     """
 
     def __init__(self, key: TraceKey):
@@ -191,17 +244,15 @@ class TraceCapture:
     ) -> bool:
         """Validate the capture against the finished run; returns success."""
         warmup = self.key.warmup_cycles
-        n_cycles = self.key.n_cycles
-        if len(self.currents) != warmup + n_cycles:
+        if len(self.currents) != warmup + self.key.n_cycles:
             return False
         if end_snapshot["phantom"] != 0.0:
             return False
-        energy = 0.0
-        for i, amps in enumerate(self.currents):
-            if i == warmup and energy != boundary_snapshot["energy"]:
-                return False
-            energy += amps * vdd_volts * cycle_seconds
-        if energy != end_snapshot["energy"]:
+        boundary, end = energy_ledger(
+            self.currents, warmup, vdd_volts, cycle_seconds
+        )
+        if boundary != boundary_snapshot["energy"] \
+                or end != end_snapshot["energy"]:
             return False
         self.instructions_warmup = boundary_snapshot["instructions"]
         self.instructions_total = end_snapshot["instructions"]
@@ -213,20 +264,17 @@ class TraceStore:
     """Durable content-addressed store with guard-on-load semantics.
 
     Any load-time problem -- missing object, version or digest mismatch,
-    truncation, bit flips, malformed floats -- degrades to a ``None``
+    truncation, bit flips, a malformed encoding -- degrades to a ``None``
     return (caller falls back to full simulation) plus a quarantined file
     and an incident record.  ``stats`` keeps plain-int counters for tests;
     the same counts feed the active obs metrics registry when one is
     installed.
     """
 
-    def __init__(self, root: str, max_cached_payloads: int = 8):
-        if max_cached_payloads < 0:
-            raise TraceStoreError("max_cached_payloads must be non-negative")
+    def __init__(self, root: str):
         self.root = str(root)
         self.objects_dir = os.path.join(self.root, "objects")
         self.index_dir = os.path.join(self.root, "index")
-        self.max_cached_payloads = max_cached_payloads
         self.stats: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -235,7 +283,6 @@ class TraceStore:
             "records": 0,
         }
         self.incidents: List[dict] = []
-        self._cache: Dict[str, TracePayload] = {}
         self._context_label: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -285,10 +332,6 @@ class TraceStore:
         """
         self._context_label = label
         digest = key.digest()
-        cached = self._cache.get(digest)
-        if cached is not None:
-            self._count("hits")
-            return cached
         index_path = self._index_path(digest)
         try:
             with open(index_path, "r", encoding="utf-8") as fh:
@@ -301,13 +344,8 @@ class TraceStore:
                 "index", index_path, f"unreadable index: {exc}", quarantine=True
             )
         payload = self._validate_index(key, digest, index_path, index)
-        if payload is None:
-            return None
-        self._count("hits")
-        if self.max_cached_payloads:
-            if len(self._cache) >= self.max_cached_payloads:
-                self._cache.pop(next(iter(self._cache)), None)
-            self._cache[digest] = payload
+        if payload is not None:
+            self._count("hits")
         return payload
 
     def _guard_failure(
@@ -330,32 +368,31 @@ class TraceStore:
     def _validate_index(
         self, key: TraceKey, digest: str, index_path: str, index
     ) -> Optional[TracePayload]:
-        if not isinstance(index, dict):
+        def reject(reason: str) -> None:
             return self._guard_failure(
-                "index", index_path, "index is not an object", quarantine=True
+                "index", index_path, reason, quarantine=True
             )
+
+        if not isinstance(index, dict):
+            return reject("index is not an object")
         if index.get("version") != STORE_VERSION:
-            return self._guard_failure(
-                "index", index_path,
-                f"index version {index.get('version')!r} != {STORE_VERSION}",
-                quarantine=True,
+            return reject(
+                f"index version {index.get('version')!r} != {STORE_VERSION}"
             )
         if index.get("config_digest") != digest:
             # The wrong-digest case: an entry filed under this key that
             # claims to describe a different front end.
-            return self._guard_failure(
-                "index", index_path,
+            return reject(
                 "config digest mismatch (entry describes a different "
-                "front end)",
-                quarantine=True,
+                "front end)"
             )
         sha = index.get("content_sha256")
         if not (isinstance(sha, str) and len(sha) == 64
                 and all(c in "0123456789abcdef" for c in sha)):
-            return self._guard_failure(
-                "index", index_path, "malformed content address",
-                quarantine=True,
-            )
+            return reject("malformed content address")
+        if (index.get("n_cycles") != key.n_cycles
+                or index.get("warmup_cycles") != key.warmup_cycles):
+            return reject("cycle counts do not match the key")
         object_path = self._object_path(sha)
         try:
             with open(object_path, "r", encoding="utf-8") as fh:
@@ -369,68 +406,32 @@ class TraceStore:
                 "object", object_path, f"unreadable object: {exc}",
                 quarantine=True,
             )
-        return self._validate_object(key, digest, sha, object_path, obj)
+        return self._validate_object(key, sha, object_path, obj)
 
     def _validate_object(
-        self, key: TraceKey, digest: str, sha: str, object_path: str, obj
+        self, key: TraceKey, sha: str, object_path: str, obj
     ) -> Optional[TracePayload]:
+        def reject(reason: str) -> None:
+            return self._guard_failure(
+                "object", object_path, reason, quarantine=True
+            )
+
         if not isinstance(obj, dict) or obj.get("version") != STORE_VERSION:
-            return self._guard_failure(
-                "object", object_path, "bad object version", quarantine=True
-            )
-        if obj.get("config_digest") != digest:
-            return self._guard_failure(
-                "object", object_path,
-                "object recorded for a different front end",
-                quarantine=True,
-            )
-        hex_lines = obj.get("currents_hex")
-        n_cycles = obj.get("n_cycles")
-        warmup = obj.get("warmup_cycles")
-        instructions_warmup = obj.get("instructions_warmup")
-        instructions_total = obj.get("instructions_total")
-        if (not isinstance(hex_lines, list)
-                or not all(isinstance(line, str) for line in hex_lines)
-                or n_cycles != key.n_cycles
-                or warmup != key.warmup_cycles
-                or not isinstance(instructions_warmup, int)
-                or not isinstance(instructions_total, int)):
-            return self._guard_failure(
-                "object", object_path, "object metadata malformed",
-                quarantine=True,
-            )
-        if len(hex_lines) != warmup + n_cycles:
-            return self._guard_failure(
-                "object", object_path,
-                f"trace truncated: {len(hex_lines)} samples, "
-                f"expected {warmup + n_cycles}",
-                quarantine=True,
-            )
-        recomputed = hashlib.sha256(
-            "\n".join(hex_lines).encode("ascii", errors="replace")
-        ).hexdigest()
-        if recomputed != sha:
-            return self._guard_failure(
-                "object", object_path,
-                "content hash mismatch (bit flip or tamper)",
-                quarantine=True,
-            )
+            return reject("bad object version")
         try:
-            currents = [float.fromhex(line) for line in hex_lines]
+            blob = base64.b64decode(obj.get("blob"), validate=True)
         except (TypeError, ValueError) as exc:
-            return self._guard_failure(
-                "object", object_path, f"malformed sample: {exc}",
-                quarantine=True,
-            )
-        return TracePayload(
-            content_sha256=sha,
-            config_digest=digest,
-            n_cycles=n_cycles,
-            warmup_cycles=warmup,
-            instructions_warmup=instructions_warmup,
-            instructions_total=instructions_total,
-            currents=currents,
+            return reject(f"malformed sample encoding: {exc}")
+        expected = _HEADER_BYTES + _SAMPLE.itemsize * (
+            key.warmup_cycles + key.n_cycles
         )
+        if len(blob) != expected:
+            return reject(
+                f"trace truncated: {len(blob)} bytes, expected {expected}"
+            )
+        if hashlib.sha256(blob).hexdigest() != sha:
+            return reject("content hash mismatch (bit flip or tamper)")
+        return _decode(blob, sha, key)
 
     # ------------------------------------------------------------------
     # save (durable)
@@ -451,17 +452,11 @@ class TraceStore:
             )
         key = capture.key
         digest = key.digest()
-        hex_lines = [float(v).hex() for v in capture.currents]
-        sha = hashlib.sha256("\n".join(hex_lines).encode("ascii")).hexdigest()
+        blob = _encode(capture)
+        sha = hashlib.sha256(blob).hexdigest()
         obj = {
             "version": STORE_VERSION,
-            "config_digest": digest,
-            "content_sha256": sha,
-            "n_cycles": key.n_cycles,
-            "warmup_cycles": key.warmup_cycles,
-            "instructions_warmup": capture.instructions_warmup,
-            "instructions_total": capture.instructions_total,
-            "currents_hex": hex_lines,
+            "blob": base64.b64encode(blob).decode("ascii"),
         }
         index = {
             "version": STORE_VERSION,

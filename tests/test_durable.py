@@ -5,9 +5,9 @@ and job record.  Covered here: the write itself (temp file, fsyncs,
 cleanup, filesystems that cannot fsync a directory), quarantine, which
 writes the two ``runner_checkpoint_*`` counters count, injected write
 faults reaching the stores other than the checkpoint, and the on-disk
-formats: committed fixtures written before the checkpoint format moved to
-:mod:`repro.sim.checkpoint` must load and re-write byte for byte, and a
-version-1 checkpoint must still resume.
+formats: committed fixtures must load and re-write byte for byte, a
+version-1 checkpoint must still resume, and a version-1 trace-store
+entry must be a clean miss.
 """
 
 import dataclasses
@@ -50,7 +50,8 @@ def fingerprint(summary):
 
 
 def fixture_key() -> TraceKey:
-    """The key the committed trace-store fixture was recorded under."""
+    """The key the committed trace-store fixtures were recorded under, at
+    the current store version."""
     return TraceKey(
         benchmark="gzip",
         workload={"name": "gzip", "frac_load": 0.25},
@@ -276,9 +277,11 @@ class TestWriteFaultsOutsideTheCheckpoint:
 # ----------------------------------------------------------------------
 
 class TestOnDiskFormats:
-    """The fixtures under ``fixtures/formats`` were written by the code
-    before the checkpoint format and the durable write moved; loading
-    them and writing them back must reproduce every byte."""
+    """The checkpoint and job-record fixtures under ``fixtures/formats``
+    were written before the checkpoint format and the durable write
+    moved, ``trace-store-v2`` by the version-2 trace store; loading them
+    and writing them back must reproduce every byte.  ``trace-store``
+    holds a version-1 entry, which a version-2 store never reads."""
 
     def test_v2_checkpoint_rewrites_byte_for_byte(self, tmp_path):
         fixture = FIXTURES / "checkpoint_v2.json"
@@ -313,7 +316,7 @@ class TestOnDiskFormats:
         assert rewritten.read_bytes() == fixture.read_bytes()
 
     def test_trace_store_entry_rewrites_byte_for_byte(self, tmp_path):
-        fixture = FIXTURES / "trace-store"
+        fixture = FIXTURES / "trace-store-v2"
         # A copy: a failed guard would quarantine the entry it read.
         shutil.copytree(fixture, tmp_path / "recorded")
         reader = TraceStore(str(tmp_path / "recorded"))
@@ -321,8 +324,12 @@ class TestOnDiskFormats:
         payload = reader.load(key)
         assert payload is not None
         assert reader.stats["hits"] == 1
+        assert payload.currents.tolist() == [1.5, 2.25, 3.0, 1.0, 0.5, 2.0]
+        assert (payload.instructions_warmup, payload.instructions_total) == (
+            7, 19
+        )
         capture = completed_capture(
-            key, payload.currents,
+            key, payload.currents.tolist(),
             (payload.instructions_warmup, payload.instructions_total),
         )
         writer = TraceStore(str(tmp_path / "rewritten"))
@@ -332,6 +339,26 @@ class TestOnDiskFormats:
             assert (tmp_path / "rewritten" / kind / name).read_bytes() == (
                 fixture / kind / name
             ).read_bytes()
+
+    def test_v1_trace_store_entry_is_a_clean_miss(self, tmp_path):
+        fixture = FIXTURES / "trace-store"
+        shutil.copytree(fixture, tmp_path / "v1")
+
+        def snapshot():
+            return {
+                path.relative_to(tmp_path / "v1"): path.read_bytes()
+                for path in sorted((tmp_path / "v1").rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        assert len(before) == 2  # one index entry, one object
+        store = TraceStore(str(tmp_path / "v1"))
+        assert store.load(fixture_key()) is None
+        assert store.stats["misses"] == 1
+        assert store.stats["guard_failures"] == 0
+        assert store.drain_incidents() == []
+        assert snapshot() == before
 
     def test_resume_from_v1_checkpoint_reruns_nothing(self, tmp_path):
         ck = tmp_path / "ck.json"

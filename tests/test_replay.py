@@ -31,7 +31,6 @@ from repro.trace import (
     TraceCapture,
     TraceKey,
     TracePayload,
-    stream_digest,
 )
 from repro.uarch import Processor
 from tests.strategies import fault_overlays, workload_profiles
@@ -187,15 +186,7 @@ class TestDirectReplayDifferential:
         )
         capture = recorded_sim.capture
         assert capture.completed, "base capture must pass the replay proof"
-        payload = TracePayload(
-            content_sha256=stream_digest(capture.currents),
-            config_digest=key.digest(),
-            n_cycles=n_cycles,
-            warmup_cycles=warmup,
-            instructions_warmup=capture.instructions_warmup,
-            instructions_total=capture.instructions_total,
-            currents=list(capture.currents),
-        )
+        payload = TracePayload.from_capture(capture)
 
         variant = replace(
             TABLE1_SUPPLY,

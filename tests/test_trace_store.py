@@ -3,21 +3,31 @@
 Two layers:
 
 * **Unit**: key digests, capture validation (the replayability proof),
-  durable save/load round trips, the in-memory payload cache, overlay
-  tokens.
+  the binary encoding, durable save/load round trips, objects shared by
+  several keys, overlay tokens.
 * **Corruption**: every way an on-disk entry can rot -- truncation, bit
-  flips, zero-byte files, wrong-digest entries, version skew -- must
-  degrade to a guard miss (full simulation, incident recorded, file
-  quarantined), never a crash and never silent reuse of bad data.
+  flips, zero-byte files, wrong-digest entries, version skew, a bad
+  sample encoding, an edited instruction count -- must degrade to a
+  guard miss (full simulation, incident recorded, file quarantined),
+  never a crash and never silent reuse of bad data.
 """
 
+import base64
 import dataclasses
+import hashlib
 import json
 import os
+import shutil
+import struct
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.config import TABLE1_PROCESSOR
 from repro.errors import TraceStoreError
+from repro.faults import ResonantAttacker
 from repro.faults.chaos import flip_bit, truncate_file
 from repro.oracles import golden
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
@@ -28,8 +38,9 @@ from repro.trace import (
     TraceStore,
     canonical_digest,
     overlay_token,
-    stream_digest,
 )
+from repro.trace.store import energy_ledger
+from repro.uarch import SPEC2K
 
 SMALL = SweepConfig(n_cycles=1200, warmup_cycles=150)
 
@@ -51,7 +62,8 @@ def make_key(**overrides) -> TraceKey:
 
 
 def make_capture(key=None, currents=(1.5, 2.25, 3.0, 1.0, 0.5, 2.0),
-                 vdd=1.2, cycle_seconds=1e-10) -> TraceCapture:
+                 vdd=1.2, cycle_seconds=1e-10,
+                 instructions=(7, 19)) -> TraceCapture:
     """A completed capture whose snapshots match the recorded currents."""
     key = key or make_key()
     capture = TraceCapture(key)
@@ -62,8 +74,9 @@ def make_capture(key=None, currents=(1.5, 2.25, 3.0, 1.0, 0.5, 2.0),
         if i == key.warmup_cycles:
             boundary_energy = energy
         energy += amps * vdd * cycle_seconds
-    boundary = {"energy": boundary_energy, "phantom": 0.0, "instructions": 7}
-    end = {"energy": energy, "phantom": 0.0, "instructions": 19}
+    boundary = {"energy": boundary_energy, "phantom": 0.0,
+                "instructions": instructions[0]}
+    end = {"energy": energy, "phantom": 0.0, "instructions": instructions[1]}
     assert capture.finish(boundary, end, vdd, cycle_seconds)
     return capture
 
@@ -87,12 +100,6 @@ class TestKeysAndDigests:
         assert canonical_digest({"a": 1, "b": 2.0}) == canonical_digest(
             {"b": 2.0, "a": 1}
         )
-
-    def test_stream_digest_matches_golden_fingerprint_algorithm(self):
-        # store.py promises its digest equals the golden oracle's; the
-        # committed goldens' replay_trace_sha256 depends on it.
-        values = [0.0, 1.5, -2.25, 3.141592653589793, 1e-30]
-        assert stream_digest(values) == golden.stream_digest(values, kind="float")
 
     def test_overlay_token_cases(self):
         assert overlay_token(None) == "none"
@@ -149,10 +156,136 @@ class TestCaptureValidation:
         with pytest.raises(TraceStoreError):
             store.save(TraceCapture(make_key()))
 
+    @given(
+        currents=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=300),
+        vdd=st.floats(0.5, 2.0),
+        cycle_seconds=st.floats(1e-11, 1e-9),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_energy_ledger_matches_the_power_model_loop(
+        self, currents, vdd, cycle_seconds, data
+    ):
+        # The reference is the power model's own per-cycle accumulation.
+        warmup = data.draw(st.integers(0, len(currents) - 1))
+        energy, boundary = 0.0, None
+        for i, amps in enumerate(currents):
+            if i == warmup:
+                boundary = energy
+            energy += amps * vdd * cycle_seconds
+        ledger = energy_ledger(currents, warmup, vdd, cycle_seconds)
+        assert [value.hex() for value in ledger] == [
+            boundary.hex(), energy.hex()
+        ]
+
+
+# ----------------------------------------------------------------------
+# The encoding: two int64 counts, then float64 samples, both little-endian
+# ----------------------------------------------------------------------
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: Every float64: Hypothesis' own floats (signed zeros, subnormals,
+#: infinities, NaNs) plus raw bit patterns, which reach NaN payloads.
+ANY_FLOAT64 = st.one_of(
+    st.floats(), st.integers(0, 2 ** 64 - 1).map(_from_bits)
+)
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def recorded_traces(draw):
+    samples = draw(st.lists(ANY_FLOAT64, min_size=1, max_size=48))
+    warmup = draw(st.integers(0, len(samples) - 1))
+    return samples, warmup, (draw(INT64), draw(INT64))
+
+
+SPECIAL_SAMPLES = [
+    -0.0, 5e-324, -2.2250738585072e-308, float("inf"), float("-inf"),
+    _from_bits(0x7FF0000000000001), _from_bits(0xFFF800000000DEAD),
+]
+
+
+class TestEncoding:
+    @given(trace=recorded_traces())
+    @example(trace=(SPECIAL_SAMPLES, 2, (0, 2 ** 63 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_samples_and_counts_round_trip_bit_for_bit(self, trace):
+        samples, warmup, counts = trace
+        key = make_key(n_cycles=len(samples) - warmup, warmup_cycles=warmup)
+        capture = TraceCapture(key)
+        capture.currents = list(samples)
+        capture.instructions_warmup, capture.instructions_total = counts
+        # NaN and infinite samples cannot pass the energy proof; the
+        # encoding must carry them anyway.
+        capture.completed = True
+        blob = struct.pack(f"<2q{len(samples)}d", *counts, *samples)
+        sha = hashlib.sha256(blob).hexdigest()
+        with tempfile.TemporaryDirectory() as root:
+            assert TraceStore(root).save(capture)
+            assert os.listdir(os.path.join(root, "objects")) == [f"{sha}.json"]
+            payload = TraceStore(root).load(key)
+        assert payload is not None
+        assert payload.content_sha256 == sha
+        assert payload.currents.tobytes() == blob[16:]
+        assert (payload.instructions_warmup,
+                payload.instructions_total) == counts
+        assert (payload.warmup_cycles, payload.n_cycles) == (
+            warmup, len(samples) - warmup
+        )
+
+    def test_golden_trace_round_trips_to_committed_fingerprint(self, tmp_path):
+        # The samples a store hands back must hash to the committed
+        # float.hex fingerprint.  The gzip/base golden cell is a runner
+        # base cell with the golden instruction budget.
+        cell = next(c for c in golden.GOLDEN_CELLS if c.key == "gzip/base")
+        n_instructions = 60_000
+        config = SweepConfig(
+            n_cycles=cell.n_cycles,
+            warmup_cycles=cell.warmup_cycles,
+            trace_instructions=n_instructions,
+        )
+        BenchmarkRunner(config, trace_store=str(tmp_path)).run_base("gzip")
+        profile = SPEC2K["gzip"]
+        key = TraceKey(
+            benchmark="gzip",
+            workload=dataclasses.asdict(profile),
+            seed=profile.seed,
+            n_instructions=n_instructions,
+            processor=dataclasses.asdict(TABLE1_PROCESSOR),
+            n_cycles=cell.n_cycles,
+            warmup_cycles=cell.warmup_cycles,
+            schedule="null",
+            overlay="none",
+        )
+        payload = TraceStore(str(tmp_path)).load(key)
+        assert payload is not None
+        committed = golden.load_goldens()["cells"][cell.key]
+        assert golden.stream_digest(payload.currents) == (
+            committed["replay_trace_sha256"]
+        )
+
 
 # ----------------------------------------------------------------------
 # Save / load round trips
 # ----------------------------------------------------------------------
+
+class Attack:
+    """Picklable supply overlay: the attacker adds current the processor
+    never draws, so the recorded trace equals the plain one."""
+
+    def __call__(self, supply, benchmark):
+        return ResonantAttacker(supply, amplitude_amps=12.0, seed=99)
+
+
+def quarantined_files(root) -> list:
+    return [
+        name for _, _, names in os.walk(root) for name in names
+        if ".corrupt-" in name
+    ]
+
 
 class TestRoundTrip:
     def test_save_then_load_from_fresh_store(self, tmp_path):
@@ -164,9 +297,9 @@ class TestRoundTrip:
         assert reader.contains(capture.key)
         payload = reader.load(capture.key, label="unit")
         assert payload is not None
-        assert payload.currents == capture.currents
-        assert payload.config_digest == capture.key.digest()
-        assert payload.content_sha256 == stream_digest(capture.currents)
+        assert payload.currents.tolist() == capture.currents
+        (object_name,) = os.listdir(reader.objects_dir)
+        assert object_name == f"{payload.content_sha256}.json"
         assert payload.instructions_warmup == 7
         assert payload.instructions_total == 19
         assert reader.stats == {
@@ -180,32 +313,82 @@ class TestRoundTrip:
         assert store.stats["misses"] == 1
         assert not store.incidents
 
-    def test_payload_cache_serves_repeat_loads(self, tmp_path):
+    def test_every_load_reads_from_disk(self, tmp_path):
         store = TraceStore(str(tmp_path))
         capture = make_capture()
         store.save(capture)
-        first = store.load(capture.key)
-        # Delete the files: a second load must come from the cache.
+        assert store.load(capture.key) is not None
         for directory in (store.index_dir, store.objects_dir):
             for name in os.listdir(directory):
                 os.unlink(os.path.join(directory, name))
-        second = store.load(capture.key)
-        assert second is first
-        assert store.stats["hits"] == 2
-
-    def test_zero_cache_capacity_reloads_from_disk(self, tmp_path):
-        store = TraceStore(str(tmp_path), max_cached_payloads=0)
-        capture = make_capture()
-        store.save(capture)
-        assert store.load(capture.key) is not store.load(capture.key)
+        assert store.load(capture.key) is None
+        assert store.stats["hits"] == 1
+        assert store.stats["misses"] == 1
 
     def test_object_dedup_across_keys(self, tmp_path):
-        # Same trace under two keys: one object, two index entries.
+        # Same trace under two keys: one object, two index entries, and
+        # both keys keep loading it.
+        keys = (make_key(), make_key(seed=99))
         store = TraceStore(str(tmp_path))
-        store.save(make_capture())
-        store.save(make_capture(key=make_key(seed=99)))
+        for key in keys:
+            store.save(make_capture(key=key))
         assert len(os.listdir(store.objects_dir)) == 1
         assert len(os.listdir(store.index_dir)) == 2
+        for _ in range(3):
+            for key in keys:
+                payload = store.load(key)
+                assert payload.currents.tolist() == make_capture().currents
+        assert store.stats["hits"] == 6
+        assert store.stats["guard_failures"] == 0
+        assert not quarantined_files(tmp_path)
+
+    def test_plain_and_overlay_base_cells_share_one_object(self, tmp_path):
+        # The overlay token makes two keys; the processor current, and so
+        # the object, is the same.  Neither key may reject it.
+        store_dir = str(tmp_path / "store")
+        expected = {
+            transform: BenchmarkRunner(
+                SMALL, supply_transform=transform
+            ).run_base("gzip")
+            for transform in (None, Attack())
+        }
+        stores = []
+        for _ in range(3):
+            for transform, plain in expected.items():
+                store = TraceStore(store_dir)
+                runner = BenchmarkRunner(
+                    SMALL, trace_store=store, supply_transform=transform
+                )
+                assert runner.run_base("gzip") == plain
+                stores.append(store)
+        assert [store.stats["guard_failures"] for store in stores] == [0] * 6
+        assert not quarantined_files(store_dir)
+        assert [store.stats["records"] for store in stores] == [1, 1] + [0] * 4
+        assert [store.stats["hits"] for store in stores] == [0, 0] + [1] * 4
+        assert len(os.listdir(os.path.join(store_dir, "objects"))) == 1
+
+    @pytest.mark.parametrize(
+        "count", ["instructions_warmup", "instructions_total"]
+    )
+    def test_edited_instruction_count_trips_a_guard(self, tmp_path, count):
+        # Record the same currents with one count off by one, and put
+        # that object where the true one lives: a replay must never
+        # report the edited count.
+        store = TraceStore(str(tmp_path / "store"))
+        store.save(make_capture())
+        edited = dict(instructions_warmup=7, instructions_total=19)
+        edited[count] -= 1
+        other = TraceStore(str(tmp_path / "edited"))
+        other.save(make_capture(instructions=tuple(edited.values())))
+        (true_name,) = os.listdir(store.objects_dir)
+        (edited_name,) = os.listdir(other.objects_dir)
+        shutil.copy(
+            os.path.join(other.objects_dir, edited_name),
+            os.path.join(store.objects_dir, true_name),
+        )
+        reader = TraceStore(str(tmp_path / "store"))
+        assert reader.load(make_key()) is None
+        assert reader.stats["guard_failures"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +409,16 @@ def _rewrite_json(path, mutate):
     mutate(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+
+
+def _rewrite_blob(path, mutate):
+    """Decode an object's blob, replace it with ``mutate(blob)``, and
+    re-encode it, leaving the file's name (its address) as it was."""
+    def edit(obj):
+        blob = mutate(base64.b64decode(obj["blob"]))
+        obj["blob"] = base64.b64encode(blob).decode("ascii")
+
+    _rewrite_json(path, edit)
 
 
 class TestCorruptionGuards:
@@ -255,7 +448,7 @@ class TestCorruptionGuards:
 
     def test_truncated_sample_list(self, tmp_path):
         key, (_, object_path) = self._seeded_store(tmp_path)
-        _rewrite_json(object_path, lambda o: o["currents_hex"].pop())
+        _rewrite_blob(object_path, lambda blob: blob[:-8])
         self._assert_guarded(tmp_path, key, "trace truncated")
 
     def test_bit_flipped_object(self, tmp_path):
@@ -263,15 +456,17 @@ class TestCorruptionGuards:
         flip_bit(object_path)
         incident = self._assert_guarded(tmp_path, key, "")
         # Depending on which byte the flip lands in, the guard trips as a
-        # JSON parse error, a hash mismatch, or malformed metadata -- all
-        # acceptable; silent acceptance is not.
+        # JSON parse error, a bad base64 character or a hash mismatch --
+        # all acceptable; silent acceptance is not.
         assert incident["kind"] == "object"
 
     def test_flipped_sample_value_is_a_hash_mismatch(self, tmp_path):
         key, (_, object_path) = self._seeded_store(tmp_path)
-        _rewrite_json(
+        sample = 16 + 8 * 3
+        _rewrite_blob(
             object_path,
-            lambda o: o["currents_hex"].__setitem__(3, float(99.0).hex()),
+            lambda blob: blob[:sample] + struct.pack("<d", 99.0)
+            + blob[sample + 8:],
         )
         self._assert_guarded(tmp_path, key, "content hash mismatch")
 
@@ -300,12 +495,13 @@ class TestCorruptionGuards:
         self._assert_guarded(tmp_path, key, "config digest mismatch")
 
     def test_wrong_digest_object(self, tmp_path):
+        # An intact object of another trace, filed under this address.
         key, (_, object_path) = self._seeded_store(tmp_path)
-        _rewrite_json(
-            object_path,
-            lambda o: o.__setitem__("config_digest", "f" * 64),
-        )
-        self._assert_guarded(tmp_path, key, "different front end")
+        other = TraceStore(str(tmp_path / "other"))
+        other.save(make_capture(currents=(9.0,) * 6))
+        _, other_object = _entry_paths(other)
+        shutil.copy(other_object, object_path)
+        self._assert_guarded(tmp_path, key, "content hash mismatch")
 
     def test_version_skew_index(self, tmp_path):
         key, (index_path, _) = self._seeded_store(tmp_path)
@@ -315,24 +511,28 @@ class TestCorruptionGuards:
         )
         self._assert_guarded(tmp_path, key, "version")
 
-    def test_malformed_sample_encoding(self, tmp_path):
+    def test_version_skew_object(self, tmp_path):
         key, (_, object_path) = self._seeded_store(tmp_path)
-        # Poison one sample and re-address the object so every earlier
-        # guard passes and only the float parse trips.
-        with open(object_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload["currents_hex"][0] = "not-a-float"
-        import hashlib
-        sha = hashlib.sha256(
-            "\n".join(payload["currents_hex"]).encode("ascii")
-        ).hexdigest()
-        store = TraceStore(str(tmp_path))
-        index_path, _ = _entry_paths(store)
-        new_object = os.path.join(store.objects_dir, f"{sha}.json")
-        with open(new_object, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        _rewrite_json(index_path, lambda i: i.__setitem__("content_sha256", sha))
-        self._assert_guarded(tmp_path, key, "malformed sample")
+        _rewrite_json(
+            object_path,
+            lambda o: o.__setitem__("version", STORE_VERSION - 1),
+        )
+        self._assert_guarded(tmp_path, key, "bad object version")
+
+    def test_index_cycle_counts_must_match_the_key(self, tmp_path):
+        key, (index_path, _) = self._seeded_store(tmp_path)
+        _rewrite_json(index_path, lambda i: i.__setitem__("n_cycles", 5))
+        self._assert_guarded(tmp_path, key, "cycle counts")
+
+    def test_malformed_sample_encoding(self, tmp_path):
+        # A character outside the base64 alphabet.  Lenient decoding
+        # would skip it and pass every later guard; strict decoding
+        # rejects the file.
+        key, (_, object_path) = self._seeded_store(tmp_path)
+        _rewrite_json(
+            object_path, lambda o: o.__setitem__("blob", "*" + o["blob"])
+        )
+        self._assert_guarded(tmp_path, key, "malformed sample encoding")
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +660,7 @@ class TestMultiprocessWriteRace:
         # recorded trace exactly.
         payload = store.load(key)
         assert payload is not None
-        assert payload.currents == list(make_capture().currents)
+        assert payload.currents.tolist() == make_capture().currents
         assert store.stats["guard_failures"] == 0
         assert store.drain_incidents() == []
 
