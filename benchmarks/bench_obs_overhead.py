@@ -24,7 +24,7 @@ import platform
 import time
 
 from repro import obs
-from repro.cli import _build_tuning
+from repro.cli import build_tuning
 from repro.config import TuningConfig
 from repro.sim import BenchmarkRunner, SweepConfig
 
@@ -38,7 +38,7 @@ REPEATS = 3
 OVERHEAD_BUDGET = 0.02
 ABSOLUTE_FLOOR_S = 0.05
 
-FACTORY = functools.partial(_build_tuning, tuning=TuningConfig())
+FACTORY = functools.partial(build_tuning, tuning=TuningConfig())
 
 
 def _sweep_once():

@@ -20,7 +20,7 @@ import os
 import platform
 import time
 
-from repro.cli import _build_convolution, _build_damping, _build_tuning
+from repro.cli import build_convolution, build_damping, build_tuning
 from repro.config import TuningConfig
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 
@@ -31,9 +31,9 @@ GRID_SEEDS = (None, 11, 12, 13)
 GRID_CYCLES = BENCH_CYCLES if FULL else 6000
 
 TECHNIQUES = (
-    ("tuning", functools.partial(_build_tuning, tuning=TuningConfig())),
-    ("damping", functools.partial(_build_damping, delta_amps=13.0)),
-    ("convolution", functools.partial(_build_convolution, estimate_gain=1.0)),
+    ("tuning", functools.partial(build_tuning, tuning=TuningConfig())),
+    ("damping", functools.partial(build_damping, delta_amps=13.0)),
+    ("convolution", functools.partial(build_convolution, estimate_gain=1.0)),
 )
 
 

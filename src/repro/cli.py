@@ -23,7 +23,14 @@ from repro import obs
 from repro.config import PowerSupplyConfig, TABLE1_SUPPLY, TuningConfig
 from repro.errors import ReproError, SweepInterrupted
 
-__all__ = ["main", "build_parser"]
+__all__ = [
+    "main",
+    "build_parser",
+    "build_tuning",
+    "build_voltage_threshold",
+    "build_damping",
+    "build_convolution",
+]
 
 
 def _supply_from_args(args) -> PowerSupplyConfig:
@@ -92,13 +99,13 @@ def _cmd_classify(args) -> int:
 # pickles by qualified name, so CLI-built factories survive the trip to
 # the parallel sweep backend's worker processes.
 
-def _build_tuning(supply, processor, tuning):
+def build_tuning(supply, processor, tuning):
     from repro.core.tuning import ResonanceTuningController
 
     return ResonanceTuningController(supply, processor, tuning)
 
 
-def _build_voltage_threshold(
+def build_voltage_threshold(
     supply, processor, threshold_volts, noise_volts, delay_cycles
 ):
     from repro.baselines.voltage_threshold import VoltageThresholdController
@@ -112,13 +119,13 @@ def _build_voltage_threshold(
     )
 
 
-def _build_damping(supply, processor, delta_amps):
+def build_damping(supply, processor, delta_amps):
     from repro.baselines.damping import PipelineDampingController
 
     return PipelineDampingController(supply, processor, delta_amps)
 
 
-def _build_convolution(supply, processor, estimate_gain):
+def build_convolution(supply, processor, estimate_gain):
     from repro.baselines.convolution import ConvolutionController
 
     return ConvolutionController(supply, processor, estimate_gain=estimate_gain)
@@ -128,21 +135,21 @@ def _technique_factory(args):
     name = args.technique
     if name == "tuning":
         return functools.partial(
-            _build_tuning,
+            build_tuning,
             tuning=TuningConfig(initial_response_time=args.response_time),
         )
     if name == "voltage-threshold":
         return functools.partial(
-            _build_voltage_threshold,
+            build_voltage_threshold,
             threshold_volts=args.threshold_mv * 1e-3,
             noise_volts=args.noise_mv * 1e-3,
             delay_cycles=args.delay,
         )
     if name == "damping":
-        return functools.partial(_build_damping, delta_amps=args.delta_amps)
+        return functools.partial(build_damping, delta_amps=args.delta_amps)
     if name == "convolution":
         return functools.partial(
-            _build_convolution, estimate_gain=args.estimate_gain
+            build_convolution, estimate_gain=args.estimate_gain
         )
     raise ReproError(f"unknown technique {name}")  # pragma: no cover
 
@@ -174,30 +181,6 @@ def _cmd_compare(args) -> int:
               f" {metrics.violation_fraction:10.2e}"
               f" {metrics.slowdown:9.3f} {metrics.energy_delay:7.3f}")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.serve import AdmissionPolicy, ServeConfig, SweepService
-
-    config = ServeConfig(
-        data_dir=args.data_dir,
-        host=args.host,
-        port=args.port,
-        max_running=args.max_running,
-        admission=AdmissionPolicy(
-            max_queued=args.max_queued,
-            tenant_max_active=args.tenant_max_active,
-            tenant_max_cells=args.tenant_max_cells,
-            retry_after_base_s=args.retry_after_s,
-        ),
-        request_timeout_s=args.request_timeout_s,
-        drain_deadline_s=args.drain_deadline_s,
-        ready_file=args.ready_file,
-    )
-    service = SweepService(config)
-    return asyncio.run(service.run())
 
 
 def _cmd_obs_report(args) -> int:
@@ -274,41 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                               " store path is configured")
     obs.add_observability_flags(compare)
     compare.set_defaults(func=_cmd_compare)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the sweep-as-a-service HTTP API (see docs/operations.md)",
-    )
-    serve.add_argument("--data-dir", metavar="PATH", required=True,
-                       help="durable job store root (job records under"
-                            " jobs/, sweep checkpoints under work/)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="listen address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8537,
-                       help="listen port; 0 binds an ephemeral port"
-                            " (pair with --ready-file to discover it)")
-    serve.add_argument("--max-running", type=int, default=2,
-                       help="jobs executing concurrently; the rest queue")
-    serve.add_argument("--max-queued", type=int, default=16,
-                       help="queued-job bound; beyond it submissions are"
-                            " shed with 429 + Retry-After")
-    serve.add_argument("--tenant-max-active", type=int, default=4,
-                       help="queued+running jobs one tenant may hold")
-    serve.add_argument("--tenant-max-cells", type=int, default=512,
-                       help="cells across one tenant's queued+running jobs")
-    serve.add_argument("--retry-after-s", type=float, default=1.0,
-                       help="base of the deterministic Retry-After hint")
-    serve.add_argument("--request-timeout-s", type=float, default=5.0,
-                       help="per-request head/body read deadline"
-                            " (slow-loris guard; 408 past it)")
-    serve.add_argument("--drain-deadline-s", type=float, default=30.0,
-                       help="SIGTERM drain: seconds to wait for running"
-                            " sweeps to checkpoint before exiting 75")
-    serve.add_argument("--ready-file", metavar="PATH", default=None,
-                       help="write {host, port, pid, url} JSON once the"
-                            " listener is bound")
-    obs.add_observability_flags(serve)
-    serve.set_defaults(func=_cmd_serve)
 
     obs_cmd = commands.add_parser(
         "obs", help="observability tooling (see docs/observability.md)"

@@ -1,8 +1,8 @@
 """Durable file writes: atomic replacement, content digests, quarantine.
 
 The one write path of every store that must survive a crash: sweep
-checkpoints and their sidecars (:mod:`repro.sim.checkpoint`), the trace
-store (:mod:`repro.trace.store`) and job records (:mod:`repro.serve.jobs`).
+checkpoints and their sidecars (:mod:`repro.sim.checkpoint`) and the
+trace store (:mod:`repro.trace.store`).
 Callers serialize, so every format keeps its own bytes on disk; this
 module records no metrics and takes no options.
 """

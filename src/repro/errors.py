@@ -106,35 +106,6 @@ class WorkerLostError(HarnessError):
     """
 
 
-class ServeError(HarnessError):
-    """The sweep-serving tier (:mod:`repro.serve`) failed as infrastructure.
-
-    Covers conditions that make the *service* unusable -- an unbindable
-    listen address, an unusable data directory -- never individual job
-    failures, which are recorded on the job itself and reported over HTTP.
-    """
-
-
-class JobSpecError(ConfigurationError, HarnessError):
-    """A submitted sweep-job specification is invalid.
-
-    Raised while admitting a job (unknown technique, bad grid, out-of-range
-    budget) so the HTTP layer can map it to a 400 with the offending field
-    named, before anything is queued or persisted.  Subclasses both
-    :class:`ConfigurationError` and :class:`HarnessError` for the same
-    reason :class:`ResilienceConfigError` does.
-    """
-
-
-class JobStateError(ServeError):
-    """A job operation is invalid for the job's current lifecycle state.
-
-    For example fetching the result of a job that is still running, or
-    cancelling one that already reached a terminal state.  The HTTP layer
-    maps it to a 409.
-    """
-
-
 class SweepInterrupted(HarnessError):
     """A sweep drained gracefully after SIGTERM/SIGINT.
 

@@ -5,7 +5,7 @@ attacks the *harness*: supply transforms that SIGKILL or hang the worker
 process running a chosen benchmark, file mutilators that truncate or
 bit-flip a checkpoint between runs, and an fsync fault injector that
 simulates a full or dying disk under every durable write
-(:mod:`repro.durable`: checkpoints, trace store, job records).
+(:mod:`repro.durable`: checkpoints and the trace store).
 
 Everything here is a plain module-level class or function, so the supply
 transforms pickle by qualified name and survive the trip into pool
@@ -163,8 +163,8 @@ def inject_fsync_faults(every: int = 2, error_number: int = errno.ENOSPC):
     """Make every ``every``-th durable fsync raise an injected OSError.
 
     Patches the fsync seam of :mod:`repro.durable` for the duration of
-    the context, so checkpoint, trace-store and job-record writes all see
-    the faults (ENOSPC by default -- a full disk -- or any errno, e.g.
+    the context, so checkpoint and trace-store writes both see the
+    faults (ENOSPC by default -- a full disk -- or any errno, e.g.
     ``errno.EIO``).  Yields a counter dict: ``calls`` fsyncs attempted,
     ``faults`` injected.
     """

@@ -26,9 +26,9 @@ individually:
 Worker processes inherit the configuration through
 :func:`worker_spec` / :func:`init_worker` (wired into the sweep pool
 initializer), writing their spans and profile samples into their own
-shard files and shipping metric deltas back with each cell result.  Trace spans carry deterministic
-:class:`~repro.obs.context.TraceContext` ids, so one job's lifecycle
-links across every process boundary.
+shard files and shipping metric deltas back with each cell result.
+Trace spans carry deterministic :class:`~repro.obs.context.TraceContext`
+ids, so one sweep's spans link across every process boundary.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
     "finalize",
     "is_configured",
     "active_registry",
-    "ensure_registry",
     "active_tracer",
     "active_profiler",
     "worker_spec",
@@ -129,21 +128,6 @@ def is_configured() -> bool:
         or active_registry() is not None
         or active_profiler() is not None
     )
-
-
-def ensure_registry() -> MetricsRegistry:
-    """Return the active metrics registry, installing one if none is.
-
-    Long-lived processes that always want metrics (the sweep service's
-    ``/metrics`` endpoint) call this once at startup; unlike
-    :func:`configure` it never touches logging or tracing and never
-    schedules an export -- the caller owns exposition.
-    """
-    registry = active_registry()
-    if registry is None:
-        registry = MetricsRegistry()
-        set_active_registry(registry)
-    return registry
 
 
 def _prometheus_path(metrics_path: str) -> str:

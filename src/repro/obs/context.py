@@ -1,25 +1,25 @@
 """Deterministic trace-context propagation across process boundaries.
 
 A :class:`TraceContext` names one node in a causal tree: a ``trace_id``
-shared by every span of one logical operation (an HTTP job, a sweep), a
-``span_id`` for this node, and the ``parent_id`` it hangs under.  Ids are
-*derived*, not random: ``sha256`` over the parent ids and a stable name,
-so a fixed-seed sweep produces byte-identical linkage on every run and on
+shared by every span of one logical operation (a sweep), a ``span_id``
+for this node, and the ``parent_id`` it hangs under.  Ids are *derived*,
+not random: ``sha256`` over the parent ids and a stable name, so a
+fixed-seed sweep produces byte-identical linkage on every run and on
 every backend.  That determinism is what lets the goldens and the chaos
 convergence checks stay bit-exact with tracing enabled.
 
-Contexts cross process boundaries as plain dicts — in the pool worker
-cell submission and in the ``traceparent`` HTTP header — and are
-re-installed on the far side with :func:`use_context`.  The current
-context is thread-local because ``repro serve`` runs concurrent job
-threads in one process.
+Contexts cross process boundaries as plain dicts -- in the pool worker
+cell submission -- and are re-installed on the far side with
+:func:`use_context`.  The current context is thread-local, so a sweep
+run off the main thread neither sees nor replaces the context of a
+sweep on another thread, and the sampling profiler's thread never
+inherits one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import re
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -27,11 +27,6 @@ from typing import Iterator, Optional
 
 def _derive(material: str, length: int) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()[:length]
-
-
-_TRACEPARENT_RE = re.compile(
-    r"^00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$"
-)
 
 
 @dataclass(frozen=True)
@@ -78,19 +73,6 @@ class TraceContext:
             return None
         parent = data.get("parent_id")
         return cls(trace_id, span_id, parent if isinstance(parent, str) else None)
-
-    def to_traceparent(self) -> str:
-        """W3C-style ``traceparent`` header value."""
-        return f"00-{self.trace_id:0>32}-{self.span_id:0>16}-01"
-
-    @classmethod
-    def from_traceparent(cls, header: Optional[str]) -> Optional["TraceContext"]:
-        if not header:
-            return None
-        match = _TRACEPARENT_RE.match(header.strip().lower())
-        if match is None:
-            return None
-        return cls(trace_id=match.group(1), span_id=match.group(2))
 
 
 class _State(threading.local):

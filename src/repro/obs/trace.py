@@ -39,13 +39,12 @@ __all__ = [
 ]
 
 #: Categories used by the built-in instrumentation (documented in
-#: docs/observability.md): phase/cell spans and supervision instants,
-#: serve request spans, and cross-process flow arrows.
+#: docs/observability.md): phase/cell/simulation spans, supervision
+#: instants, and cross-process flow arrows.
 CAT_PHASE = "phase"
 CAT_CELL = "cell"
 CAT_SIM = "sim"
 CAT_SUPERVISION = "supervision"
-CAT_SERVE = "serve"
 CAT_FLOW = "flow"
 
 
@@ -129,32 +128,6 @@ class Tracer:
                 "dur": round(duration * 1e6, 3),
                 "args": span_args,
             })
-
-    def span_at(
-        self,
-        name: str,
-        cat: str,
-        started: float,
-        ended: float,
-        args: Optional[dict] = None,
-        ctx=None,
-    ) -> None:
-        """Record a complete span from explicit ``time.monotonic`` stamps.
-
-        Used where the span is only known after the fact: the serve HTTP
-        request span (status known once the response is written).
-        """
-        span_args: dict = dict(args or {})
-        if ctx is not None:
-            span_args.update(ctx.span_args())
-        self._write({
-            "ph": "X",
-            "name": name,
-            "cat": cat,
-            "ts": round(started * 1e6, 3),
-            "dur": round(max(ended - started, 0.0) * 1e6, 3),
-            "args": span_args,
-        })
 
     def flow_start(self, flow_id: str, name: str = "dispatch") -> None:
         """Open a flow arrow at the dispatch site (inside the open span)."""

@@ -1,4 +1,4 @@
-"""Sweep execution backends behind the :class:`SweepBackend` interface.
+"""Sweep execution backends, and the process pool the parallel one runs on.
 
 :meth:`repro.sim.runner.BenchmarkRunner.sweep` plans a sweep -- the
 (benchmark, seed) grid, checkpoint state, retry budget -- and hands the
@@ -18,25 +18,41 @@ Two backends exist:
 
 ``ResilienceConfig.workers`` alone selects between them (see
 :func:`select_backend`).
+
+Everything about the pool lives here: :class:`WorkerPool` (the executor,
+the heartbeat channel and their lifecycle), the entry points its worker
+processes run (:func:`_worker_init`, :func:`_worker_run_cell`) and the
+supervisor inside :meth:`ProcessPoolBackend.execute`.  Each runner owns
+one :class:`WorkerPool` and reuses it across its sweeps, so the workers'
+base-run caches stay warm from one technique variant to the next.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import multiprocessing
+import os
 import pickle
 import signal
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    wait as futures_wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.errors import SweepInterrupted
+from repro import obs
+from repro.errors import HarnessError, SweepInterrupted, WorkerLostError
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
+from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.log import warn_once
 from repro.sim.checkpoint import SweepCheckpoint
@@ -47,10 +63,15 @@ __all__ = [
     "SweepJob",
     "SequentialBackend",
     "ProcessPoolBackend",
+    "WorkerPool",
     "select_backend",
 ]
 
 Cell = Tuple[str, Optional[int]]
+
+#: How often the parallel supervisor wakes to check heartbeats and drain
+#: requests while no future has completed, in seconds.
+_SUPERVISOR_POLL_S = 0.2
 
 
 @dataclass
@@ -76,12 +97,13 @@ class SweepJob:
     results: Dict[Cell, RelativeMetrics]
     failure_map: Dict[Cell, "object"]
     timings: Dict[str, float]
-    drain: "object"  # _DrainFlag
+    drain: "object"  # the sweep's drain flag: is_set(), signum, signal_name
+    #: the runner's process pool (used by the pool backend only)
+    pool: "WorkerPool"
+    #: root of the sweep's trace store, shipped to pool workers; None
+    #: when record/replay is off
+    trace_store_root: Optional[str] = None
     incidents: List["object"] = field(default_factory=list)
-    #: failure counterpart of ``progress``: called as ``on_failure(cell,
-    #: report)`` whenever a cell is parked as a FailureReport, so callers
-    #: streaming sweep progress (the serving tier) see failed cells too.
-    on_failure: Optional[Callable] = None
 
     # ------------------------------------------------------------------
     # Shared result/failure/drain bookkeeping
@@ -102,8 +124,6 @@ class SweepJob:
 
     def record_failure(self, cell: Cell, failure) -> None:
         self.failure_map[cell] = failure
-        if self.on_failure is not None:
-            self.on_failure(cell, failure)
 
     def pending_after(self) -> List[Cell]:
         """Cells still unaccounted for (used by drain summaries)."""
@@ -134,6 +154,41 @@ class SweepJob:
             completed=completed,
             pending=len(pending),
         )
+
+
+def _circuit_open_report(benchmark: str, technique: str, seed: Optional[int]):
+    """A cell parked (never attempted) by the per-benchmark circuit breaker."""
+    from repro.sim.runner import FailureReport
+
+    return FailureReport(
+        benchmark=benchmark,
+        technique=technique,
+        seed=seed,
+        attempts=0,
+        error_type="CircuitOpen",
+        message=(
+            f"parked by the circuit breaker: the first pending cell of"
+            f" {benchmark!r} exhausted its retry budget"
+        ),
+        skipped=True,
+    )
+
+
+def _worker_lost_report(
+    benchmark: str, technique: str, seed: Optional[int],
+    losses: int, detail: str,
+):
+    """A cell abandoned after repeatedly losing its worker process."""
+    from repro.sim.runner import FailureReport
+
+    return FailureReport(
+        benchmark=benchmark,
+        technique=technique,
+        seed=seed,
+        attempts=losses,
+        error_type=WorkerLostError.__name__,
+        message=detail,
+    )
 
 
 class _CellQueue:
@@ -171,8 +226,6 @@ class _CellQueue:
 
     def release_probe(self, cell: Cell, run_failed: bool) -> None:
         """Unblock (or park) the cells held behind a probe."""
-        from repro.sim.runner import _circuit_open_report
-
         name = self.probes.pop(cell, None)
         if name is None:
             return
@@ -228,10 +281,20 @@ class SequentialBackend(SweepBackend):
     workers = 1
 
     def execute(self, job: SweepJob) -> None:
-        from repro.sim.runner import _circuit_open_report
-
         tracer = obs_trace.active_tracer()
         resilience = job.resilience
+        if (
+            resilience.timeout_s is not None
+            and threading.current_thread() is not threading.main_thread()
+        ):
+            # The per-cell bound is SIGALRM, which only the main thread
+            # can take; checked here, once, because a failure inside the
+            # cell would only turn into retries and a FaultError.
+            raise HarnessError(
+                f"timeout_s={resilience.timeout_s:g} needs the main thread:"
+                f" a sequential sweep enforces it with SIGALRM; run the"
+                f" sweep on the main thread or drop timeout_s"
+            )
         open_benchmarks: set = set()
         probed: set = set()
         if len(job.pending) > 1:
@@ -261,7 +324,7 @@ class SequentialBackend(SweepBackend):
                 continue
             is_probe = name not in probed
             probed.add(name)
-            metrics, failure = job.runner._run_cell(
+            metrics, failure = job.runner.run_cell(
                 name, job.technique, job.factory, resilience, base_seed=seed
             )
             if failure is not None:
@@ -279,6 +342,242 @@ class SequentialBackend(SweepBackend):
                         )
                 continue
             job.record_success(cell, metrics)
+
+
+# ----------------------------------------------------------------------
+# Worker-process entry points
+# ----------------------------------------------------------------------
+
+#: Per-worker-process cache: the runner rebuilt from the last cell spec,
+#: plus the heartbeat channel installed by the pool initializer.  Keeping
+#: the runner across cells lets one worker reuse base runs (and their LRU
+#: bound) exactly as the sequential path does within its own process.
+_WORKER_STATE: dict = {}
+
+
+def _worker_init(heartbeats, obs_spec) -> None:
+    """Pool initializer: heartbeat channel plus observability hand-off.
+
+    ``obs_spec`` is the parent's picklable :func:`repro.obs.worker_spec`:
+    the worker opens its own trace shard and metrics registry from it, so
+    spans and counters survive the process boundary without sharing any
+    file handle or lock.
+    """
+    if heartbeats is not None:
+        _WORKER_STATE["heartbeats"] = heartbeats
+    obs.init_worker(obs_spec)
+
+
+def _worker_beat(stage: str, cell_label: str) -> None:
+    """Record this worker's liveness (best effort -- never fail the cell)."""
+    heartbeats = _WORKER_STATE.get("heartbeats")
+    if heartbeats is None:
+        return
+    try:
+        heartbeats[os.getpid()] = (stage, cell_label, time.time())
+    except Exception:  # manager gone mid-shutdown: liveness is moot
+        pass
+
+
+def _worker_run_cell(
+    spec_blob: bytes,
+    factory: Callable,
+    benchmark: str,
+    technique: str,
+    seed: Optional[int],
+    timeout_s: Optional[float],
+    max_retries: int,
+    backoff_base_s: float = 0.0,
+    backoff_max_s: float = 30.0,
+    ctx: Optional[dict] = None,
+):
+    """Execute one sweep cell inside a pool worker.
+
+    ``spec_blob`` pickles ``(sweep_config, supply_transform,
+    max_base_cache_entries, trace_store_root)``; the worker rebuilds a
+    private :class:`~repro.sim.runner.BenchmarkRunner` from it (cached
+    until the spec changes) so no simulator state is shared with the
+    parent or with sibling workers.  The cell runs through the same
+    :meth:`~repro.sim.runner.BenchmarkRunner.run_cell` as the sequential
+    path -- on the worker's main thread, so the SIGALRM timeout applies
+    and a timed-out cell dies in place instead of leaking a live thread.
+
+    The worker stamps a heartbeat at cell start, at every retry attempt,
+    and at completion; the parent's supervisor treats a ``run``-stage
+    stamp older than ``heartbeat_stale_s`` as a hung worker.
+
+    Returns ``(metrics, failure, telemetry)``: the worker's metrics
+    registry is reset at cell start and snapshotted at cell end, so
+    ``telemetry`` is exactly this cell's counter deltas for the parent to
+    :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- additive and
+    order-independent, so the merged totals do not depend on completion
+    order.  (Totals can still differ from a sequential sweep's where a
+    worker-local base cache recomputes a base run another worker already
+    has; see docs/observability.md.)
+    """
+    # Function-level import: the runner module imports this one.
+    from repro.sim.runner import BenchmarkRunner, ResilienceConfig
+
+    cell_label = f"{benchmark}|{'-' if seed is None else seed}"
+    _worker_beat("run", cell_label)
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        registry.reset()
+    try:
+        if _WORKER_STATE.get("spec") != spec_blob:
+            (
+                config,
+                supply_transform,
+                max_base_cache_entries,
+                trace_store_root,
+            ) = pickle.loads(spec_blob)
+            _WORKER_STATE["runner"] = BenchmarkRunner(
+                config,
+                supply_transform=supply_transform,
+                max_base_cache_entries=max_base_cache_entries,
+                trace_store=trace_store_root,
+            )
+            _WORKER_STATE["spec"] = spec_blob
+        runner = _WORKER_STATE["runner"]
+        resilience = ResilienceConfig(
+            timeout_s=timeout_s,
+            max_retries=max_retries,
+            backoff_base_s=backoff_base_s,
+            backoff_max_s=backoff_max_s,
+        )
+        # The dispatch context (the parent's sweep span) crosses the
+        # process boundary as a plain dict; installing it marked remote
+        # makes the cell span close the parent's pending flow arrow.
+        with obs_context.use_context(
+            obs_context.TraceContext.from_dict(ctx), remote=True
+        ):
+            metrics, failure = runner.run_cell(
+                benchmark,
+                technique,
+                factory,
+                resilience,
+                base_seed=seed,
+                on_attempt=lambda attempt: _worker_beat("run", cell_label),
+            )
+        telemetry = registry.snapshot() if registry is not None else None
+        return metrics, failure, telemetry
+    finally:
+        profiler = obs_profile.active_profiler()
+        if profiler is not None:
+            profiler.flush_shard()
+        _worker_beat("idle", cell_label)
+
+
+def _merge_worker_telemetry(telemetry: Optional[dict]) -> None:
+    """Fold a worker's per-cell metrics snapshot into the parent registry.
+
+    Snapshots are additive deltas (the worker registry is reset at cell
+    start), so the merge is commutative: the combined totals do not depend
+    on completion order.
+    """
+    if telemetry is None:
+        return
+    registry = obs_metrics.active_registry()
+    if registry is not None:
+        registry.merge(telemetry)
+
+
+# ----------------------------------------------------------------------
+# The pool
+# ----------------------------------------------------------------------
+
+class WorkerPool:
+    """One runner's worker processes: the executor and heartbeat channel.
+
+    Empty until the first parallel sweep; :meth:`ensure` then starts the
+    executor and keeps it for later sweeps of the same shape (worker
+    count, heartbeat supervision, observability spec), so the workers'
+    base-run caches outlive each sweep.  :meth:`shutdown` releases the
+    executor but leaves the pool usable (the supervisor rebuilds through
+    it); :meth:`close` releases everything for good.
+    """
+
+    def __init__(self) -> None:
+        self._executor: Optional[ProcessPoolExecutor] = None
+        #: (workers, heartbeat, obs spec) the live executor was built for
+        self._shape: Optional[tuple] = None
+        self._manager = None
+        self._heartbeats = None
+        self.closed = False
+
+    def ensure(self, workers: int, heartbeat: bool) -> ProcessPoolExecutor:
+        """The executor for this shape, rebuilt when the shape changed."""
+        if self.closed:
+            raise HarnessError(
+                "BenchmarkRunner is closed: create a new runner to sweep again"
+            )
+        shape = (workers, heartbeat, obs.worker_spec())
+        if self._executor is not None and self._shape != shape:
+            self.shutdown()
+        if self._executor is None:
+            heartbeats = None
+            if heartbeat:
+                if self._manager is None:
+                    self._manager = multiprocessing.Manager()
+                    self._heartbeats = self._manager.dict()
+                self._heartbeats.clear()
+                heartbeats = self._heartbeats
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_worker_init,
+                initargs=(heartbeats, shape[2]),
+            )
+            self._shape = shape
+        return self._executor
+
+    def shutdown(self) -> None:
+        """Release the executor (rebuildable; the pool stays open)."""
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+            self._shape = None
+
+    def close(self) -> None:
+        """Release the executor and heartbeat channel; idempotent."""
+        self.shutdown()
+        if self._manager is not None:
+            with contextlib.suppress(Exception):
+                self._manager.shutdown()
+            self._manager = None
+            self._heartbeats = None
+        self.closed = True
+
+    def _worker_pids(self) -> List[int]:
+        """PIDs of the live workers (empty when no executor exists)."""
+        executor = self._executor
+        processes = getattr(executor, "_processes", None) if executor else None
+        return list(processes or ())
+
+    def kill_workers(self, pids: Optional[Sequence[int]] = None) -> None:
+        """SIGKILL ``pids`` (a hung worker), or every worker (the drain
+        deadline passed)."""
+        for pid in self._worker_pids() if pids is None else pids:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+
+    def stale_worker_pids(self, stale_s: float) -> List[int]:
+        """PIDs whose current cell has not progressed for ``stale_s``."""
+        if self._heartbeats is None:
+            return []
+        now = time.time()
+        alive = set(self._worker_pids())
+        stale = []
+        try:
+            snapshot = dict(self._heartbeats)
+        except Exception:  # manager already torn down
+            return []
+        for pid, entry in snapshot.items():
+            if pid not in alive:
+                continue
+            stage, _cell_label, stamped = entry
+            if stage == "run" and now - stamped > stale_s:
+                stale.append(pid)
+        return stale
 
 
 class ProcessPoolBackend(SweepBackend):
@@ -311,14 +610,8 @@ class ProcessPoolBackend(SweepBackend):
         self.workers = workers
 
     def execute(self, job: SweepJob) -> None:
-        from repro.sim import runner as runner_module
-        from repro.sim.runner import (
-            _merge_worker_telemetry,
-            _worker_lost_report,
-            _worker_run_cell,
-        )
-
         runner = job.runner
+        pool = job.pool
         resilience = job.resilience
         workers = self.workers
         tracer = obs_trace.active_tracer()
@@ -332,12 +625,12 @@ class ProcessPoolBackend(SweepBackend):
                 runner.config,
                 runner.supply_transform,
                 runner.max_base_cache_entries,
-                runner._trace_spec(resilience),
+                job.trace_store_root,
             ),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         heartbeat = resilience.heartbeat_stale_s is not None
-        executor = runner._ensure_executor(workers, heartbeat=heartbeat)
+        executor = pool.ensure(workers, heartbeat=heartbeat)
 
         cell_queue = _CellQueue(job, resilience.circuit_breaker)
         queue = cell_queue.queue
@@ -439,7 +732,7 @@ class ProcessPoolBackend(SweepBackend):
                     },
                 )
             rebuilds_left -= 1
-            runner._shutdown_executor()
+            pool.shutdown()
             pool_broken = False
             if rebuilds_left <= 0:
                 # Abandoning a probe releases its held cells into the
@@ -451,14 +744,14 @@ class ProcessPoolBackend(SweepBackend):
                         "worker-restart budget exhausted for the whole"
                         " sweep",
                     )
-            executor = runner._ensure_executor(workers, heartbeat=heartbeat)
+            executor = pool.ensure(workers, heartbeat=heartbeat)
 
         def drain_and_raise():
             deadline = time.monotonic() + resilience.drain_deadline_s
             while inflight and time.monotonic() < deadline:
                 done, _ = futures_wait(
                     set(inflight),
-                    timeout=runner_module._SUPERVISOR_POLL_S,
+                    timeout=_SUPERVISOR_POLL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 for future in done:
@@ -473,8 +766,8 @@ class ProcessPoolBackend(SweepBackend):
             for future in inflight:
                 future.cancel()
             if inflight:  # still running past the deadline: kill the pool
-                runner._kill_workers()
-            runner._shutdown_executor()
+                pool.kill_workers()
+            pool.shutdown()
             raise job.drain_now()
 
         try:
@@ -505,28 +798,24 @@ class ProcessPoolBackend(SweepBackend):
                     continue
                 done, _ = futures_wait(
                     set(inflight),
-                    timeout=runner_module._SUPERVISOR_POLL_S,
+                    timeout=_SUPERVISOR_POLL_S,
                     return_when=FIRST_COMPLETED,
                 )
                 if not done:
                     if heartbeat and not pool_broken:
-                        stale = runner._stale_worker_pids(
+                        stale = pool.stale_worker_pids(
                             resilience.heartbeat_stale_s
                         )
-                        for pid in stale:
-                            # Killing the worker breaks the pool; the
-                            # normal lost-cell path rebuilds and
-                            # requeues.
-                            if tracer is not None:
+                        if tracer is not None:
+                            for pid in stale:
                                 tracer.instant(
                                     "heartbeat_stale_kill",
                                     cat=obs_trace.CAT_SUPERVISION,
                                     args={"pid": pid},
                                 )
-                            with contextlib.suppress(OSError):
-                                import os
-
-                                os.kill(pid, signal.SIGKILL)
+                        # Killing a worker breaks the pool; the normal
+                        # lost-cell path rebuilds and requeues.
+                        pool.kill_workers(stale)
                     continue
                 for future in done:
                     cell = inflight.pop(future)

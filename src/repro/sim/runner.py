@@ -16,7 +16,8 @@ entries on the :class:`TechniqueSummary` instead of aborting the whole
 sweep.
 
 Sweeps are also *parallel*: ``ResilienceConfig(workers=N)`` dispatches the
-(benchmark, seed) cell grid to a ``ProcessPoolExecutor``.  Each worker
+(benchmark, seed) cell grid to a process pool (:mod:`repro.sim.backends`,
+which owns the pool, its workers and their supervision).  Each worker
 process rebuilds its own :class:`BenchmarkRunner` from a picklable spec --
 no simulator state ever crosses a process boundary -- and keeps a warm
 base-run cache across the cells it executes.  Cells are deterministic and
@@ -25,20 +26,18 @@ so the parallel backend produces aggregates, checkpoints and failure
 reports bit-identical to the sequential one: checkpoints are written from
 the parent in completion order but keyed by the same cell keys, and rows
 are always aggregated in grid order.
+
+This module keeps the cells, the base-run cache and the sweep loop.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import os
-import pickle
 import random
 import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,19 +48,13 @@ from repro.config import (
     TABLE1_SUPPLY,
 )
 from repro.core.controller import NoiseController, NullController
-from repro.errors import (
-    ConfigurationError,
-    FaultError,
-    HarnessError,
-    WorkerLostError,
-)
-from repro import obs
+from repro.errors import ConfigurationError, FaultError, HarnessError
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.power.supply import PowerSupply
-from repro.sim.backends import SweepJob, select_backend
+from repro.sim.backends import SweepJob, WorkerPool, select_backend
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.simulation import Simulation
@@ -93,10 +86,6 @@ DEFAULT_RESILIENCE: Optional["ResilienceConfig"] = None
 #: regenerated trace whose seed is a deterministic function of (profile
 #: seed, attempt), so retries are reproducible run to run.
 _RESEED_STRIDE = 104_729
-
-#: How often the parallel supervisor wakes to check heartbeats and drain
-#: requests while no future has completed, in seconds.
-_SUPERVISOR_POLL_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -302,43 +291,6 @@ class TechniqueSummary:
 
 
 # ----------------------------------------------------------------------
-# Failure reports
-# ----------------------------------------------------------------------
-
-def _circuit_open_report(
-    benchmark: str, technique: str, seed: Optional[int]
-) -> FailureReport:
-    """A cell parked (never attempted) by the per-benchmark circuit breaker."""
-    return FailureReport(
-        benchmark=benchmark,
-        technique=technique,
-        seed=seed,
-        attempts=0,
-        error_type="CircuitOpen",
-        message=(
-            f"parked by the circuit breaker: the first pending cell of"
-            f" {benchmark!r} exhausted its retry budget"
-        ),
-        skipped=True,
-    )
-
-
-def _worker_lost_report(
-    benchmark: str, technique: str, seed: Optional[int],
-    losses: int, detail: str,
-) -> FailureReport:
-    """A cell abandoned after repeatedly losing its worker process."""
-    return FailureReport(
-        benchmark=benchmark,
-        technique=technique,
-        seed=seed,
-        attempts=losses,
-        error_type=WorkerLostError.__name__,
-        message=detail,
-    )
-
-
-# ----------------------------------------------------------------------
 # Per-cell timeouts
 # ----------------------------------------------------------------------
 
@@ -375,64 +327,19 @@ def _call_with_alarm(fn: Callable[[], object], timeout_s: float):
             )
 
 
-def _call_with_thread(fn: Callable[[], object], timeout_s: float):
-    """Legacy timeout for contexts where SIGALRM is unavailable.
-
-    The work runs on a daemon thread; on expiry the thread is abandoned
-    (Python offers no preemptive kill off the main thread) and a
-    :class:`FaultError` raised.
-    """
-    outcome: dict = {}
-
-    def target():
-        try:
-            outcome["value"] = fn()
-        except BaseException as error:  # propagate to the caller's thread
-            outcome["error"] = error
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    if thread.is_alive():
-        raise FaultError(
-            f"run exceeded the wall-clock timeout of {timeout_s:g} s"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
 def _call_with_timeout(fn: Callable[[], object], timeout_s: Optional[float]):
     """Run ``fn`` bounded by ``timeout_s`` of wall-clock time.
 
-    On the main thread of a process (the sequential sweep loop, and every
-    pool worker) the bound is enforced with an interval timer, which
-    preempts the cell without spawning -- or leaking -- any thread.  Off
-    the main thread, or where SIGALRM does not exist, the old abandon-a-
-    daemon-thread fallback applies.  Without a timeout, runs inline.
+    The bound is an interval timer, which preempts the cell without
+    spawning -- or leaking -- any thread, and which only a process's main
+    thread can take.  Cells get there: pool workers run them on their
+    main thread, and the sequential backend refuses a ``timeout_s``
+    sweep anywhere else before its first cell.  Without a timeout, runs
+    inline.
     """
     if timeout_s is None:
         return fn()
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        return _call_with_alarm(fn, timeout_s)
-    return _call_with_thread(fn, timeout_s)
-
-
-def _merge_worker_telemetry(telemetry: Optional[dict]) -> None:
-    """Fold a worker's per-cell metrics snapshot into the parent registry.
-
-    Snapshots are additive deltas (the worker registry is reset at cell
-    start), so the merge is commutative: the combined totals do not depend
-    on completion order.
-    """
-    if telemetry is None:
-        return
-    registry = obs_metrics.active_registry()
-    if registry is not None:
-        registry.merge(telemetry)
+    return _call_with_alarm(fn, timeout_s)
 
 
 def _maybe_span(tracer, name: str, args: Optional[dict] = None):
@@ -473,19 +380,10 @@ def _backoff_delay_s(
 
 
 class _DrainFlag:
-    """Set by the signal handler; checked at every sweep barrier.
+    """Set by the signal handler; checked at every sweep barrier."""
 
-    ``external`` is an optional caller-owned stop condition -- anything
-    with an ``is_set()`` method, typically a :class:`threading.Event` --
-    that requests the same graceful drain as SIGTERM from outside the
-    signal machinery.  The serving tier uses it for job cancellation and
-    service-level drains, where the sweep runs off the main thread and no
-    signal handler can be installed.
-    """
-
-    def __init__(self, external=None):
+    def __init__(self):
         self._event = threading.Event()
-        self._external = external
         self.signum = 0
 
     def request(self, signum: int) -> None:
@@ -493,15 +391,10 @@ class _DrainFlag:
         self._event.set()
 
     def is_set(self) -> bool:
-        if self._event.is_set():
-            return True
-        return self._external is not None and self._external.is_set()
+        return self._event.is_set()
 
     @property
     def signal_name(self) -> str:
-        if self.signum == 0:
-            # Externally requested stop (cancellation / service drain).
-            return "stop-request"
         try:
             return signal.Signals(self.signum).name
         except ValueError:  # pragma: no cover - synthetic signum
@@ -544,128 +437,6 @@ def _drain_on_signals(drain: "_DrainFlag"):
             signal.signal(sig, old)
 
 
-# ----------------------------------------------------------------------
-# Worker-process entry points
-# ----------------------------------------------------------------------
-
-#: Per-worker-process cache: the runner rebuilt from the last cell spec,
-#: plus the heartbeat channel installed by the pool initializer.  Keeping
-#: the runner across cells lets one worker reuse base runs (and their LRU
-#: bound) exactly as the sequential path does within its own process.
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(heartbeats, obs_spec) -> None:
-    """Pool initializer: heartbeat channel plus observability hand-off.
-
-    ``obs_spec`` is the parent's picklable :func:`repro.obs.worker_spec`:
-    the worker opens its own trace shard and metrics registry from it, so
-    spans and counters survive the process boundary without sharing any
-    file handle or lock.
-    """
-    if heartbeats is not None:
-        _WORKER_STATE["heartbeats"] = heartbeats
-    obs.init_worker(obs_spec)
-
-
-def _worker_beat(stage: str, cell_label: str) -> None:
-    """Record this worker's liveness (best effort -- never fail the cell)."""
-    heartbeats = _WORKER_STATE.get("heartbeats")
-    if heartbeats is None:
-        return
-    try:
-        heartbeats[os.getpid()] = (stage, cell_label, time.time())
-    except Exception:  # manager gone mid-shutdown: liveness is moot
-        pass
-
-
-def _worker_run_cell(
-    spec_blob: bytes,
-    factory: ControllerFactory,
-    benchmark: str,
-    technique: str,
-    seed: Optional[int],
-    timeout_s: Optional[float],
-    max_retries: int,
-    backoff_base_s: float = 0.0,
-    backoff_max_s: float = 30.0,
-    ctx: Optional[dict] = None,
-):
-    """Execute one sweep cell inside a pool worker.
-
-    ``spec_blob`` pickles ``(sweep_config, supply_transform,
-    max_base_cache_entries, trace_store_path)``; the worker rebuilds a
-    private
-    :class:`BenchmarkRunner` from it (cached until the spec changes) so no
-    simulator state is shared with the parent or with sibling workers.
-    Timeouts run through the same :func:`_call_with_timeout` as the
-    sequential path -- pool workers execute cells on their main thread, so
-    the SIGALRM bound applies and a timed-out cell dies in place instead of
-    leaking a live thread.
-
-    The worker stamps a heartbeat at cell start, at every retry attempt,
-    and at completion; the parent's supervisor treats a ``run``-stage
-    stamp older than ``heartbeat_stale_s`` as a hung worker.
-
-    Returns ``(metrics, failure, telemetry)``: the worker's metrics
-    registry is reset at cell start and snapshotted at cell end, so
-    ``telemetry`` is exactly this cell's counter deltas for the parent to
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- additive and
-    order-independent, so the merged totals do not depend on completion
-    order.  (Totals can still differ from a sequential sweep's where a
-    worker-local base cache recomputes a base run another worker already
-    has; see docs/observability.md.)
-    """
-    cell_label = f"{benchmark}|{'-' if seed is None else seed}"
-    _worker_beat("run", cell_label)
-    registry = obs_metrics.active_registry()
-    if registry is not None:
-        registry.reset()
-    try:
-        if _WORKER_STATE.get("spec") != spec_blob:
-            (
-                config,
-                supply_transform,
-                max_base_cache_entries,
-                trace_store_path,
-            ) = pickle.loads(spec_blob)
-            _WORKER_STATE["runner"] = BenchmarkRunner(
-                config,
-                supply_transform=supply_transform,
-                max_base_cache_entries=max_base_cache_entries,
-                trace_store=trace_store_path,
-            )
-            _WORKER_STATE["spec"] = spec_blob
-        runner: "BenchmarkRunner" = _WORKER_STATE["runner"]
-        resilience = ResilienceConfig(
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            backoff_base_s=backoff_base_s,
-            backoff_max_s=backoff_max_s,
-        )
-        # The dispatch context (the parent's sweep span) crosses the
-        # process boundary as a plain dict; installing it marked remote
-        # makes the cell span close the parent's pending flow arrow.
-        with obs_context.use_context(
-            obs_context.TraceContext.from_dict(ctx), remote=True
-        ):
-            metrics, failure = runner._run_cell(
-                benchmark,
-                technique,
-                factory,
-                resilience,
-                base_seed=seed,
-                on_attempt=lambda attempt: _worker_beat("run", cell_label),
-            )
-        telemetry = registry.snapshot() if registry is not None else None
-        return metrics, failure, telemetry
-    finally:
-        profiler = obs_profile.active_profiler()
-        if profiler is not None:
-            profiler.flush_shard()
-        _worker_beat("idle", cell_label)
-
-
 class BenchmarkRunner:
     """Runs benchmarks against controller factories, caching base runs.
 
@@ -695,10 +466,11 @@ class BenchmarkRunner:
         matter what the resilience config says (the ``--no-replay``
         escape hatch).
 
-    A runner used with ``workers > 1`` owns a lazily created process pool;
-    :meth:`close` (or use as a context manager) releases it.  The pool is
-    kept alive between sweeps so worker-side base-run caches stay warm
-    across the technique variants of one experiment.
+    A runner used with ``workers > 1`` owns a lazily created process pool
+    (a :class:`~repro.sim.backends.WorkerPool`); :meth:`close` (or use as a
+    context manager) releases it.  The pool is kept alive between sweeps
+    so worker-side base-run caches stay warm across the technique
+    variants of one experiment.
     """
 
     def __init__(
@@ -730,26 +502,11 @@ class BenchmarkRunner:
         self._base_cache: "OrderedDict[tuple, SimulationResult]" = OrderedDict()
         self._checkpoint_cells: Optional[Dict[str, dict]] = None
         self._sweep_count = 0
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._executor_workers = 0
-        self._executor_heartbeat = False
-        self._executor_obs_spec: Optional[dict] = None
-        self._manager = None
-        self._heartbeats = None
-        self._closed = False
+        self._pool = WorkerPool()
 
     # ------------------------------------------------------------------
     # Process-pool lifecycle
     # ------------------------------------------------------------------
-    def _shutdown_executor(self) -> None:
-        """Release the worker pool (rebuildable; the runner stays open)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-            self._executor_workers = 0
-            self._executor_heartbeat = False
-            self._executor_obs_spec = None
-
     def close(self) -> None:
         """Release the worker pool and heartbeat channel; idempotent.
 
@@ -757,16 +514,10 @@ class BenchmarkRunner:
         with :class:`~repro.errors.HarnessError` -- a clear error beats a
         sweep silently hanging on a dead pool.
         """
-        self._shutdown_executor()
-        if self._manager is not None:
-            with contextlib.suppress(Exception):
-                self._manager.shutdown()
-            self._manager = None
-            self._heartbeats = None
-        self._closed = True
+        self._pool.close()
 
     def __enter__(self) -> "BenchmarkRunner":
-        if self._closed:
+        if self._pool.closed:
             raise HarnessError(
                 "BenchmarkRunner is closed: its worker pool was released;"
                 " create a new runner instead of re-entering this one"
@@ -781,69 +532,6 @@ class BenchmarkRunner:
             self.close()
         except Exception:
             pass
-
-    def _worker_pids(self) -> List[int]:
-        """PIDs of the live pool workers (empty when no pool exists)."""
-        executor = self._executor
-        processes = getattr(executor, "_processes", None) if executor else None
-        return list(processes or ())
-
-    def _kill_workers(self) -> None:
-        """SIGKILL every pool worker (drain deadline passed / worker hung)."""
-        for pid in self._worker_pids():
-            with contextlib.suppress(OSError):
-                os.kill(pid, signal.SIGKILL)
-
-    def _ensure_executor(
-        self, workers: int, heartbeat: bool = False
-    ) -> ProcessPoolExecutor:
-        if self._closed:
-            raise HarnessError(
-                "BenchmarkRunner is closed: create a new runner to sweep again"
-            )
-        obs_spec = obs.worker_spec()
-        if self._executor is not None and (
-            self._executor_workers != workers
-            or self._executor_heartbeat != heartbeat
-            or self._executor_obs_spec != obs_spec
-        ):
-            self._shutdown_executor()
-        if self._executor is None:
-            heartbeats = None
-            if heartbeat:
-                if self._manager is None:
-                    self._manager = multiprocessing.Manager()
-                    self._heartbeats = self._manager.dict()
-                self._heartbeats.clear()
-                heartbeats = self._heartbeats
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(heartbeats, obs_spec),
-            )
-            self._executor_workers = workers
-            self._executor_heartbeat = heartbeat
-            self._executor_obs_spec = obs_spec
-        return self._executor
-
-    def _stale_worker_pids(self, stale_s: float) -> List[int]:
-        """PIDs whose current cell has not progressed for ``stale_s``."""
-        if self._heartbeats is None:
-            return []
-        now = time.time()
-        alive = set(self._worker_pids())
-        stale = []
-        try:
-            snapshot = dict(self._heartbeats)
-        except Exception:  # manager already torn down
-            return []
-        for pid, entry in snapshot.items():
-            if pid not in alive:
-                continue
-            stage, _cell_label, stamped = entry
-            if stage == "run" and now - stamped > stale_s:
-                stale.append(pid)
-        return stale
 
     # ------------------------------------------------------------------
     # Building and running single cells
@@ -911,13 +599,6 @@ class BenchmarkRunner:
             store = TraceStore(path)
             self._trace_stores[path] = store
         return store
-
-    def _trace_spec(
-        self, resilience: Optional[ResilienceConfig] = None
-    ) -> Optional[str]:
-        """Store root to ship to pool workers (None = replay off)."""
-        store = self._trace_layer(resilience)
-        return None if store is None else store.root
 
     def _trace_key(
         self,
@@ -1197,7 +878,7 @@ class BenchmarkRunner:
             return DEFAULT_RESILIENCE
         return ResilienceConfig()
 
-    def _run_cell(
+    def run_cell(
         self,
         benchmark: str,
         technique: str,
@@ -1328,8 +1009,6 @@ class BenchmarkRunner:
         progress: Optional[Callable[[str, RelativeMetrics], None]] = None,
         resilience: Optional[ResilienceConfig] = None,
         seeds: Optional[Sequence[Optional[int]]] = None,
-        stop=None,
-        on_failure: Optional[Callable] = None,
     ) -> TechniqueSummary:
         """Run one technique over a (benchmark, seed) grid and aggregate.
 
@@ -1362,19 +1041,8 @@ class BenchmarkRunner:
         ``<checkpoint>.shutdown.json`` summary), and raises
         :class:`~repro.errors.SweepInterrupted` -- the CLI exits nonzero
         but the run resumes with ``--resume``.
-
-        ``stop`` is an optional external stop condition (anything with an
-        ``is_set()`` method, typically a :class:`threading.Event`): when it
-        becomes set the sweep drains exactly as it would on SIGTERM, at the
-        next cell barrier, raising :class:`~repro.errors.SweepInterrupted`.
-        The serving tier (:mod:`repro.serve`) uses it for job cancellation
-        and service drains, where sweeps run off the main thread and no
-        signal handler can be installed.  ``on_failure`` is the failure
-        counterpart of ``progress``: called as ``on_failure(cell, report)``
-        whenever a cell is parked as a :class:`FailureReport`, on every
-        backend.
         """
-        if self._closed:
+        if self._pool.closed:
             raise HarnessError(
                 "BenchmarkRunner is closed: its worker pool was released;"
                 " create a new runner to sweep again"
@@ -1432,20 +1100,11 @@ class BenchmarkRunner:
                     self, resilience, factory, len(pending)
                 )
                 workers = backend.workers
-            sweep_ctx = None
             if tracer is not None:
-                # Deterministic sweep identity: under a serve job the
-                # context chains off the job/request span; standalone
-                # sweeps root a fresh trace.  Either way fixed-seed runs
-                # get byte-identical ids.
-                identity = f"sweep|{technique}|{ordinal}"
-                parent_ctx = obs_context.current_context()
-                sweep_ctx = (
-                    parent_ctx.child(identity)
-                    if parent_ctx is not None
-                    else obs_context.TraceContext.root(
-                        f"{identity}|{len(grid)}"
-                    )
+                # Every sweep roots its own trace from a deterministic
+                # identity, so fixed-seed runs get byte-identical ids.
+                sweep_ctx = obs_context.TraceContext.root(
+                    f"sweep|{technique}|{ordinal}|{len(grid)}"
                 )
                 sweep_args.update(sweep_ctx.span_args())
                 sweep_stack.enter_context(obs_context.use_context(sweep_ctx))
@@ -1465,7 +1124,7 @@ class BenchmarkRunner:
             }
 
             incidents: List[FailureReport] = []
-            drain = _DrainFlag(external=stop)
+            drain = _DrainFlag()
             trace_store = self._trace_layer(resilience)
             trace_stats_before = (
                 dict(trace_store.stats) if trace_store is not None else None
@@ -1485,8 +1144,11 @@ class BenchmarkRunner:
                     failure_map=failure_map,
                     timings=timings,
                     drain=drain,
+                    pool=self._pool,
+                    trace_store_root=(
+                        None if trace_store is None else trace_store.root
+                    ),
                     incidents=incidents,
-                    on_failure=on_failure,
                 )
                 backend.execute(job)
             timings["execute"] = time.perf_counter() - t_execute

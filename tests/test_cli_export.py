@@ -116,6 +116,27 @@ class TestCLI:
         with pytest.raises(KeyError):
             main(["experiment", "table42"])
 
+    def test_keyboard_interrupt_exits_130(self, monkeypatch):
+        from repro import cli
+
+        def boom(args):
+            raise KeyboardInterrupt
+
+        # build_parser() binds cli._cmd_analyze at call time, and main()
+        # builds its own parser, so patching the module attribute is enough.
+        monkeypatch.setattr(cli, "_cmd_analyze", boom)
+        assert cli.main(["analyze"]) == 130
+
+    def test_sweep_interrupted_still_exits_75(self, monkeypatch):
+        from repro import cli
+        from repro.errors import SweepInterrupted
+
+        def drained(args):
+            raise SweepInterrupted("drained", signum=15)
+
+        monkeypatch.setattr(cli, "_cmd_analyze", drained)
+        assert cli.main(["analyze"]) == 75
+
 
 class TestCLITechniques:
     def test_compare_voltage_threshold(self, capsys):

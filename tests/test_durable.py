@@ -1,13 +1,12 @@
 """Tests for the one durable-write path and the formats written through it.
 
-:mod:`repro.durable` writes every checkpoint, sidecar, trace-store entry
-and job record.  Covered here: the write itself (temp file, fsyncs,
-cleanup, filesystems that cannot fsync a directory), quarantine, which
-writes the two ``runner_checkpoint_*`` counters count, injected write
-faults reaching the stores other than the checkpoint, and the on-disk
-formats: committed fixtures must load and re-write byte for byte, a
-version-1 checkpoint must still resume, and a version-1 trace-store
-entry must be a clean miss.
+:mod:`repro.durable` writes every checkpoint, sidecar and trace-store
+entry.  Covered here: the write itself (temp file, fsyncs, cleanup,
+filesystems that cannot fsync a directory), quarantine, which writes
+the two ``runner_checkpoint_*`` counters count, injected write faults
+reaching the trace store, and the on-disk formats: committed fixtures
+must load and re-write byte for byte, a version-1 checkpoint must still
+resume, and a version-1 trace-store entry must be a clean miss.
 """
 
 import dataclasses
@@ -26,7 +25,6 @@ from repro.core import ResonanceTuningController
 from repro.faults.chaos import inject_fsync_faults
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import reset_warn_dedup
-from repro.serve import JobStore
 from repro.sim import (
     BenchmarkRunner,
     ResilienceConfig,
@@ -203,13 +201,6 @@ def checkpoint_counts(registry):
 
 
 class TestCheckpointCounters:
-    def test_job_records_leave_the_counters_alone(self, tmp_path, registry):
-        store = JobStore(str(tmp_path))
-        record = store.create("t", {"technique": "tuning"}, total_cells=1)
-        store.transition(record.job_id, "running")
-        store.transition(record.job_id, "done")
-        assert checkpoint_counts(registry) == (0.0, 0.0)
-
     def test_checkpointed_sweep_counts_checkpoint_and_sidecar(
         self, tmp_path, registry
     ):
@@ -263,25 +254,17 @@ class TestWriteFaultsOutsideTheCheckpoint:
         assert fingerprint(faulted) == fingerprint(clean)
         assert not temp_files(tmp_path)
 
-    def test_job_store_create_raises_and_leaves_no_temp_file(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        with inject_fsync_faults(every=1):
-            with pytest.raises(OSError):
-                store.create("t", {"technique": "tuning"}, total_cells=1)
-        assert os.listdir(store.jobs_dir) == []
-        assert store.list_records() == []
-
 
 # ----------------------------------------------------------------------
 # On-disk formats
 # ----------------------------------------------------------------------
 
 class TestOnDiskFormats:
-    """The checkpoint and job-record fixtures under ``fixtures/formats``
-    were written before the checkpoint format and the durable write
-    moved, ``trace-store-v2`` by the version-2 trace store; loading them
-    and writing them back must reproduce every byte.  ``trace-store``
-    holds a version-1 entry, which a version-2 store never reads."""
+    """The checkpoint fixture under ``fixtures/formats`` was written
+    before the checkpoint format and the durable write moved,
+    ``trace-store-v2`` by the version-2 trace store; loading them and
+    writing them back must reproduce every byte.  ``trace-store`` holds
+    a version-1 entry, which a version-2 store never reads."""
 
     def test_v2_checkpoint_rewrites_byte_for_byte(self, tmp_path):
         fixture = FIXTURES / "checkpoint_v2.json"
@@ -302,18 +285,6 @@ class TestOnDiskFormats:
         checkpoint.flush()
         assert ck.read_bytes() == fixture.read_bytes()
         assert not temp_files(tmp_path)
-
-    def test_job_record_rewrites_byte_for_byte(self, tmp_path):
-        fixture = FIXTURES / "serve" / "jobs" / "job-00000000c0ffee00.json"
-        shutil.copytree(FIXTURES / "serve", tmp_path / "serve")
-        store = JobStore(str(tmp_path / "serve"))
-        assert store.recover() == []
-        record = store.get("job-00000000c0ffee00")
-        assert record.state == "done"
-        assert record.finished_at == 1700000042.125
-        store.update(record.job_id, lambda _: None)
-        rewritten = pathlib.Path(store.record_path(record.job_id))
-        assert rewritten.read_bytes() == fixture.read_bytes()
 
     def test_trace_store_entry_rewrites_byte_for_byte(self, tmp_path):
         fixture = FIXTURES / "trace-store-v2"

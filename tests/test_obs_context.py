@@ -85,15 +85,6 @@ class TestTraceContext:
         assert TraceContext.from_dict({"trace_id": 7}) is None
         assert TraceContext.from_dict("nope") is None
 
-    def test_traceparent_round_trip(self):
-        ctx = TraceContext.root("job|abc")
-        parsed = TraceContext.from_traceparent(ctx.to_traceparent())
-        assert parsed.trace_id == ctx.trace_id
-        assert parsed.span_id == ctx.span_id
-        assert TraceContext.from_traceparent(None) is None
-        assert TraceContext.from_traceparent("garbage") is None
-        assert TraceContext.from_traceparent("00-zz-ff-01") is None
-
     def test_use_context_is_scoped_and_nestable(self):
         outer = TraceContext.root("outer")
         inner = outer.child("inner")

@@ -230,7 +230,7 @@ class TestFallbacks:
                 resilience=ResilienceConfig(workers=4),
             )
         assert summary.timings["workers"] == 1.0
-        assert runner._executor is None  # the pool was never spun up
+        assert runner._pool._executor is None  # the pool was never spun up
 
     def test_workers_validation(self):
         with pytest.raises(ConfigurationError):
@@ -246,7 +246,7 @@ class TestFallbacks:
                 resilience=ResilienceConfig(workers=0),
             )
         assert summary.timings["workers"] == 1.0
-        assert runner._executor is None
+        assert runner._pool._executor is None
 
 
 # ----------------------------------------------------------------------

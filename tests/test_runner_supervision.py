@@ -4,16 +4,19 @@ Covers the crash-safety layer around the parallel backend -- hung-worker
 detection and requeue, bounded worker-restart budgets, SIGTERM/SIGINT
 drain with a resumable checkpoint, deterministic retry backoff, the
 per-benchmark circuit breaker, checkpoint durability (fsync + checksum)
-and the :class:`~repro.errors.CheckpointError` contract, plus runner
-close/re-entry semantics.  End-to-end chaos (real SIGKILLs, corrupted
-files, the harness driver) lives in ``tests/test_chaos.py`` and
-``tools/chaos.py``.
+and the :class:`~repro.errors.CheckpointError` contract, timeouts off
+the main thread, plus the runner's pool lifetime and close/re-entry
+semantics.  End-to-end chaos (real SIGKILLs, corrupted files, the
+harness itself) lives in ``tests/test_chaos.py`` and ``tools/chaos.py``.
 """
 
 import dataclasses
+import functools
 import json
 import os
+import pathlib
 import signal
+import threading
 import time
 
 import pytest
@@ -129,9 +132,15 @@ class TestGracefulDrain:
 
     def drained_sweep(self, tmp_path, workers, seeds=(None,)):
         ck = tmp_path / "ck.json"
+        signalled = []
 
         def sigterm_after_first(name, metrics):
-            os.kill(os.getpid(), signal.SIGTERM)
+            # One signal only: the pool backend can report two cells
+            # that finished in the same wait, and a second signal while
+            # draining escalates to KeyboardInterrupt by design.
+            if not signalled:
+                signalled.append(name)
+                os.kill(os.getpid(), signal.SIGTERM)
 
         runner = BenchmarkRunner(SMALL)
         with pytest.raises(SweepInterrupted) as excinfo:
@@ -339,10 +348,94 @@ class TestAlarmRearm:
 
 
 # ----------------------------------------------------------------------
-# Runner lifecycle: close is idempotent, a closed runner refuses work
+# Timeouts need the main thread
 # ----------------------------------------------------------------------
 
+def sweep_on_a_thread(resilience):
+    """Run a sweep on a helper thread; return its outcome and the
+    benchmarks its progress callback reported."""
+    outcome, reported = {}, []
+
+    def target():
+        try:
+            outcome["summary"] = BenchmarkRunner(SMALL).sweep(
+                tuning_factory,
+                benchmarks=BENCHMARKS,
+                progress=lambda name, metrics: reported.append(name),
+                resilience=resilience,
+            )
+        except Exception as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=120.0)
+    assert not thread.is_alive(), "the sweep thread never finished"
+    return outcome, reported
+
+
+class TestTimeoutOffTheMainThread:
+    def test_sequential_timeout_sweep_refuses_before_any_cell(self):
+        outcome, reported = sweep_on_a_thread(ResilienceConfig(timeout_s=30.0))
+        error = outcome.get("error")
+        assert isinstance(error, HarnessError)
+        assert "timeout_s" in str(error)
+        assert "main thread" in str(error)
+        assert reported == []
+
+    def test_sweep_without_timeout_still_completes(self):
+        outcome, reported = sweep_on_a_thread(ResilienceConfig())
+        assert "error" not in outcome
+        assert len(outcome["summary"].per_benchmark) == len(BENCHMARKS)
+        assert reported == list(BENCHMARKS)
+
+
+# ----------------------------------------------------------------------
+# Runner lifecycle: the pool outlives a sweep, close is idempotent, a
+# closed runner refuses work
+# ----------------------------------------------------------------------
+
+def pid_marking_factory(supply, processor, directory):
+    """Picklable factory leaving a file named after the building process."""
+    pathlib.Path(directory, str(os.getpid())).touch()
+    # Hold this worker so the other one takes the next queued cell: both
+    # workers then serve the first sweep, not just the faster one.
+    time.sleep(0.2)
+    return ResonanceTuningController(supply, processor)
+
+
+def marked_pids(directory):
+    """Pids that built a controller since the last call, minus this
+    process (the sweep's probe build); clears the marks."""
+    pids = set()
+    for mark in pathlib.Path(directory).iterdir():
+        pids.add(int(mark.name))
+        mark.unlink()
+    pids.discard(os.getpid())
+    return pids
+
+
 class TestRunnerLifecycle:
+    def test_pool_serves_later_sweeps_and_dies_with_close(self, tmp_path):
+        factory = functools.partial(pid_marking_factory, directory=tmp_path)
+        runner = BenchmarkRunner(SMALL)
+        served = []
+        for _ in range(2):
+            runner.sweep(
+                factory,
+                benchmarks=BENCHMARKS,
+                seeds=(None, 7),
+                resilience=ResilienceConfig(workers=2),
+            )
+            served.append(marked_pids(tmp_path))
+        first, second = served
+        assert 1 <= len(first) <= 2
+        assert second and second <= first
+        runner.close()
+        for pid in first:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_close_is_idempotent(self):
         runner = BenchmarkRunner(SMALL)
         runner.sweep(tuning_factory, benchmarks=("gzip",))
@@ -375,9 +468,9 @@ class TestRunnerLifecycle:
             resilience=ResilienceConfig(workers=2, heartbeat_stale_s=30.0),
         )
         runner.close()
-        assert runner._manager is None
-        assert runner._heartbeats is None
-        assert runner._executor is None
+        assert runner._pool._manager is None
+        assert runner._pool._heartbeats is None
+        assert runner._pool._executor is None
 
 
 # ----------------------------------------------------------------------

@@ -274,424 +274,11 @@ def scenario_sigterm(plan: Plan, tmp: pathlib.Path):
     return problems
 
 
-# ----------------------------------------------------------------------
-# Service chaos: the HTTP serving tier under process and client failures
-# ----------------------------------------------------------------------
-
-class ServeHarness:
-    """One ``repro serve`` subprocess on an ephemeral port.
-
-    The server is a real ``python -m repro serve`` process (not an
-    in-process service), so ``kill -9`` scenarios exercise the same crash
-    surface production would: no atexit handlers, no flushed buffers, no
-    mercy.
-    """
-
-    def __init__(self, data_dir: pathlib.Path, **flags):
-        self.data_dir = pathlib.Path(data_dir)
-        self.ready_file = self.data_dir / "ready.json"
-        self.flags = flags
-        self.proc = None
-        self.base_url = None
-
-    def start(self, timeout_s: float = 30.0) -> "ServeHarness":
-        import subprocess
-
-        if self.ready_file.exists():
-            self.ready_file.unlink()
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = f"{src}:{env.get('PYTHONPATH', '')}".rstrip(":")
-        argv = [
-            sys.executable, "-m", "repro", "serve",
-            "--data-dir", str(self.data_dir),
-            "--port", "0",
-            "--ready-file", str(self.ready_file),
-        ]
-        for flag, value in self.flags.items():
-            argv.extend([f"--{flag.replace('_', '-')}", str(value)])
-        self.proc = subprocess.Popen(argv, env=env)
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self.proc.poll() is not None:
-                raise RuntimeError(
-                    f"server exited {self.proc.returncode} before ready"
-                )
-            try:
-                info = json.loads(self.ready_file.read_text())
-                self.base_url = info["url"]
-                return self
-            except (OSError, ValueError, KeyError):
-                time.sleep(0.05)
-        raise RuntimeError("server never wrote its ready file")
-
-    def request(self, method, path, body=None, headers=None, timeout=10.0):
-        """(status, headers, parsed JSON) of one request."""
-        import urllib.error
-        import urllib.request
-
-        data = (
-            json.dumps(body).encode("utf-8") if body is not None else None
-        )
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method,
-            headers=headers or {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
-                payload = resp.read()
-                return resp.status, dict(resp.headers), (
-                    json.loads(payload) if payload else None
-                )
-        except urllib.error.HTTPError as error:
-            payload = error.read()
-            return error.code, dict(error.headers), (
-                json.loads(payload) if payload else None
-            )
-
-    def wait_terminal(self, job_id: str, timeout_s: float = 120.0) -> dict:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            status, _, record = self.request("GET", f"/jobs/{job_id}")
-            if status == 200 and record["state"] in (
-                "done", "failed", "cancelled"
-            ):
-                return record
-            time.sleep(0.1)
-        raise RuntimeError(f"job {job_id} never reached a terminal state")
-
-    def sse_socket(self, job_id: str):
-        """A raw socket with an open SSE stream (caller reads/closes)."""
-        import socket
-        from urllib.parse import urlparse
-
-        parsed = urlparse(self.base_url)
-        sock = socket.create_connection(
-            (parsed.hostname, parsed.port), timeout=30.0
-        )
-        sock.sendall(
-            f"GET /jobs/{job_id}/events HTTP/1.1\r\n"
-            f"Host: {parsed.netloc}\r\n\r\n".encode("latin-1")
-        )
-        return sock
-
-    def kill9(self) -> None:
-        self.proc.kill()
-        self.proc.wait()
-
-    def terminate(self, timeout_s: float = 30.0) -> int:
-        if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=timeout_s)
-            except Exception:
-                self.proc.kill()
-                self.proc.wait()
-        return self.proc.returncode
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc):
-        self.terminate()
-
-
-def _serve_spec(plan: Plan, pace_s: float = 0.0) -> dict:
-    """The job spec every serve scenario submits (matches the Plan grid)."""
-    return {
-        "technique": "tuning",
-        "benchmarks": list(plan.benchmarks),
-        "seeds": [seed for seed in plan.seeds],
-        "n_cycles": plan.config.n_cycles,
-        "warmup_cycles": plan.config.warmup_cycles,
-        "pace_s": pace_s,
-    }
-
-
-def _serve_golden(plan: Plan) -> str:
-    """Canonical JSON of the summary a direct runner produces for the
-    spec grid -- the byte-identical target for every served result."""
-    from repro.serve import JobSpec, controller_factory
-
-    spec = JobSpec.from_dict(_serve_spec(plan))
-    summary = BenchmarkRunner(
-        SweepConfig(
-            n_cycles=spec.n_cycles, warmup_cycles=spec.warmup_cycles
-        )
-    ).sweep(
-        controller_factory(spec),
-        benchmarks=list(spec.benchmarks),
-        seeds=list(spec.seeds),
-    )
-    return json.dumps(dataclasses.asdict(summary), sort_keys=True)
-
-
-def _served_fingerprint(record: dict) -> str:
-    return json.dumps(record["result"]["summary"], sort_keys=True)
-
-
-def scenario_serve_kill9_resume(plan: Plan, tmp: pathlib.Path):
-    """``kill -9`` the server mid-sweep; a restart must re-adopt the job,
-    resume from its checkpoint, and converge byte-identically."""
-    problems = []
-    golden = _serve_golden(plan)
-    data_dir = tmp / "serve"
-    spec = _serve_spec(plan, pace_s=0.5)
-    server = ServeHarness(data_dir, max_running=1).start()
-    try:
-        status, _, record = server.request(
-            "POST", "/jobs", spec, {"Idempotency-Key": "kill9"}
-        )
-        if status != 201:
-            return [f"submission failed: {status} {record}"]
-        job_id = record["job_id"]
-        # Let at least one cell complete and checkpoint, then murder the
-        # process while the paced sweep is still mid-grid.
-        deadline = time.monotonic() + 60.0
-        while time.monotonic() < deadline:
-            _, _, record = server.request("GET", f"/jobs/{job_id}")
-            if record["completed_cells"] >= 1:
-                break
-            time.sleep(0.05)
-        else:
-            return ["first cell never completed before the kill window"]
-        if record["state"] in ("done", "failed", "cancelled"):
-            return ["job finished before the kill window; widen pace_s"]
-        server.kill9()
-    except BaseException:
-        server.terminate()
-        raise
-
-    checkpoint = data_dir / "work" / job_id / "checkpoint.json"
-    if not checkpoint.exists():
-        problems.append("no sweep checkpoint survived the kill")
-
-    with ServeHarness(data_dir, max_running=1) as server:
-        _, _, record = server.request("GET", f"/jobs/{job_id}")
-        if record is None:
-            return problems + ["job record lost across the crash"]
-        if record["adoptions"] < 1:
-            problems.append(
-                f"job was not re-adopted (adoptions={record['adoptions']})"
-            )
-        record = server.wait_terminal(job_id)
-        if record["state"] != "done":
-            problems.append(
-                f"resumed job ended {record['state']}: {record.get('error')}"
-            )
-        else:
-            _, _, result = server.request(
-                "GET", f"/jobs/{job_id}/result"
-            )
-            if _served_fingerprint(result) != golden:
-                problems.append(
-                    "resumed aggregates diverged from the direct run"
-                )
-        # An idempotent retry from before the crash still maps to the
-        # original job after recovery.
-        status, _, replay = server.request(
-            "POST", "/jobs", spec, {"Idempotency-Key": "kill9"}
-        )
-        if status != 200 or replay["job_id"] != job_id:
-            problems.append(
-                f"idempotency map did not survive the crash:"
-                f" {status} {replay and replay.get('job_id')}"
-            )
-    return problems
-
-
-def scenario_serve_client_disconnect(plan: Plan, tmp: pathlib.Path):
-    """Drop an SSE consumer mid-stream: the job must finish unaffected
-    and the server must keep serving."""
-    problems = []
-    golden = _serve_golden(plan)
-    with ServeHarness(tmp / "serve", max_running=1) as server:
-        status, _, record = server.request(
-            "POST", "/jobs", _serve_spec(plan, pace_s=0.3)
-        )
-        if status != 201:
-            return [f"submission failed: {status} {record}"]
-        job_id = record["job_id"]
-        sock = server.sse_socket(job_id)
-        try:
-            sock.settimeout(30.0)
-            received = b""
-            while b"event: cell" not in received:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    return ["SSE stream closed before the first cell event"]
-                received += chunk
-        finally:
-            # Abrupt close mid-stream -- no graceful shutdown, simulating
-            # a crashed client.
-            sock.close()
-        record = server.wait_terminal(job_id)
-        if record["state"] != "done":
-            problems.append(
-                f"job ended {record['state']} after client disconnect"
-            )
-        else:
-            _, _, result = server.request("GET", f"/jobs/{job_id}/result")
-            if _served_fingerprint(result) != golden:
-                problems.append("aggregates diverged after disconnect")
-        status, _, _ = server.request("GET", "/healthz")
-        if status != 200:
-            problems.append(f"server unhealthy after disconnect: {status}")
-        # A late stream on the finished job must flush every buffered
-        # cell event before its "end" frame.
-        sock = server.sse_socket(job_id)
-        try:
-            sock.settimeout(30.0)
-            received = b""
-            while b"event: end" not in received:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                received += chunk
-        finally:
-            sock.close()
-        cells = received.count(b"event: cell")
-        expected = len(plan.benchmarks) * len(plan.seeds)
-        if cells != expected:
-            problems.append(
-                f"late SSE replayed {cells} cell events, expected {expected}"
-            )
-    return problems
-
-
-def scenario_serve_overflow_storm(plan: Plan, tmp: pathlib.Path):
-    """Queue-full storm: new submissions shed with 429 + deterministic
-    Retry-After while the running job completes unaffected."""
-    problems = []
-    golden = _serve_golden(plan)
-    from repro.serve import AdmissionPolicy
-
-    policy = AdmissionPolicy(max_queued=2, tenant_max_active=8,
-                             tenant_max_cells=512)
-    with ServeHarness(
-        tmp / "serve", max_running=1, max_queued=policy.max_queued,
-        tenant_max_active=policy.tenant_max_active,
-        tenant_max_cells=policy.tenant_max_cells,
-    ) as server:
-        status, _, running = server.request(
-            "POST", "/jobs", _serve_spec(plan, pace_s=0.5),
-            {"Idempotency-Key": "storm-running"},
-        )
-        if status != 201:
-            return [f"first submission failed: {status}"]
-        queued_ids = []
-        for n in range(policy.max_queued):
-            status, _, record = server.request(
-                "POST", "/jobs", _serve_spec(plan)
-            )
-            if status != 201:
-                problems.append(f"queue slot {n} rejected early: {status}")
-            else:
-                queued_ids.append(record["job_id"])
-        # The storm: every further submission must shed deterministically.
-        expected_hint = policy.retry_after(
-            queued=policy.max_queued, running=1
-        )
-        for n in range(5):
-            status, headers, body = server.request(
-                "POST", "/jobs", _serve_spec(plan)
-            )
-            if status != 429:
-                problems.append(f"storm request {n} got {status}, not 429")
-                continue
-            hint = headers.get("Retry-After")
-            if hint != str(expected_hint):
-                problems.append(
-                    f"storm request {n}: Retry-After {hint!r},"
-                    f" expected {expected_hint!r}"
-                )
-        # An idempotent retry of the *accepted* job must bypass the full
-        # queue and return the original id.
-        status, _, replay = server.request(
-            "POST", "/jobs", _serve_spec(plan, pace_s=0.5),
-            {"Idempotency-Key": "storm-running"},
-        )
-        if status != 200 or replay["job_id"] != running["job_id"]:
-            problems.append(
-                f"idempotent retry under overload: {status},"
-                f" id match={replay and replay.get('job_id') == running['job_id']}"
-            )
-        # Free the queue so the teardown drain is clean, then prove the
-        # running job survived the storm byte-identically.
-        for job_id in queued_ids:
-            status, _, _ = server.request("POST", f"/jobs/{job_id}/cancel")
-            if status != 200:
-                problems.append(f"cancel of queued {job_id} got {status}")
-        record = server.wait_terminal(running["job_id"])
-        if record["state"] != "done":
-            problems.append(f"running job ended {record['state']}")
-        else:
-            _, _, result = server.request(
-                "GET", f"/jobs/{running['job_id']}/result"
-            )
-            if _served_fingerprint(result) != golden:
-                problems.append("storm survivor's aggregates diverged")
-    return problems
-
-
-def scenario_serve_slow_loris(plan: Plan, tmp: pathlib.Path):
-    """A drip-feeding request must be shed on the read deadline (408)
-    while concurrent well-behaved requests keep being served."""
-    import socket
-    from urllib.parse import urlparse
-
-    problems = []
-    with ServeHarness(
-        tmp / "serve", max_running=1, request_timeout_s=1.0
-    ) as server:
-        parsed = urlparse(server.base_url)
-        sock = socket.create_connection(
-            (parsed.hostname, parsed.port), timeout=30.0
-        )
-        try:
-            sock.sendall(b"GET /healthz HTT")  # ...and then just sit there
-            # The server must stay responsive to others while the loris
-            # dangles.
-            status, _, _ = server.request("GET", "/healthz", timeout=5.0)
-            if status != 200:
-                problems.append(f"healthz blocked by slow-loris: {status}")
-            sock.settimeout(10.0)
-            t0 = time.monotonic()
-            response = b""
-            while b"\r\n\r\n" not in response:
-                chunk = sock.recv(4096)
-                if not chunk:
-                    break
-                response += chunk
-            elapsed = time.monotonic() - t0
-            if b"408" not in response.split(b"\r\n", 1)[0]:
-                problems.append(
-                    f"slow-loris got {response[:60]!r}, expected 408"
-                )
-            if elapsed > 8.0:
-                problems.append(
-                    f"loris held its connection {elapsed:.1f}s past the"
-                    f" 1s deadline"
-                )
-        except socket.timeout:
-            problems.append("server never answered the slow-loris socket")
-        finally:
-            sock.close()
-        status, _, _ = server.request("GET", "/readyz")
-        if status != 200:
-            problems.append(f"server not ready after the loris: {status}")
-    return problems
-
-
 SCENARIOS = {
     "worker-kill": scenario_worker_kill,
     "checkpoint-corruption": scenario_checkpoint_corruption,
     "write-faults": scenario_write_faults,
     "sigterm": scenario_sigterm,
-    "serve-kill9-resume": scenario_serve_kill9_resume,
-    "serve-client-disconnect": scenario_serve_client_disconnect,
-    "serve-overflow-storm": scenario_serve_overflow_storm,
-    "serve-slow-loris": scenario_serve_slow_loris,
 }
 
 

@@ -126,60 +126,6 @@ def hook_parallel():
         raise SystemExit("parallel backend diverged from sequential results")
 
 
-def hook_serve():
-    """Sweep service round trip: submit over HTTP, stream SSE to the end,
-    fetch the result, and compare byte-identically to a direct run."""
-    import chaos as chaos_mod
-    from repro.serve import JobSpec, controller_factory
-
-    spec_dict = {
-        "technique": "tuning",
-        "benchmarks": list(TRIO),
-        "n_cycles": 2000,
-        "warmup_cycles": 200,
-    }
-    spec = JobSpec.from_dict(spec_dict)
-    golden = BenchmarkRunner(
-        SweepConfig(n_cycles=spec.n_cycles, warmup_cycles=spec.warmup_cycles)
-    ).sweep(controller_factory(spec), benchmarks=list(spec.benchmarks))
-    golden_fp = fingerprint(golden)
-
-    with tempfile.TemporaryDirectory(prefix="verify-serve-") as tmp:
-        with chaos_mod.ServeHarness(
-            pathlib.Path(tmp) / "serve", max_running=1
-        ) as server:
-            status, _, record = server.request("POST", "/jobs", spec_dict)
-            if status != 201:
-                raise SystemExit(f"serve submission failed: {status} {record}")
-            job_id = record["job_id"]
-            sock = server.sse_socket(job_id)
-            try:
-                sock.settimeout(120.0)
-                stream = b""
-                while b"event: end" not in stream:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    stream += chunk
-            finally:
-                sock.close()
-            cells = stream.count(b"event: cell")
-            status, _, result = server.request("GET", f"/jobs/{job_id}/result")
-            if status != 200:
-                raise SystemExit(f"serve result fetch failed: {status}")
-            served_fp = json.dumps(result["result"]["summary"], sort_keys=True)
-        drain_code = server.terminate()
-    match = served_fp == golden_fp
-    print(f"byte-identical aggregates: {match}  SSE cell events: {cells}  "
-          f"drain exit: {drain_code}")
-    if not match:
-        raise SystemExit("served aggregates diverged from the direct run")
-    if cells != len(TRIO):
-        raise SystemExit(f"SSE streamed {cells} cell events, expected {len(TRIO)}")
-    if drain_code != 0:
-        raise SystemExit(f"idle drain exited {drain_code}, expected 0")
-
-
 def hook_chaos():
     """The chaos harness (quick): disturbed sweeps converge on --resume."""
     chaos_tool = pathlib.Path(__file__).with_name("chaos.py")
@@ -194,7 +140,6 @@ HOOKS = {
     "kernel": hook_kernel,
     "replay": hook_replay,
     "parallel": hook_parallel,
-    "serve": hook_serve,
     "faults": hook_faults,
     "grid": hook_grid,
     "chaos": hook_chaos,
