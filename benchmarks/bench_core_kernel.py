@@ -11,15 +11,9 @@ the resonance detector over each trace two ways:
   the whole-trace fast path the feedback-free simulation takes.
 
 Both paths must agree bit for bit (voltages, events, counters); the
-kernel must be at least 5x faster in aggregate.  The measured figures
-are written to a ``BENCH_core.json`` perf-trajectory artifact (path
-overridable via ``BENCH_CORE_OUT``) which CI uploads and gates against
-the committed baseline with ``tools/bench_gate.py``.
+kernel must be at least 5x faster in aggregate.
 """
 
-import json
-import os
-import platform
 import time
 
 from repro.config import TABLE1_PROCESSOR, TABLE1_SUPPLY, TABLE1_TUNING
@@ -96,35 +90,6 @@ def _best_of(fn, rounds):
     return result, best
 
 
-def _write_artifact(walls):
-    out = os.environ.get("BENCH_CORE_OUT", "BENCH_core.json")
-    total_cycles = len(WORKLOADS) * TRACE_CYCLES
-    payload = {
-        "schema": 1,
-        "grid": {
-            "workloads": list(WORKLOADS),
-            "trace_cycles": TRACE_CYCLES,
-            "total_cycles": total_cycles,
-        },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "backends": {
-            label: {
-                "wall_s": round(wall, 4),
-                "cells_per_s": round(total_cycles / wall, 1),
-            }
-            for label, wall in walls.items()
-        },
-    }
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"perf artifact written to {out}")
-
-
 def test_bench_core_kernel(benchmark):
     kwargs = _detector_kwargs()
     traces = {name: _workload_trace(name) for name in WORKLOADS}
@@ -171,8 +136,6 @@ def test_bench_core_kernel(benchmark):
               f" {k_wall:7.4f} s   (x{s_wall / k_wall:.1f})")
     print(f"aggregate  sequential {scalar_wall:7.3f} s   kernel"
           f" {kernel_wall:7.4f} s   (x{speedup:.1f})")
-
-    _write_artifact({"sequential": scalar_wall, "kernel": kernel_wall})
 
     assert speedup >= MIN_SPEEDUP, (
         f"kernel speedup {speedup:.1f}x below the {MIN_SPEEDUP:.0f}x floor"

@@ -13,15 +13,10 @@ Replayed results must equal the full-simulation results bit for bit
 (dataclass equality, energy included), the warm grid must be at least 5x
 faster in aggregate, and a corrupted store entry must degrade that cell
 to full simulation -- with an incident counted -- while still returning
-the exact same numbers.  Figures land in a ``BENCH_replay.json``
-perf-trajectory artifact (path overridable via ``BENCH_REPLAY_OUT``)
-which CI gates against the committed baseline with
-``tools/bench_gate.py``.
+the exact same numbers.
 """
 
-import json
 import os
-import platform
 import time
 from dataclasses import replace
 
@@ -60,36 +55,6 @@ def _grid(store_dir=None):
     return results
 
 
-def _write_artifact(walls, n_cells):
-    out = os.environ.get("BENCH_REPLAY_OUT", "BENCH_replay.json")
-    payload = {
-        "schema": 1,
-        "grid": {
-            "workloads": list(WORKLOADS),
-            "cap_scales": list(CAP_SCALES),
-            "n_cycles": CYCLES,
-            "warmup_cycles": WARMUP,
-            "cells": n_cells,
-        },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "backends": {
-            label: {
-                "wall_s": round(wall, 4),
-                "cells_per_s": round(n_cells / wall, 3),
-            }
-            for label, wall in walls.items()
-        },
-    }
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"perf artifact written to {out}")
-
-
 def test_bench_replay(benchmark, tmp_path):
     store_dir = str(tmp_path / "store")
     n_cells = len(CAP_SCALES) * len(WORKLOADS)
@@ -123,10 +88,6 @@ def test_bench_replay(benchmark, tmp_path):
           f"  ({n_cells / sequential_wall:6.2f} cells/s)")
     print(f"  replay_warm {replay_wall:7.3f} s"
           f"  ({n_cells / replay_wall:6.2f} cells/s)   (x{speedup:.1f})")
-
-    _write_artifact(
-        {"sequential": sequential_wall, "replay_warm": replay_wall}, n_cells
-    )
 
     # Corrupt-store degradation: flip a bit in one object; the guarded
     # load must fall back to full simulation and still match bit-exactly.

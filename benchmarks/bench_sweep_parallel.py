@@ -1,23 +1,17 @@
 """Bench: sweep backends (sequential / pool) on a multi-technique grid.
 
 Runs the same 4-benchmark x 3-technique x 4-seed grid with ``workers=1``
-and ``workers=4``, records each backend's wall clock plus the sweeps'
+and ``workers=4``, prints each backend's wall clock plus the sweeps'
 per-phase ``timings`` breakdown, and asserts the aggregates are
 byte-identical across both.  The speedup assertion only fires on
 machines with at least 4 cores -- on smaller hosts the fan-out run still
 must match bit-for-bit.
-
-The measured figures are also written to a ``BENCH_sweep.json``
-perf-trajectory artifact (per-backend wall time and cells/s; path
-overridable via ``BENCH_SWEEP_OUT``) which CI uploads and gates against
-the committed baseline with ``tools/bench_gate.py``.
 """
 
 import dataclasses
 import functools
 import json
 import os
-import platform
 import time
 
 from repro.cli import build_convolution, build_damping, build_tuning
@@ -60,37 +54,6 @@ def _run_grid(workers):
     return summaries, time.perf_counter() - start
 
 
-def _write_artifact(cells, walls):
-    """Persist the perf-trajectory artifact gated by tools/bench_gate.py."""
-    out = os.environ.get("BENCH_SWEEP_OUT", "BENCH_sweep.json")
-    payload = {
-        "schema": 1,
-        "grid": {
-            "benchmarks": list(GRID_BENCHMARKS),
-            "seeds": [s if s is not None else "default" for s in GRID_SEEDS],
-            "techniques": [name for name, _ in TECHNIQUES],
-            "cells": cells,
-            "n_cycles": GRID_CYCLES,
-        },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "backends": {
-            label: {
-                "wall_s": round(wall, 3),
-                "cells_per_s": round(cells / wall, 3),
-            }
-            for label, wall in walls.items()
-        },
-    }
-    with open(out, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"perf artifact written to {out}")
-
-
 def test_bench_sweep_parallel(benchmark):
     sequential, seq_wall = _run_grid(1)
     parallel, par_wall = run_once(benchmark, _run_grid, 4)
@@ -108,8 +71,6 @@ def test_bench_sweep_parallel(benchmark):
               f" checkpoint_io={timings['checkpoint_io']:.3f}s"
               f" aggregate={timings['aggregate']:.3f}s"
               f" total={timings['total']:.2f}s")
-
-    _write_artifact(cells, {"sequential": seq_wall, "pool": par_wall})
 
     # Fan-out dispatch must not change a single byte of the results.
     assert _fingerprints(parallel) == _fingerprints(sequential)

@@ -15,12 +15,12 @@ import hashlib
 import json
 import os
 
-__all__ = ["atomic_write", "content_digest", "quarantine"]
+__all__ = ["atomic_write", "content_digest", "fsync", "quarantine"]
 
 #: Every fsync of a durable write -- file and directory -- goes through
-#: this seam, so :func:`repro.faults.chaos.inject_fsync_faults` can fail
-#: them all (a full or dying disk) by patching one attribute.
-_fsync = os.fsync
+#: this seam, so :func:`repro.faults.chaos.inject_fsync_faults` and tests
+#: can fail them all (a full or dying disk) by rebinding this one name.
+fsync = os.fsync
 
 
 def content_digest(obj) -> str:
@@ -40,7 +40,7 @@ def _fsync_directory(directory: str) -> None:
     except OSError:
         return
     try:
-        _fsync(fd)
+        fsync(fd)
     except OSError as error:
         if error.errno not in (errno.EINVAL, errno.ENOTSUP, errno.EBADF):
             raise
@@ -67,7 +67,7 @@ def atomic_write(path: str, text: str) -> int:
         with open(tmp_path, "wb") as handle:
             handle.write(data)
             handle.flush()
-            _fsync(handle.fileno())
+            fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -172,7 +172,7 @@ def inject_fsync_faults(every: int = 2, error_number: int = errno.ENOSPC):
 
     if every < 1:
         raise ValueError("every must be >= 1")
-    original = durable._fsync
+    original = durable.fsync
     counter = {"calls": 0, "faults": 0}
 
     def faulty_fsync(fd):
@@ -182,8 +182,8 @@ def inject_fsync_faults(every: int = 2, error_number: int = errno.ENOSPC):
             raise OSError(error_number, f"{os.strerror(error_number)} (injected)")
         return original(fd)
 
-    durable._fsync = faulty_fsync
+    durable.fsync = faulty_fsync
     try:
         yield counter
     finally:
-        durable._fsync = original
+        durable.fsync = original

@@ -111,14 +111,14 @@ def registry():
 @pytest.fixture
 def no_directory_fsync(monkeypatch):
     """A filesystem whose directory fsync fails with EINVAL."""
-    original = durable._fsync
+    original = durable.fsync
 
     def fsync(fd):
         if stat.S_ISDIR(os.fstat(fd).st_mode):
             raise OSError(errno.EINVAL, "Invalid argument")
         return original(fd)
 
-    monkeypatch.setattr(durable, "_fsync", fsync)
+    monkeypatch.setattr(durable, "fsync", fsync)
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +136,13 @@ class TestAtomicWrite:
 
     def test_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
         kinds = []
-        original = durable._fsync
+        original = durable.fsync
 
         def fsync(fd):
             kinds.append(stat.S_ISDIR(os.fstat(fd).st_mode))
             return original(fd)
 
-        monkeypatch.setattr(durable, "_fsync", fsync)
+        monkeypatch.setattr(durable, "fsync", fsync)
         durable.atomic_write(str(tmp_path / "f"), "x")
         assert kinds == [False, True]
 

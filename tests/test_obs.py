@@ -4,14 +4,17 @@ Covers the three layers in isolation (metrics registry, span tracer,
 logging/warn dedup) and wired into real sweeps: spans and counters from a
 sequential run, shard merging across a real worker pool, determinism of
 the instrumented sweep against an uninstrumented one, the checkpoint
-summary sidecar, and the ``tools/trace_report.py`` renderer.
+summary sidecar, the disabled path's freedom from per-cycle calls, and
+the ``tools/trace_report.py`` renderer.
 """
 
 import dataclasses
 import importlib.util
 import json
 import logging
+import os
 import pathlib
+import sys
 
 import pytest
 
@@ -371,6 +374,38 @@ class TestSweepIntegration:
         assert not list(tmp_path.iterdir())
         assert obs.finalize() == []
 
+    def test_disabled_path_makes_no_per_cycle_calls(self):
+        # docs/observability.md: nothing per-cycle touches repro.obs.
+        # Count Python calls into it over a sequential sweep at three
+        # lengths; base cells take the kernel path and tuning cells the
+        # scalar loop, so a per-cycle call on either shows as growth.
+        obs_dir = os.path.join(os.path.dirname(obs.__file__), "")
+
+        def obs_calls(n_cycles):
+            calls = 0
+
+            def count(frame, event, arg):
+                nonlocal calls
+                if event == "call" and frame.f_code.co_filename.startswith(
+                    obs_dir
+                ):
+                    calls += 1
+
+            config = SweepConfig(n_cycles=n_cycles, warmup_cycles=200)
+            previous = sys.getprofile()
+            with BenchmarkRunner(config) as runner:
+                sys.setprofile(count)
+                try:
+                    runner.sweep(tuning_factory, benchmarks=BENCHMARKS)
+                finally:
+                    sys.setprofile(previous)
+            return calls
+
+        assert obs.is_configured() is False
+        counts = [obs_calls(n) for n in (400, 800, 1600)]
+        assert counts[0] > 0, "the sweep never reached an obs seam"
+        assert counts == [counts[0]] * 3, counts
+
 
 # ----------------------------------------------------------------------
 # Export integration
@@ -465,85 +500,3 @@ class TestTraceReport:
         shard_dir.mkdir()
         assert report.main([str(trace_path)]) == 0
         assert "no spans recorded" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# bench_history tool
-# ----------------------------------------------------------------------
-
-def _load_bench_history():
-    path = (
-        pathlib.Path(__file__).resolve().parents[1]
-        / "tools" / "bench_history.py"
-    )
-    spec = importlib.util.spec_from_file_location("bench_history", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchHistory:
-    def _report(self, tmp_path, name, sequential, pool):
-        path = tmp_path / name
-        path.write_text(json.dumps({
-            "schema": 1,
-            "backends": {
-                "sequential": {"cells_per_s": sequential, "wall_s": 1.0},
-                "pool": {"cells_per_s": pool, "wall_s": 1.0},
-            },
-        }))
-        return str(path)
-
-    def test_append_then_trend_pass_and_fail(self, tmp_path, capsys):
-        history = _load_bench_history()
-        ledger = str(tmp_path / "history")
-        report = self._report(tmp_path, "BENCH_x.json", 4.0, 3.0)
-        for stamp in (100, 200, 300):
-            assert history.main([
-                "append", report, "--ledger-dir", ledger,
-                "--commit", f"c{stamp}", "--recorded-unix", str(stamp),
-            ]) == 0
-        # current equals the trailing median: passes
-        assert history.main(["check", report, "--ledger-dir", ledger]) == 0
-        assert "trend check passed" in capsys.readouterr().out
-        # throughput halves: trips the trend gate
-        slow = self._report(tmp_path, "BENCH_x.json", 2.0, 1.4)
-        assert history.main(["check", slow, "--ledger-dir", ledger]) == 1
-        out = capsys.readouterr().out
-        assert "BENCH TREND CHECK FAILED" in out
-        assert "sequential" in out
-
-    def test_too_few_entries_passes_trivially(self, tmp_path, capsys):
-        history = _load_bench_history()
-        ledger = str(tmp_path / "history")
-        report = self._report(tmp_path, "BENCH_y.json", 4.0, 3.0)
-        assert history.main([
-            "append", report, "--ledger-dir", ledger,
-            "--commit", "c1", "--recorded-unix", "100",
-        ]) == 0
-        assert history.main(["check", report, "--ledger-dir", ledger]) == 0
-        assert "skipped" in capsys.readouterr().out
-
-    def test_torn_ledger_line_ignored(self, tmp_path):
-        history = _load_bench_history()
-        ledger_dir = tmp_path / "history"
-        ledger_dir.mkdir()
-        report = self._report(tmp_path, "BENCH_z.json", 4.0, 3.0)
-        good = json.dumps(
-            {"commit": "c", "recorded_unix": 1,
-             "backends": {"sequential": 4.0, "pool": 3.0}}
-        )
-        (ledger_dir / "BENCH_z.jsonl").write_text(
-            good + "\n" + good + "\n" + '{"torn": tru'
-        )
-        assert history.main(
-            ["check", report, "--ledger-dir", str(ledger_dir)]
-        ) == 0
-
-    def test_empty_report_refused(self, tmp_path):
-        history = _load_bench_history()
-        path = tmp_path / "BENCH_empty.json"
-        path.write_text(json.dumps({"backends": {}}))
-        assert history.main([
-            "append", str(path), "--ledger-dir", str(tmp_path / "h"),
-        ]) == 2

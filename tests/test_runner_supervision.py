@@ -480,9 +480,9 @@ class TestRunnerLifecycle:
 class TestCheckpointDurability:
     def test_fsync_covers_file_and_directory(self, tmp_path, monkeypatch):
         synced = []
-        original = durable._fsync
+        original = durable.fsync
         monkeypatch.setattr(
-            durable, "_fsync",
+            durable, "fsync",
             lambda fd: (synced.append(fd), original(fd))[1],
         )
         BenchmarkRunner(SMALL).sweep(
@@ -499,7 +499,7 @@ class TestCheckpointDurability:
         def explode(fd):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(durable, "_fsync", explode)
+        monkeypatch.setattr(durable, "fsync", explode)
         with pytest.warns(RuntimeWarning, match="checkpoint write"):
             BenchmarkRunner(SMALL).sweep(
                 tuning_factory,
