@@ -5,10 +5,10 @@ The obs layer's contract is "free when off": with no ``--trace-out``,
 module-attribute read, and nothing per-cycle touches the subsystem.
 ``tests/test_obs.py`` holds that off path deterministically, by counting
 calls into ``repro.obs``.  This bench times the same sequential sweep
-three ways -- baseline (obs off, best of ``REPEATS``), obs fully enabled
-(trace + metrics), and the sampling profiler on top -- and asserts that
-each enabled leg stays within 1.5x the baseline plus
-``ABSOLUTE_FLOOR_S``.
+three ways -- baseline (obs off), obs fully enabled (trace + metrics),
+and the sampling profiler on top -- interleaved, each leg the best of
+``REPEATS``, and asserts that each enabled leg stays within 1.5x the
+baseline plus ``ABSOLUTE_FLOOR_S``.
 """
 
 import functools
@@ -41,6 +41,19 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
+def _interleaved_best(repeats, *legs):
+    """Run the legs in turn ``repeats`` times; each one's minimum time.
+
+    Interleaving keeps slow drift (a noisy neighbour, throttling) from
+    loading one leg of the comparison, as back-to-back batches would.
+    """
+    best = [float("inf")] * len(legs)
+    for _ in range(repeats):
+        for index, leg in enumerate(legs):
+            best[index] = min(best[index], _timed(leg))
+    return best
+
+
 def test_bench_obs_overhead(benchmark, tmp_path):
     def enabled_sweep():
         obs.configure(
@@ -63,15 +76,16 @@ def test_bench_obs_overhead(benchmark, tmp_path):
         finally:
             obs.finalize()
 
-    baseline = run_once(
-        benchmark, lambda: min(_timed(_sweep_once) for _ in range(REPEATS))
+    baseline, enabled, profiled = run_once(
+        benchmark,
+        lambda: _interleaved_best(
+            REPEATS, _sweep_once, enabled_sweep, profiled_sweep
+        ),
     )
-    enabled = min(_timed(enabled_sweep) for _ in range(2))
-    profiled = min(_timed(profiled_sweep) for _ in range(2))
 
     print()
     print(f"sweep: {len(BENCH_BENCHMARKS)} benchmarks at {BENCH_CYCLES} cycles"
-          f" (baseline best of {REPEATS})")
+          f" (each leg best of {REPEATS}, interleaved)")
     print(f"baseline (obs off)  : {baseline:8.3f} s")
     print(f"obs fully enabled   : {enabled:8.3f} s"
           f"  ({(enabled - baseline) / baseline:+.2%} vs baseline)")

@@ -12,7 +12,7 @@ advances *whole traces* per call:
   interpreter overhead removal, and the result is **bit-identical** to
   ``PowerSupply.step`` cycle by cycle.
 * :func:`run_supply_batch` -- the same recurrence advanced for several
-  independent traces (sweep lanes) at once with NumPy elementwise ops.
+  independent traces (lanes) at once with NumPy elementwise ops.
   IEEE-754 elementwise arithmetic matches scalar arithmetic exactly, so
   every lane is bit-identical to its own scalar run.
 * :func:`run_detector` -- the quarter-period window comparisons of

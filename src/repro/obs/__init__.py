@@ -23,6 +23,8 @@ individually:
   speedscope JSON (https://speedscope.app) plus a collapsed-stack
   sibling (``profile.json.collapsed``).
 
+:func:`reset` turns every layer off again without writing anything.
+
 Worker processes inherit the configuration through
 :func:`worker_spec` / :func:`init_worker` (wired into the sweep pool
 initializer), writing their spans and profile samples into their own
@@ -65,6 +67,7 @@ __all__ = [
     "configure_from_args",
     "add_observability_flags",
     "finalize",
+    "reset",
     "is_configured",
     "active_registry",
     "active_tracer",
@@ -143,7 +146,6 @@ def finalize(metadata: Optional[Dict[str, object]] = None) -> List[str]:
     plus its collapsed-stack sibling (for whichever layers were
     configured).  Safe to call when nothing is configured (no-op).
     """
-    global _trace_out, _metrics_out, _profile_out
     written: List[str] = []
     tracer = active_tracer()
     if tracer is not None and _trace_out is not None:
@@ -173,13 +175,31 @@ def finalize(metadata: Optional[Dict[str, object]] = None) -> List[str]:
         profile.write_collapsed(collapsed_path, processes)
         written.append(collapsed_path)
         profile.cleanup_shards(shard_dir)
+    reset()
+    return written
+
+
+def reset() -> None:
+    """Deactivate every layer without exporting anything.
+
+    Stops and drops the active profiler, closes and drops the active
+    tracer, drops the registry and forgets the three output paths, so a
+    later :func:`configure` starts clean.  Safe to call when nothing is
+    configured (no-op).
+    """
+    global _trace_out, _metrics_out, _profile_out
+    profiler = active_profiler()
+    if profiler is not None:
+        profiler.stop()
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.close()
+    set_active_profiler(None)
     set_active_tracer(None)
     set_active_registry(None)
-    set_active_profiler(None)
     _trace_out = None
     _metrics_out = None
     _profile_out = None
-    return written
 
 
 # ----------------------------------------------------------------------

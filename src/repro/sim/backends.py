@@ -298,9 +298,10 @@ class SequentialBackend(SweepBackend):
         open_benchmarks: set = set()
         probed: set = set()
         if len(job.pending) > 1:
-            # Warm the base cache with one lane-batched kernel call; a
-            # failed prefetch only costs the optimization (each cell's
-            # scalar path reproduces any error under its retry policy).
+            # Warm the base cache, one cell at a time, before the first
+            # cell, so cell times hold the technique runs; a failed
+            # prefetch only costs the warm-up (each cell's run_base
+            # reproduces any error under its retry policy).
             try:
                 job.runner.prefetch_base_batch(
                     job.pending,

@@ -454,7 +454,8 @@ class BenchmarkRunner:
         mount adversarial current attackers on otherwise unchanged sweeps.
     max_base_cache_entries:
         Bound on the cached base runs (LRU eviction), so long multi-seed
-        sweeps cannot grow memory without limit.
+        sweeps cannot grow memory without limit; a sequential sweep's
+        base prefetch warms at most this many cells.
     trace_store:
         Optional trace record/replay store -- a directory path or a
         :class:`repro.trace.TraceStore` -- for cells whose controller
@@ -734,78 +735,47 @@ class BenchmarkRunner:
         timeout_s: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> int:
-        """Warm the base-run cache for several ``(benchmark, seed)`` cells.
+        """Warm the base-run cache for a sweep's ``(benchmark, seed)`` cells.
 
-        Hands all uncached lanes to :func:`repro.sim.simulation.run_batch`
-        so the vectorized cycle kernel advances their supplies together in
-        one lane-batched call.  Results are bit-identical to ``run_base``
-        (the kernel is gated by the goldens), so this is purely a cache
-        warmer: lanes that fail, time out, or are skipped are simply left
-        uncached and fall back to the scalar ``run_base`` path -- where
-        their error (if any) reproduces under the cell's normal
-        retry/timeout policy.
+        Runs the first ``max_base_cache_entries`` distinct cells, in the
+        order given (a sweep passes grid order), one at a time through
+        :meth:`run_base`: each cell's trace, pipeline and supply are freed
+        before the next is built, and nothing warmed here is evicted
+        before a sweep reading the cells in that order gets to it.  Cells
+        already cached are refreshed, not rerun; cells whose trace the
+        store already holds are skipped, since ``run_base`` replays them
+        cheaply on demand.  ``should_stop`` is polled before each cell.
 
-        Returns the number of cells newly cached.  No-ops (returns 0) when
-        a supply transform is installed (transformed supplies may override
-        ``step``), when the kernel is disabled, or when fewer than two
-        lanes actually need running.
+        This is purely a cache warmer: a cell that fails or outlasts
+        ``timeout_s`` is left uncached, so its error reproduces under the
+        cell's own retry and timeout policy.  Returns the number of cells
+        newly cached.
         """
-        from repro.core import kernel as core_kernel
-        from repro.sim.simulation import run_batch
-
-        if self.supply_transform is not None or not core_kernel.kernel_enabled():
-            return 0
         store = self._trace_layer()
-        pending = []
-        seen = set()
+        planned: Dict[tuple, Tuple[str, Optional[int]]] = {}
         for benchmark, seed in cells:
+            if len(planned) == self.max_base_cache_entries:
+                break
             key = self._base_key(benchmark, seed)
-            if key in self._base_cache or key in seen:
+            planned.setdefault(key, (benchmark, seed))
+        cached = 0
+        for key, (benchmark, seed) in planned.items():
+            if should_stop is not None and should_stop():
+                break
+            if key in self._base_cache:
+                self._base_cache.move_to_end(key)
                 continue
-            seen.add(key)
-            trace_key = None
             if store is not None:
                 trace_key = self._trace_key(benchmark, NullController(), seed)
                 if trace_key is not None and store.contains(trace_key):
-                    # Already recorded: run_base replays it on demand
-                    # (cheap), so don't spend pipeline time here.
                     continue
-            pending.append((key, benchmark, seed, trace_key))
-        if len(pending) < 2:
-            return 0
-        simulations = []
-        for _key, benchmark, seed, trace_key in pending:
-            simulation = self._build_simulation(
-                benchmark, NullController(), seed=seed
-            )
-            if trace_key is not None:
-                from repro.trace import TraceCapture
-
-                simulation.capture = TraceCapture(trace_key)
-            simulations.append(simulation)
-        guard = None
-        if timeout_s is not None:
-            guard = lambda fn: _call_with_timeout(fn, timeout_s)
-        outcomes = run_batch(
-            simulations,
-            self.config.n_cycles,
-            guard=guard,
-            should_stop=should_stop,
-        )
-        cached = 0
-        for (key, _benchmark, _seed, _tk), simulation, outcome in zip(
-            pending, simulations, outcomes
-        ):
-            if isinstance(outcome, SimulationResult):
-                self._base_cache[key] = outcome
-                self._base_cache.move_to_end(key)
-                cached += 1
-                capture = simulation.capture
-                if store is not None and capture is not None \
-                        and capture.completed:
-                    store.save(capture)
-        while len(self._base_cache) > self.max_base_cache_entries:
-            self._base_cache.popitem(last=False)
+            try:
+                _call_with_timeout(
+                    lambda: self.run_base(benchmark, seed), timeout_s
+                )
+            except Exception:
+                continue
+            cached += 1
         return cached
 
     def run_technique(

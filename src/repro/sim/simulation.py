@@ -338,9 +338,10 @@ class Simulation:
 
 
 # ----------------------------------------------------------------------
-# Batched sweep entry point (ROADMAP item 1c): several independent
-# simulations advanced with their supply lanes batched through
-# repro.core.kernel.run_supply_batch.
+# Batched entry point: several independent simulations advanced with
+# their supply lanes batched through repro.core.kernel.run_supply_batch.
+# No sweep calls it: a batch keeps every lane's front end alive at once,
+# so the sweep's base prefetch runs cells one at a time instead.
 # ----------------------------------------------------------------------
 def run_batch(
     simulations: Sequence[Simulation],
@@ -366,9 +367,9 @@ def run_batch(
       started (such simulations remain fresh and runnable).
 
     ``guard`` optionally wraps each lane's trace-collection stage (the
-    dominant cost) -- the sweep runner passes its per-cell timeout
-    enforcement here.  Lanes whose controller closes a feedback loop (or
-    with the kernel disabled) fall back to their own ``run``.
+    dominant cost), for example to enforce a per-lane timeout.  Lanes
+    whose controller closes a feedback loop (or with the kernel
+    disabled) fall back to their own ``run``.
     """
     outcomes: List[Union[SimulationResult, BaseException, None]]
     outcomes = [None] * len(simulations)

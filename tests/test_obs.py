@@ -15,14 +15,12 @@ import logging
 import os
 import pathlib
 import sys
+import threading
 
 import pytest
 
 from repro import obs
 from repro.core import ResonanceTuningController
-from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
-from repro.obs import trace as obs_trace
 from repro.obs.log import (
     configure_logging,
     get_logger,
@@ -51,15 +49,7 @@ BENCHMARKS = ("swim", "gzip")
 
 
 def _reset_obs():
-    obs_trace.set_active_tracer(None)
-    obs_metrics.set_active_registry(None)
-    profiler = obs_profile.active_profiler()
-    if profiler is not None:
-        profiler.stop()
-    obs_profile.set_active_profiler(None)
-    obs._trace_out = None
-    obs._metrics_out = None
-    obs._profile_out = None
+    obs.reset()
     reset_warn_dedup()
 
 
@@ -373,6 +363,21 @@ class TestSweepIntegration:
             runner.sweep(tuning_factory, benchmarks=("swim",))
         assert not list(tmp_path.iterdir())
         assert obs.finalize() == []
+
+    def test_reset_deactivates_without_exporting(self, tmp_path):
+        obs.configure(
+            trace_out=str(tmp_path / "trace.json"),
+            metrics_out=str(tmp_path / "metrics.json"),
+            profile_out=str(tmp_path / "profile.json"),
+        )
+        obs.reset()
+        assert obs.is_configured() is False
+        assert "obs-profiler" not in {t.name for t in threading.enumerate()}
+        assert obs.worker_spec() is None
+        assert obs.finalize() == []
+        assert not (tmp_path / "trace.json").exists()
+        assert not (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "profile.json").exists()
 
     def test_disabled_path_makes_no_per_cycle_calls(self):
         # docs/observability.md: nothing per-cycle touches repro.obs.

@@ -15,9 +15,7 @@ import pytest
 from repro import obs
 from repro.core import ResonanceTuningController
 from repro.obs import context as obs_context
-from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
-from repro.obs import trace as obs_trace
 from repro.obs.context import TraceContext, current_context, use_context
 from repro.obs.log import reset_warn_dedup
 from repro.obs.profile import SamplingProfiler
@@ -36,15 +34,7 @@ BENCHMARKS = ("swim", "gzip")
 
 
 def _reset_obs():
-    obs_trace.set_active_tracer(None)
-    obs_metrics.set_active_registry(None)
-    profiler = obs_profile.active_profiler()
-    if profiler is not None:
-        profiler.stop()
-    obs_profile.set_active_profiler(None)
-    obs._trace_out = None
-    obs._metrics_out = None
-    obs._profile_out = None
+    obs.reset()
     reset_warn_dedup()
 
 

@@ -8,11 +8,14 @@ one), and the experiment registry's name suggestions and flag plumbing.
 """
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
-from repro.core import ResonanceTuningController
+from repro.baselines.damping import PipelineDampingController
+from repro.core import NullController, ResonanceTuningController
 from repro.errors import ConfigurationError, FaultError
 from repro.sim import (
     BenchmarkRunner,
@@ -22,6 +25,7 @@ from repro.sim import (
     load_checkpoint,
 )
 from repro.sim.checkpoint import cell_key
+from repro.uarch.pipeline import Pipeline
 
 
 def tuning_factory(supply, processor):
@@ -139,6 +143,100 @@ class TestBaseCache:
         # deterministic: the recomputed run matches the original
         assert second.cycles == first.cycles
         assert second.violation_cycles == first.violation_cycles
+
+
+# ----------------------------------------------------------------------
+# Base-cache prefetch before a sequential sweep
+# ----------------------------------------------------------------------
+
+TINY = SweepConfig(n_cycles=400, warmup_cycles=100)
+PREFETCH_BENCHMARKS = ("swim", "gzip", "eon")
+PREFETCH_SEEDS = (1, 2)
+
+
+def damping_factory(supply, processor):
+    return PipelineDampingController(supply, processor, delta_amps=13.0)
+
+
+class TestPrefetch:
+    def test_one_pipeline_alive_at_a_time(self, monkeypatch):
+        # Memory grows with the front ends alive at once (~18 MB each at
+        # paper scale), so count reachable pipelines instead of timing
+        # the host: each new one is counted after a full collection.
+        alive = weakref.WeakSet()
+        peak = []
+        build = Pipeline.__init__
+
+        def tracked(self, *args, **kwargs):
+            gc.collect()
+            build(self, *args, **kwargs)
+            alive.add(self)
+            peak.append(len(alive))
+
+        monkeypatch.setattr(Pipeline, "__init__", tracked)
+        cells = [
+            (name, seed)
+            for name in PREFETCH_BENCHMARKS for seed in PREFETCH_SEEDS
+        ]
+        assert BenchmarkRunner(TINY).prefetch_base_batch(cells) == 6
+        assert max(peak) == 1
+        peak.clear()
+        with BenchmarkRunner(TINY) as runner:
+            for factory in (tuning_factory, damping_factory):
+                runner.sweep(
+                    factory, benchmarks=PREFETCH_BENCHMARKS,
+                    seeds=PREFETCH_SEEDS,
+                )
+        assert len(peak) == 18  # 6 base and 12 technique runs
+        assert max(peak) == 1
+
+    def test_sweep_runs_each_base_once_within_the_cache_bound(
+        self, monkeypatch
+    ):
+        # A prefetch that warmed more cells than the cache holds would
+        # evict the first ones before the sweep reads them, and the
+        # grid-order sweep would then miss and evict in a cascade.
+        builds = []
+        build = NullController.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(NullController, "__init__", counted)
+        with BenchmarkRunner(TINY, max_base_cache_entries=4) as runner:
+            summary = runner.sweep(
+                tuning_factory, benchmarks=PREFETCH_BENCHMARKS,
+                seeds=PREFETCH_SEEDS,
+            )
+        assert len(summary.per_benchmark) == 6
+        assert len(builds) == 6
+
+    def test_cached_cells_are_refreshed_not_rerun(self):
+        runner = BenchmarkRunner(TINY, max_base_cache_entries=2)
+        first = runner.run_base("swim", seed=1)
+        runner.run_base("gzip", seed=1)
+        # swim is the LRU entry; the prefetch refreshes it, so warming
+        # eon evicts gzip, the one cell outside the plan.
+        assert runner.prefetch_base_batch(
+            [("swim", 1), ("eon", 1), ("gzip", 1)]
+        ) == 1
+        assert runner.run_base("swim", seed=1) is first
+        assert runner._base_key("gzip", 1) not in runner._base_cache
+
+    def test_failed_cell_is_left_uncached(self):
+        runner = BenchmarkRunner(TINY, supply_transform=break_benchmark("swim"))
+        assert runner.prefetch_base_batch([("swim", 1), ("gzip", 1)]) == 1
+        assert runner._base_key("swim", 1) not in runner._base_cache
+        assert runner._base_key("gzip", 1) in runner._base_cache
+
+    def test_should_stop_ends_the_warm_up(self):
+        runner = BenchmarkRunner(TINY)
+        polls = iter((False, True))
+        assert runner.prefetch_base_batch(
+            [("swim", 1), ("gzip", 1)], should_stop=lambda: next(polls)
+        ) == 1
+        assert list(runner._base_cache) == [runner._base_key("swim", 1)]
 
 
 # ----------------------------------------------------------------------
