@@ -171,7 +171,6 @@ def _cmd_compare(args) -> int:
                 workers=args.workers,
                 checkpoint_path=args.checkpoint,
                 trace_store_path=args.trace_store,
-                replay=not args.no_replay,
             ),
         )
     print(f"{'benchmark':10s} {'base viol':>10s} {'tech viol':>10s}"
@@ -252,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="content-addressed trace record/replay store:"
                               " base cells record their current trace once"
                               " and replay it bit-exactly afterwards")
-    compare.add_argument("--no-replay", action="store_true",
-                         help="disable trace record/replay even when a"
-                              " store path is configured")
     obs.add_observability_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 

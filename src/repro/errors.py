@@ -58,8 +58,8 @@ class HarnessError(ReproError):
 class ResilienceConfigError(ConfigurationError, HarnessError):
     """A :class:`~repro.sim.runner.ResilienceConfig` knob is out of range.
 
-    Raised at *construction* so a bad timeout, backoff, worker count or
-    drain deadline fails immediately with a clear message instead of
+    Raised at *construction* so a bad timeout, retry budget, worker count
+    or drain deadline fails immediately with a clear message instead of
     failing (or silently misbehaving) mid-sweep.  Subclasses both
     :class:`ConfigurationError` (it is a bad configuration) and
     :class:`HarnessError` (it concerns the harness, not the physics), so

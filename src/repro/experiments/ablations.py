@@ -14,6 +14,7 @@ Invoke with ``python -m repro.experiments ablation-two-tier`` etc., or via
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
@@ -77,6 +78,27 @@ def _runner(n_cycles: int) -> BenchmarkRunner:
     return BenchmarkRunner(SweepConfig(n_cycles=n_cycles))
 
 
+# Module-level builders: each variant's factory is a functools.partial
+# over one, so it pickles for pool workers and checkpoint keys, and each
+# controller gets its own sensor or detector.
+
+def _detector_controller(
+    supply, processor, half_periods, detector_cls=ResonanceDetector
+):
+    detector = detector_cls(
+        half_periods,
+        TABLE1_TUNING.resonant_current_threshold_amps,
+        TABLE1_TUNING.max_repetition_tolerance,
+    )
+    return ResonanceTuningController(supply, processor, detector=detector)
+
+
+def _quantized_controller(supply, processor, quantum_amps):
+    return ResonanceTuningController(
+        supply, processor, sensor=CurrentSensor(quantum_amps=quantum_amps)
+    )
+
+
 def run_two_tier(
     n_cycles: int = 60_000, benchmarks: Sequence[str] = VIOLATORS
 ) -> AblationResult:
@@ -89,7 +111,7 @@ def run_two_tier(
     )
     summaries = tuple(
         (label, runner.sweep(
-            lambda s, p, _sw=switches: ResonanceTuningController(s, p, **_sw),
+            functools.partial(ResonanceTuningController, **switches),
             benchmarks=benchmarks,
         ))
         for label, switches in variants
@@ -98,15 +120,11 @@ def run_two_tier(
 
 
 def _detector_factory(half_periods, detector_cls=ResonanceDetector):
-    def build(supply, processor):
-        detector = detector_cls(
-            half_periods,
-            TABLE1_TUNING.resonant_current_threshold_amps,
-            TABLE1_TUNING.max_repetition_tolerance,
-        )
-        return ResonanceTuningController(supply, processor, detector=detector)
-
-    return build
+    return functools.partial(
+        _detector_controller,
+        half_periods=half_periods,
+        detector_cls=detector_cls,
+    )
 
 
 def run_band_coverage(
@@ -140,9 +158,7 @@ def run_sensing(
         summaries.append((
             f"quantum {quantum:g} A",
             runner.sweep(
-                lambda s, p, _q=quantum: ResonanceTuningController(
-                    s, p, sensor=CurrentSensor(quantum_amps=_q)
-                ),
+                functools.partial(_quantized_controller, quantum_amps=quantum),
                 benchmarks=benchmarks,
             ),
         ))
@@ -151,7 +167,9 @@ def run_sensing(
         summaries.append((
             f"delay {delay} cycles",
             runner.sweep(
-                lambda s, p, _t=tuning: ResonanceTuningController(s, p, _t),
+                functools.partial(
+                    ResonanceTuningController, tuning_config=tuning
+                ),
                 benchmarks=benchmarks,
             ),
         ))

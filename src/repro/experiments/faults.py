@@ -18,8 +18,9 @@ the cell where it stopped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import TABLE1_PROCESSOR
 from repro.core import ResonanceTuningController
@@ -31,7 +32,6 @@ from repro.faults import (
     FaultySensor,
     ResonantAttacker,
     SaturationFault,
-    SensorFault,
     StuckAtFault,
 )
 from repro.sim.runner import (
@@ -176,23 +176,30 @@ def _coverage(summary: TechniqueSummary) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def _tuning_factory(
-    faults_builder: Optional[Callable[[], List[SensorFault]]] = None,
+def _tuning_controller(
+    supply, processor,
+    fault: Optional[Tuple[str, float, int, int]] = None,
     label: Optional[str] = None,
 ):
-    def build(supply, processor):
-        sensor = (
-            FaultySensor(faults_builder()) if faults_builder is not None else None
-        )
-        controller = ResonanceTuningController(supply, processor, sensor=sensor)
-        if label is not None:
-            # Each faulted variant is its own technique: distinct names keep
-            # checkpoint cells (keyed by benchmark|technique|seed) from
-            # colliding between variants of one campaign.
-            controller.name = f"resonance-tuning[{label}]"
-        return controller
+    """Module-level builder of the campaign's controllers.
 
-    return build
+    Sweeps take it as a ``functools.partial``, which pickles for pool
+    workers and checkpoint keys.  ``fault`` holds the
+    :func:`_sensor_faults` arguments; the faults are built here, so each
+    controller gets its own fault state.
+    """
+    sensor = FaultySensor(_sensor_faults(*fault)) if fault is not None else None
+    controller = ResonanceTuningController(supply, processor, sensor=sensor)
+    if label is not None:
+        # Each variant names what it ran under, so its summary, failure
+        # reports and trace spans say which fault a row is.
+        controller.name = f"resonance-tuning[{label}]"
+    return controller
+
+
+def _attack(supply, benchmark, amplitude_amps: float):
+    """Supply transform mounting the resonant attacker on every run."""
+    return ResonantAttacker(supply, amplitude_amps=amplitude_amps, seed=99)
 
 
 def run(
@@ -206,23 +213,20 @@ def run(
     runner = BenchmarkRunner(config, resilience=resilience)
     rows: List[FaultRow] = []
 
-    clean = runner.sweep(_tuning_factory(), benchmarks=benchmarks)
+    clean = runner.sweep(_tuning_controller, benchmarks=benchmarks)
     rows.append(
         FaultRow("clean", "clean", 0.0, _coverage(clean), clean)
     )
 
     for kind_index, kind in enumerate(FAULT_KINDS):
         for intensity in intensities:
-            seed = 7_000 + kind_index
-            builder = (
-                lambda _k=kind, _i=intensity, _s=seed: _sensor_faults(
-                    _k, _i, n_cycles, _s
-                )
-            )
             label = f"{kind} {intensity:.2f}"
-            summary = runner.sweep(
-                _tuning_factory(builder, label=label), benchmarks=benchmarks
+            factory = functools.partial(
+                _tuning_controller,
+                fault=(kind, intensity, n_cycles, 7_000 + kind_index),
+                label=label,
             )
+            summary = runner.sweep(factory, benchmarks=benchmarks)
             rows.append(FaultRow(
                 label, kind, intensity, _coverage(summary), summary,
             ))
@@ -230,17 +234,16 @@ def run(
     # The resonant attacker changes the power supply itself, so base runs
     # must see the same attack: a dedicated runner per intensity.
     for intensity in intensities:
-        amplitude = intensity * _ATTACK_FULL_AMPS
-
-        def attack(supply, benchmark, _a=amplitude):
-            return ResonantAttacker(supply, amplitude_amps=_a, seed=99)
-
+        attack = functools.partial(
+            _attack, amplitude_amps=intensity * _ATTACK_FULL_AMPS
+        )
         attacked = BenchmarkRunner(
             config, resilience=resilience, supply_transform=attack
         )
         label = f"attack {intensity:.2f}"
         summary = attacked.sweep(
-            _tuning_factory(label=label), benchmarks=benchmarks
+            functools.partial(_tuning_controller, label=label),
+            benchmarks=benchmarks,
         )
         rows.append(FaultRow(
             label, "attack", intensity, _coverage(summary), summary,

@@ -223,15 +223,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              " before parking it as a failure (default 2)",
     )
     parser.add_argument(
-        "--backoff-base-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="exponential backoff before retry attempts: attempt k waits"
-             " S * 2^(k-1) seconds with deterministic jitter (default: no"
-             " backoff)",
-    )
-    parser.add_argument(
         "--drain-deadline-s",
         type=float,
         default=None,
@@ -253,12 +244,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              " store: base-schedule cells record their current trace"
              " once per front end and replay it bit-exactly afterwards"
              " (default: no store, every cell simulates fully)",
-    )
-    parser.add_argument(
-        "--no-replay",
-        action="store_true",
-        help="disable the trace record/replay layer even when a store"
-             " path is configured (every cell runs the full simulation)",
     )
 
 
@@ -289,16 +274,12 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
         overrides["heartbeat_stale_s"] = args.heartbeat_stale_s
     if getattr(args, "max_worker_restarts", None) is not None:
         overrides["max_worker_restarts"] = args.max_worker_restarts
-    if getattr(args, "backoff_base_s", None) is not None:
-        overrides["backoff_base_s"] = args.backoff_base_s
     if getattr(args, "drain_deadline_s", None) is not None:
         overrides["drain_deadline_s"] = args.drain_deadline_s
     if getattr(args, "no_circuit_breaker", False):
         overrides["circuit_breaker"] = False
     if getattr(args, "trace_store", None) is not None:
         overrides["trace_store_path"] = args.trace_store
-    if getattr(args, "no_replay", False):
-        overrides["replay"] = False
     if not overrides:
         return None
     return ResilienceConfig(**overrides)

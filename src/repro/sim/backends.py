@@ -297,16 +297,19 @@ class SequentialBackend(SweepBackend):
             )
         open_benchmarks: set = set()
         probed: set = set()
+        # Base runs that failed in the warm-up, by cell: each is that
+        # cell's first attempt, so it is not run again at the same seed.
+        warmup_errors: Dict[Cell, Exception] = {}
         if len(job.pending) > 1:
             # Warm the base cache, one cell at a time, before the first
             # cell, so cell times hold the technique runs; a failed
-            # prefetch only costs the warm-up (each cell's run_base
-            # reproduces any error under its retry policy).
+            # prefetch only costs the warm-up.
             try:
                 job.runner.prefetch_base_batch(
                     job.pending,
                     timeout_s=resilience.timeout_s,
                     should_stop=job.drain.is_set,
+                    errors=warmup_errors,
                 )
             except Exception:
                 pass
@@ -326,7 +329,8 @@ class SequentialBackend(SweepBackend):
             is_probe = name not in probed
             probed.add(name)
             metrics, failure = job.runner.run_cell(
-                name, job.technique, job.factory, resilience, base_seed=seed
+                name, job.technique, job.factory, resilience, base_seed=seed,
+                warmup_error=warmup_errors.get(cell),
             )
             if failure is not None:
                 job.record_failure(cell, failure)
@@ -351,8 +355,8 @@ class SequentialBackend(SweepBackend):
 
 #: Per-worker-process cache: the runner rebuilt from the last cell spec,
 #: plus the heartbeat channel installed by the pool initializer.  Keeping
-#: the runner across cells lets one worker reuse base runs (and their LRU
-#: bound) exactly as the sequential path does within its own process.
+#: the runner across cells lets one worker reuse base runs exactly as the
+#: sequential path does within its own process.
 _WORKER_STATE: dict = {}
 
 
@@ -388,14 +392,12 @@ def _worker_run_cell(
     seed: Optional[int],
     timeout_s: Optional[float],
     max_retries: int,
-    backoff_base_s: float = 0.0,
-    backoff_max_s: float = 30.0,
     ctx: Optional[dict] = None,
 ):
     """Execute one sweep cell inside a pool worker.
 
     ``spec_blob`` pickles ``(sweep_config, supply_transform,
-    max_base_cache_entries, trace_store_root)``; the worker rebuilds a
+    trace_store_root)``; the worker rebuilds a
     private :class:`~repro.sim.runner.BenchmarkRunner` from it (cached
     until the spec changes) so no simulator state is shared with the
     parent or with sibling workers.  The cell runs through the same
@@ -426,25 +428,18 @@ def _worker_run_cell(
         registry.reset()
     try:
         if _WORKER_STATE.get("spec") != spec_blob:
-            (
-                config,
-                supply_transform,
-                max_base_cache_entries,
-                trace_store_root,
-            ) = pickle.loads(spec_blob)
+            config, supply_transform, trace_store_root = pickle.loads(
+                spec_blob
+            )
             _WORKER_STATE["runner"] = BenchmarkRunner(
                 config,
                 supply_transform=supply_transform,
-                max_base_cache_entries=max_base_cache_entries,
                 trace_store=trace_store_root,
             )
             _WORKER_STATE["spec"] = spec_blob
         runner = _WORKER_STATE["runner"]
         resilience = ResilienceConfig(
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            backoff_base_s=backoff_base_s,
-            backoff_max_s=backoff_max_s,
+            timeout_s=timeout_s, max_retries=max_retries
         )
         # The dispatch context (the parent's sweep span) crosses the
         # process boundary as a plain dict; installing it marked remote
@@ -622,12 +617,7 @@ class ProcessPoolBackend(SweepBackend):
                 if cell in job.results:
                     job.progress(cell[0], job.results[cell])
         spec_blob = pickle.dumps(
-            (
-                runner.config,
-                runner.supply_transform,
-                runner.max_base_cache_entries,
-                job.trace_store_root,
-            ),
+            (runner.config, runner.supply_transform, job.trace_store_root),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         heartbeat = resilience.heartbeat_stale_s is not None
@@ -668,8 +658,6 @@ class ProcessPoolBackend(SweepBackend):
                 seed,
                 resilience.timeout_s,
                 resilience.max_retries,
-                resilience.backoff_base_s,
-                resilience.backoff_max_s,
                 ctx=None if dispatch_ctx is None else dispatch_ctx.to_dict(),
             )
             inflight[future] = cell
@@ -849,32 +837,26 @@ class ProcessPoolBackend(SweepBackend):
             raise
 
 
-def _spec_is_picklable(runner, factory) -> bool:
-    """Whether the cell spec can cross a process boundary."""
-    try:
-        pickle.dumps(
-            (runner.config, runner.supply_transform, factory),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    except Exception as error:
-        warn_once(
-            f"parallel sweep disabled: cell spec is not picklable"
-            f" ({type(error).__name__}: {error}); running sequentially",
-            stacklevel=5,
-        )
-        return False
-    return True
-
-
-def select_backend(runner, resilience, factory, n_pending) -> SweepBackend:
+def select_backend(
+    resilience, n_pending: int, unpicklable: Optional[Exception] = None
+) -> SweepBackend:
     """The backend this sweep runs on, chosen by ``resilience.workers``.
 
     More than one worker with more than one pending cell fans out to the
-    process pool; anything else runs sequentially.  A cell spec that
-    cannot pickle degrades to :class:`SequentialBackend` with a warning
-    -- never silently change results, always run the sweep.
+    process pool; anything else runs sequentially.  ``unpicklable`` is
+    the error pickling the sweep's spec raised, if it did: such a sweep
+    degrades to :class:`SequentialBackend` with a warning -- never
+    silently change results, always run the sweep.
     """
     workers = min(resilience.workers, n_pending)
-    if workers <= 1 or not _spec_is_picklable(runner, factory):
+    if workers <= 1:
+        return SequentialBackend()
+    if unpicklable is not None:
+        warn_once(
+            f"parallel sweep disabled: cell spec is not picklable"
+            f" ({type(unpicklable).__name__}: {unpicklable}); running"
+            f" sequentially",
+            stacklevel=4,
+        )
         return SequentialBackend()
     return ProcessPoolBackend(workers)

@@ -8,13 +8,19 @@ a truncated file keeps it) and per-cell record digests; version-1 files
 are still readable.  Files go through :func:`repro.durable.atomic_write`,
 and only the writes made here feed ``runner_checkpoint_bytes_total`` and
 ``runner_checkpoint_fsyncs_total``.
+
+Cells are keyed by what they compute (:func:`spec_digest`), not by where
+they sit in a run, so any sweep that resumes a file is served exactly the
+cells it would compute itself, whichever experiment or runner wrote them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
+import pickle
 import re
 from dataclasses import asdict, fields
 from typing import Dict, Optional, Sequence, Tuple
@@ -26,35 +32,51 @@ from repro.obs import trace as obs_trace
 from repro.obs.log import warn_once
 from repro.sim.metrics import RelativeMetrics
 
-__all__ = ["SweepCheckpoint", "cell_key", "load_checkpoint"]
+__all__ = ["SweepCheckpoint", "cell_key", "load_checkpoint", "spec_digest"]
 
 Cell = Tuple[str, Optional[int]]
 
 #: Version tag of the checkpoint JSON schema.
 _VERSION = 2
 
+#: Hex digits of the spec digest that leads every cell key (64 bits).
+_SPEC_DIGITS = 16
+
 #: One serialized v2 cell record, as written with ``indent=0``: the key,
 #: its digest, and a flat metrics object (RelativeMetrics holds only
 #: scalars and strings, so the inner object never nests).
 _CELL_RECORD_RE = re.compile(
-    r'"((?:s\d+\|)[^"\n]*)":\s*\{\s*"digest":\s*"([0-9a-f]{64})",'
-    r'\s*"metrics":\s*(\{[^{}]*\})\s*\}',
+    r'"([0-9a-f]{%d}\|[^"\n]*)":\s*\{\s*"digest":\s*"([0-9a-f]{64})",'
+    r'\s*"metrics":\s*(\{[^{}]*\})\s*\}' % _SPEC_DIGITS,
     re.DOTALL,
 )
 
 
-def cell_key(
-    ordinal: int, benchmark: str, technique: str, seed: Optional[int]
-) -> str:
-    """Checkpoint key of one cell.
+def spec_digest(config, supply_transform, factory) -> str:
+    """Digest of everything a sweep's cells compute besides their grid.
 
-    ``ordinal`` is the index of the sweep within its runner: experiments
-    routinely sweep several *variants* of one technique (same controller
-    name, different knobs) through one runner, and the ordinal keeps their
-    cells distinct.  Re-running the same experiment replays the same sweep
-    order, so ordinals are stable across a kill/resume boundary.
+    A SHA-256 prefix of one pickle of ``(config, supply_transform,
+    factory)``: the :class:`~repro.sim.runner.SweepConfig`, the supply
+    overlay and the controller factory with every argument bound into it
+    (a ``functools.partial`` pickles its keywords).  Protocol 4 is fixed,
+    as for :func:`repro.trace.store.overlay_token`, so the digest does not
+    move with the interpreter's highest protocol.  Raises what
+    :func:`pickle.dumps` raises for a spec that cannot pickle, such as a
+    lambda or a closure.
     """
-    return f"s{ordinal}|{benchmark}|{technique}|{'-' if seed is None else seed}"
+    blob = pickle.dumps((config, supply_transform, factory), protocol=4)
+    return hashlib.sha256(blob).hexdigest()[:_SPEC_DIGITS]
+
+
+def cell_key(
+    spec: str, benchmark: str, technique: str, seed: Optional[int]
+) -> str:
+    """Checkpoint key of one cell of the sweep whose digest is ``spec``.
+
+    Keys written before content keys start with ``s<ordinal>|``, which no
+    hex digest does, so an old file still loads but serves no cell.
+    """
+    return f"{spec}|{benchmark}|{technique}|{'-' if seed is None else seed}"
 
 
 def _payload(n_cycles: int, warmup_cycles: int, cells: Dict[str, dict]) -> dict:
@@ -258,19 +280,23 @@ def load_checkpoint(path: str, salvage: bool = False) -> dict:
 class SweepCheckpoint:
     """The checkpoint of one sweep: the cells mirror and the files.
 
+    Cells are keyed by :func:`cell_key` under the sweep's ``spec`` digest.
     ``cells`` (cell key -> metrics record) belongs to the runner and
     outlives the sweep: the runner's next sweep files its cells into the
-    same mirror under the next ``ordinal``, and every flush writes all of
-    them.  Without a ``path`` the mirror stays in memory.
+    same mirror, and every flush writes all of them.  Only a ``resume``
+    serves cells back.  Without a ``path`` the checkpoint records, serves
+    and writes nothing.
     """
 
-    def __init__(self, path: Optional[str], config, ordinal: int,
-                 technique: str, cells: Dict[str, dict]):
+    def __init__(self, path: Optional[str], config, spec: Optional[str],
+                 technique: str, cells: Dict[str, dict],
+                 resume: bool = False):
         self.path = path
         self.config = config  # a SweepConfig: n_cycles, warmup_cycles
-        self.ordinal = ordinal
+        self.spec = spec
         self.technique = technique
         self.cells = cells
+        self.resume = resume
         self._write_warned = False
 
     @classmethod
@@ -278,11 +304,11 @@ class SweepCheckpoint:
         cls,
         resilience,
         config,
-        ordinal: int,
+        spec: Optional[str],
         technique: str,
         cells: Optional[Dict[str, dict]] = None,
     ) -> "SweepCheckpoint":
-        """The checkpoint of the sweep ``ordinal`` of a runner.
+        """The checkpoint of a sweep whose :func:`spec_digest` is ``spec``.
 
         ``cells`` is the mirror an earlier sweep of the runner left.
         Without one, a ``resume`` reads ``resilience.checkpoint_path``: a
@@ -293,7 +319,8 @@ class SweepCheckpoint:
         """
         path = resilience.checkpoint_path
         checkpoint = cls(
-            path, config, ordinal, technique, {} if cells is None else cells
+            path, config, spec, technique, {} if cells is None else cells,
+            resume=resilience.resume,
         )
         if cells is None and resilience.resume and path \
                 and os.path.exists(path):
@@ -325,10 +352,12 @@ class SweepCheckpoint:
 
     def _key(self, cell: Cell) -> str:
         name, seed = cell
-        return cell_key(self.ordinal, name, self.technique, seed)
+        return cell_key(self.spec, name, self.technique, seed)
 
     def completed(self, cell: Cell) -> Optional[RelativeMetrics]:
-        """The metrics the checkpoint already holds for ``cell``, if any."""
+        """The metrics a resumed checkpoint already holds for ``cell``."""
+        if not self.resume:  # a resume always has a path
+            return None
         record = self.cells.get(self._key(cell))
         if record is None:
             return None
@@ -339,7 +368,8 @@ class SweepCheckpoint:
 
     def record(self, cell: Cell, metrics: RelativeMetrics) -> None:
         """Put a completed cell in the mirror; :meth:`flush` persists it."""
-        self.cells[self._key(cell)] = asdict(metrics)
+        if self.path is not None:
+            self.cells[self._key(cell)] = asdict(metrics)
 
     def flush(self) -> None:
         """Write every cell of the mirror to the checkpoint, durably.

@@ -33,11 +33,9 @@ This module keeps the cells, the base-run cache and the sweep loop.
 from __future__ import annotations
 
 import contextlib
-import random
 import signal
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -55,7 +53,7 @@ from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.power.supply import PowerSupply
 from repro.sim.backends import SweepJob, WorkerPool, select_backend
-from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.checkpoint import SweepCheckpoint, spec_digest
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.simulation import Simulation
 from repro.uarch.processor import Processor
@@ -139,11 +137,6 @@ class ResilienceConfig:
     #: (killed, OOM'd, or heartbeat-stale) before it is parked as a
     #: WorkerLostError failure
     max_worker_restarts: int = 2
-    #: first-retry backoff delay; attempt k sleeps base * 2^(k-1) seconds
-    #: scaled by deterministic jitter in [0.5, 1.5); 0 disables sleeping
-    backoff_base_s: float = 0.0
-    #: ceiling on any single backoff sleep
-    backoff_max_s: float = 30.0
     #: park the remaining (benchmark, seed) cells of a benchmark whose
     #: first pending cell exhausted its retry budget, instead of burning
     #: the full budget once per seed
@@ -156,10 +149,6 @@ class ResilienceConfig:
     #: trace on the first run of a front end and replay it (bit-exactly)
     #: afterwards; None disables record/replay entirely
     trace_store_path: Optional[str] = None
-    #: master switch for the record/replay layer; ``False`` (the
-    #: ``--no-replay`` flag) runs every cell as a full simulation and
-    #: records nothing, even when a store path is configured
-    replay: bool = True
 
     def __post_init__(self) -> None:
         # Validation happens at construction -- with ResilienceConfigError
@@ -195,21 +184,6 @@ class ResilienceConfig:
             reject(
                 f"max_worker_restarts must be non-negative,"
                 f" got {self.max_worker_restarts!r}"
-            )
-        if self.backoff_base_s < 0:
-            reject(
-                f"backoff_base_s must be non-negative,"
-                f" got {self.backoff_base_s!r}"
-            )
-        if self.backoff_max_s < 0:
-            reject(
-                f"backoff_max_s must be non-negative,"
-                f" got {self.backoff_max_s!r}"
-            )
-        if self.backoff_base_s > 0 and self.backoff_max_s < self.backoff_base_s:
-            reject(
-                f"backoff_max_s ({self.backoff_max_s!r}) must be at least"
-                f" backoff_base_s ({self.backoff_base_s!r})"
             )
         if self.drain_deadline_s <= 0:
             reject(
@@ -354,30 +328,8 @@ def _maybe_span(tracer, name: str, args: Optional[dict] = None):
 
 
 # ----------------------------------------------------------------------
-# Retry backoff and graceful-drain plumbing
+# Graceful-drain plumbing
 # ----------------------------------------------------------------------
-
-def _backoff_delay_s(
-    technique: str,
-    benchmark: str,
-    seed: Optional[int],
-    attempt: int,
-    base_s: float,
-    max_s: float,
-) -> float:
-    """Deterministic exponential backoff with seeded jitter.
-
-    Attempt ``k`` (k >= 1) sleeps ``base * 2^(k-1)`` seconds, capped at
-    ``max_s``, scaled by a jitter factor in [0.5, 1.5) drawn from an RNG
-    seeded on the cell identity -- so two runs of the same sweep back off
-    identically, but a grid of cells does not thunder in lockstep.
-    """
-    if base_s <= 0.0 or attempt < 1:
-        return 0.0
-    delay = min(max_s, base_s * (2.0 ** (attempt - 1)))
-    rng = random.Random(f"{technique}|{benchmark}|{seed}|{attempt}")
-    return delay * (0.5 + rng.random())
-
 
 class _DrainFlag:
     """Set by the signal handler; checked at every sweep barrier."""
@@ -452,20 +404,18 @@ class BenchmarkRunner:
         Optional ``(supply, benchmark) -> supply`` hook wrapping the power
         supply of every run -- the fault-injection subsystem uses it to
         mount adversarial current attackers on otherwise unchanged sweeps.
-    max_base_cache_entries:
-        Bound on the cached base runs (LRU eviction), so long multi-seed
-        sweeps cannot grow memory without limit; a sequential sweep's
-        base prefetch warms at most this many cells.
+        A checkpointed or parallel sweep pickles it, so build it as a
+        module-level callable or a ``functools.partial`` over one.
     trace_store:
         Optional trace record/replay store -- a directory path or a
         :class:`repro.trace.TraceStore` -- for cells whose controller
         schedule is replayable (see :func:`repro.trace.replay.schedule_token`).
         When None, the store configured on the active
         :class:`ResilienceConfig` (``--trace-store``) applies.
-    replay:
-        ``False`` disables the record/replay layer for this runner no
-        matter what the resilience config says (the ``--no-replay``
-        escape hatch).
+
+    Base runs are cached per ``(benchmark, seed)``, configuration and
+    transform for the runner's lifetime; each holds a few scalars and no
+    trace.
 
     A runner used with ``workers > 1`` owns a lazily created process pool
     (a :class:`~repro.sim.backends.WorkerPool`); :meth:`close` (or use as a
@@ -479,17 +429,11 @@ class BenchmarkRunner:
         config: Optional[SweepConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
         supply_transform: Optional[SupplyTransform] = None,
-        max_base_cache_entries: int = 32,
         trace_store=None,
-        replay: bool = True,
     ):
-        if max_base_cache_entries < 1:
-            raise ConfigurationError("max_base_cache_entries must be >= 1")
         self.config = config or SweepConfig()
         self.resilience = resilience
         self.supply_transform = supply_transform
-        self.max_base_cache_entries = max_base_cache_entries
-        self.replay = bool(replay)
         self._trace_store_path: Optional[str] = None
         self._trace_stores: Dict[str, object] = {}
         if trace_store is not None:
@@ -500,9 +444,8 @@ class BenchmarkRunner:
             else:
                 self._trace_store_path = str(trace_store)
         self._active_resilience: Optional[ResilienceConfig] = None
-        self._base_cache: "OrderedDict[tuple, SimulationResult]" = OrderedDict()
+        self._base_cache: Dict[tuple, SimulationResult] = {}
         self._checkpoint_cells: Optional[Dict[str, dict]] = None
-        self._sweep_count = 0
         self._pool = WorkerPool()
 
     # ------------------------------------------------------------------
@@ -572,22 +515,17 @@ class BenchmarkRunner:
     def _trace_layer(self, resilience: Optional[ResilienceConfig] = None):
         """The active :class:`~repro.trace.TraceStore`, or None.
 
-        Resolution order: the runner-level ``replay=False`` switch wins,
-        then a store passed to the constructor, then the resilience
-        config (the explicit argument, the sweep in progress, the
-        runner's own, or :data:`DEFAULT_RESILIENCE` -- same chain as
+        Resolution order: a store passed to the constructor, then the
+        resilience config (the explicit argument, the sweep in progress,
+        the runner's own, or :data:`DEFAULT_RESILIENCE` -- same chain as
         :meth:`_resolve_resilience`).  Store objects are cached per path
         so hit/miss statistics accumulate across a whole sweep.
         """
-        if not self.replay:
-            return None
         path = self._trace_store_path
         if path is None:
             if resilience is None:
                 resilience = self._active_resilience
             resilience = self._resolve_resilience(resilience)
-            if not resilience.replay:
-                return None
             path = resilience.trace_store_path
         if path is None:
             return None
@@ -716,54 +654,39 @@ class BenchmarkRunner:
     ) -> SimulationResult:
         """Run (or fetch the cached) uncontrolled base configuration."""
         key = self._base_key(benchmark, seed)
-        if key in self._base_cache:
-            self._base_cache.move_to_end(key)
-            return self._base_cache[key]
-        result = self._run_simulation(benchmark, NullController(), seed=seed)
-        self._base_cache[key] = result
-        while len(self._base_cache) > self.max_base_cache_entries:
-            self._base_cache.popitem(last=False)
-        return result
-
-    def clear_cache(self) -> None:
-        """Drop all cached base runs (they are recomputed on demand)."""
-        self._base_cache.clear()
+        if key not in self._base_cache:
+            self._base_cache[key] = self._run_simulation(
+                benchmark, NullController(), seed=seed
+            )
+        return self._base_cache[key]
 
     def prefetch_base_batch(
         self,
         cells: Sequence[Tuple[str, Optional[int]]],
         timeout_s: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
+        errors: Optional[Dict[Tuple[str, Optional[int]], Exception]] = None,
     ) -> int:
         """Warm the base-run cache for a sweep's ``(benchmark, seed)`` cells.
 
-        Runs the first ``max_base_cache_entries`` distinct cells, in the
-        order given (a sweep passes grid order), one at a time through
-        :meth:`run_base`: each cell's trace, pipeline and supply are freed
-        before the next is built, and nothing warmed here is evicted
-        before a sweep reading the cells in that order gets to it.  Cells
-        already cached are refreshed, not rerun; cells whose trace the
-        store already holds are skipped, since ``run_base`` replays them
-        cheaply on demand.  ``should_stop`` is polled before each cell.
+        Runs the cells, in the order given, one at a time through
+        :meth:`run_base`, so each cell's trace, pipeline and supply are
+        freed before the next is built.  Cells already cached are not
+        rerun; cells whose trace the store already holds are skipped,
+        since ``run_base`` replays them cheaply on demand.
+        ``should_stop`` is polled before each cell.
 
-        This is purely a cache warmer: a cell that fails or outlasts
-        ``timeout_s`` is left uncached, so its error reproduces under the
-        cell's own retry and timeout policy.  Returns the number of cells
-        newly cached.
+        A cell that fails or outlasts ``timeout_s`` is left uncached, and
+        its error goes into ``errors`` under the cell, where a sweep
+        treats it as that cell's first attempt.  Returns the number of
+        cells newly cached.
         """
         store = self._trace_layer()
-        planned: Dict[tuple, Tuple[str, Optional[int]]] = {}
-        for benchmark, seed in cells:
-            if len(planned) == self.max_base_cache_entries:
-                break
-            key = self._base_key(benchmark, seed)
-            planned.setdefault(key, (benchmark, seed))
         cached = 0
-        for key, (benchmark, seed) in planned.items():
+        for benchmark, seed in cells:
             if should_stop is not None and should_stop():
                 break
-            if key in self._base_cache:
-                self._base_cache.move_to_end(key)
+            if self._base_key(benchmark, seed) in self._base_cache:
                 continue
             if store is not None:
                 trace_key = self._trace_key(benchmark, NullController(), seed)
@@ -773,7 +696,9 @@ class BenchmarkRunner:
                 _call_with_timeout(
                     lambda: self.run_base(benchmark, seed), timeout_s
                 )
-            except Exception:
+            except Exception as error:
+                if errors is not None:
+                    errors[(benchmark, seed)] = error
                 continue
             cached += 1
         return cached
@@ -856,17 +781,19 @@ class BenchmarkRunner:
         resilience: ResilienceConfig,
         base_seed: Optional[int] = None,
         on_attempt: Optional[Callable[[int], None]] = None,
+        warmup_error: Optional[Exception] = None,
     ):
         """One (benchmark, technique, seed) cell with timeout and retry.
 
         Returns ``(metrics, None)`` on success or ``(None, FailureReport)``
         once every attempt -- the original run plus ``max_retries``
-        deterministically re-seeded ones -- has failed.  Retry attempts
-        wait out a deterministic exponential backoff (seeded jitter, see
-        :func:`_backoff_delay_s`) when ``backoff_base_s`` is set, and
-        ``on_attempt`` fires at the start of each attempt (the parallel
-        backend's heartbeat).  Interrupts (KeyboardInterrupt / SystemExit)
-        always propagate so a killed sweep stops at a checkpointed boundary
+        deterministically re-seeded ones -- has failed.  A
+        ``warmup_error`` (the cell's base run already failed in
+        :meth:`prefetch_base_batch`) is the first attempt's outcome, so
+        that base run is not repeated at the same seed.  ``on_attempt``
+        fires at the start of each attempt (the parallel backend's
+        heartbeat).  Interrupts (KeyboardInterrupt / SystemExit) always
+        propagate so a killed sweep stops at a checkpointed boundary
         instead of "retrying" the kill.
         """
         last_error: Optional[BaseException] = None
@@ -918,10 +845,6 @@ class BenchmarkRunner:
                         else SPEC2K[benchmark].seed
                     )
                     seed = origin + _RESEED_STRIDE * attempt
-                    delay = _backoff_delay_s(
-                        technique, benchmark, base_seed, attempt,
-                        resilience.backoff_base_s, resilience.backoff_max_s,
-                    )
                     if registry is not None:
                         registry.counter(
                             "runner_retries_total",
@@ -937,11 +860,11 @@ class BenchmarkRunner:
                             "error": f"{type(last_error).__name__}:"
                                      f" {last_error}",
                         })
-                    if delay > 0.0:
-                        time.sleep(delay)
                 if on_attempt is not None:
                     on_attempt(attempt)
                 try:
+                    if attempt == 0 and warmup_error is not None:
+                        raise warmup_error
                     metrics = _call_with_timeout(
                         lambda: self.compare(benchmark, factory, seed=seed),
                         resilience.timeout_s,
@@ -1041,18 +964,38 @@ class BenchmarkRunner:
                     raise ConfigurationError(
                         "seeds must be non-empty when given"
                     )
+                # One pickle of what the cells compute, taken before any
+                # of them runs: its digest keys the checkpoint cells and
+                # roots the trace, and a spec that does not pickle cannot
+                # reach a pool worker either.
+                try:
+                    spec = spec_digest(
+                        self.config, self.supply_transform, factory
+                    )
+                    unpicklable = None
+                except Exception as error:
+                    spec, unpicklable = None, error
+                if unpicklable is not None \
+                        and resilience.checkpoint_path is not None:
+                    raise ConfigurationError(
+                        f"a checkpointed sweep keys its cells by a digest"
+                        f" of the pickled (SweepConfig, supply transform,"
+                        f" factory), and this one does not pickle"
+                        f" ({type(unpicklable).__name__}: {unpicklable});"
+                        f" build the factory and any supply transform as"
+                        f" a functools.partial over a module-level builder"
+                    ) from unpicklable
                 # One probe controller names the technique (cells are keyed
                 # by it).
                 technique = factory(
                     self.config.supply, self.config.processor
                 ).name
-                ordinal = self._sweep_count
                 checkpoint = SweepCheckpoint.open(
-                    resilience, self.config, ordinal, technique,
+                    resilience, self.config, spec, technique,
                     cells=self._checkpoint_cells,
                 )
-                self._checkpoint_cells = checkpoint.cells
-                self._sweep_count += 1
+                if checkpoint.path is not None:
+                    self._checkpoint_cells = checkpoint.cells
                 grid = [(name, seed) for name in names for seed in seed_list]
 
                 results: Dict[Tuple[str, Optional[int]], RelativeMetrics] = {}
@@ -1067,14 +1010,14 @@ class BenchmarkRunner:
                     else:
                         pending.append(cell)
                 backend = select_backend(
-                    self, resilience, factory, len(pending)
+                    resilience, len(pending), unpicklable
                 )
                 workers = backend.workers
             if tracer is not None:
-                # Every sweep roots its own trace from a deterministic
-                # identity, so fixed-seed runs get byte-identical ids.
+                # Every sweep roots its own trace from what it computes,
+                # so fixed-seed runs get byte-identical ids.
                 sweep_ctx = obs_context.TraceContext.root(
-                    f"sweep|{technique}|{ordinal}|{len(grid)}"
+                    f"sweep|{technique}|{spec or '-'}|{len(grid)}"
                 )
                 sweep_args.update(sweep_ctx.span_args())
                 sweep_stack.enter_context(obs_context.use_context(sweep_ctx))

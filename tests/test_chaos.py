@@ -28,7 +28,7 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.checkpoint import cell_key
+from repro.sim.checkpoint import cell_key, spec_digest
 
 
 def tuning_factory(supply, processor):
@@ -41,9 +41,17 @@ def fingerprint(summary):
 
 SMALL = SweepConfig(n_cycles=2000, warmup_cycles=200)
 BENCHMARKS = ("swim", "gzip")
-GRID_KEYS = {
-    cell_key(0, name, "resonance-tuning", None) for name in BENCHMARKS
-}
+
+
+def grid_keys(supply_transform=None):
+    """The grid's checkpoint keys, as the runner computes them."""
+    spec = spec_digest(SMALL, supply_transform, tuning_factory)
+    return {
+        cell_key(spec, name, "resonance-tuning", None) for name in BENCHMARKS
+    }
+
+
+GRID_KEYS = grid_keys()
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +61,8 @@ def golden():
     return fingerprint(summary)
 
 
-def run_with_checkpoint(path, **kwargs):
-    return BenchmarkRunner(SMALL).sweep(
+def run_with_checkpoint(path, supply_transform=None, **kwargs):
+    return BenchmarkRunner(SMALL, supply_transform=supply_transform).sweep(
         tuning_factory,
         benchmarks=BENCHMARKS,
         resilience=ResilienceConfig(checkpoint_path=str(path), **kwargs),
@@ -67,6 +75,7 @@ class TestKillAndCorruptionConvergence:
         checkpoint, and resume (twice): aggregates must match the
         undisturbed run and the checkpoint must hold exactly the grid."""
         ck = tmp_path / "ck.json"
+        marker = tmp_path / "kill.marker"
 
         class Abort(BaseException):
             """Out of Exception's reach: simulates a hard crash."""
@@ -74,9 +83,7 @@ class TestKillAndCorruptionConvergence:
         def crash_after_first(name, metrics):
             raise Abort()
 
-        transform = KillWorkerOnce(
-            str(tmp_path / "kill.marker"), "swim", after_cycles=300
-        )
+        transform = KillWorkerOnce(str(marker), "swim", after_cycles=300)
         with BenchmarkRunner(SMALL, supply_transform=transform) as runner:
             with pytest.raises(Abort):
                 runner.sweep(
@@ -89,16 +96,21 @@ class TestKillAndCorruptionConvergence:
                 )
         # at least the cell that triggered the crash callback is durable
         assert len(load_checkpoint(str(ck))["cells"]) >= 1
+        # The kill fired, so the resumes below (in this process) are safe.
+        assert marker.exists()
 
+        # Resume the same sweep: a fresh injector on the fired marker
+        # pickles like the original, so the cells keep their keys.
+        same = KillWorkerOnce(str(marker), "swim", after_cycles=300)
         truncate_file(str(ck), 0.5)
         with pytest.warns(RuntimeWarning, match="salvag"):
-            resumed = run_with_checkpoint(ck, resume=True)
+            resumed = run_with_checkpoint(ck, same, resume=True)
         assert fingerprint(resumed) == golden
         assert len(resumed.per_benchmark) == len(BENCHMARKS)
         assert not resumed.failures
-        assert set(load_checkpoint(str(ck))["cells"]) == GRID_KEYS
+        assert set(load_checkpoint(str(ck))["cells"]) == grid_keys(same)
 
-        again = run_with_checkpoint(ck, resume=True)
+        again = run_with_checkpoint(ck, same, resume=True)
         assert fingerprint(again) == golden
         assert again.timings["cells_cached"] == float(len(BENCHMARKS))
 
@@ -126,7 +138,9 @@ class TestKillAndCorruptionConvergence:
         size = ck.stat().st_size
         truncate_file(str(ck), (size - 2) / size)  # clip the closing braces
         with pytest.warns(RuntimeWarning):
-            run_with_checkpoint(ck, resume=True)
+            resumed = run_with_checkpoint(ck, resume=True)
+        # Salvage matched every content-keyed record, so none re-ran.
+        assert resumed.timings["cells_cached"] == float(len(BENCHMARKS))
         loaded = load_checkpoint(str(ck))  # would raise if the path is gone
         assert set(loaded["cells"]) == GRID_KEYS
 

@@ -31,7 +31,7 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.checkpoint import SweepCheckpoint
+from repro.sim.checkpoint import SweepCheckpoint, spec_digest
 from repro.trace import TraceCapture, TraceKey, TraceStore
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "formats"
@@ -270,18 +270,23 @@ class TestOnDiskFormats:
         fixture = FIXTURES / "checkpoint_v2.json"
         ck = tmp_path / "ck.json"
         shutil.copy(fixture, ck)
+        config = SweepConfig(n_cycles=3000, warmup_cycles=500)
+        spec = spec_digest(config, None, tuning_factory)
         checkpoint = SweepCheckpoint.open(
             ResilienceConfig(checkpoint_path=str(ck), resume=True),
-            SweepConfig(n_cycles=3000, warmup_cycles=500),
-            0, "resonance-tuning",
+            config, spec, "resonance-tuning",
         )
         assert len(checkpoint.cells) == 3
-        # Round trip the resumed cells through RelativeMetrics.
-        for cell in (("gzip", None), ("swim", None)):
-            metrics = checkpoint.completed(cell)
-            assert metrics.technique == "resonance-tuning"
-            checkpoint.record(cell, metrics)
-        assert checkpoint.completed(("mcf", None)) is None
+        # Its cells predate content keys (``s<n>|...``), so the sweep
+        # they came from is unknown: none is served, each would re-run.
+        for key in checkpoint.cells:
+            _, name, technique, seed = key.split("|")
+            resumed = SweepCheckpoint(
+                str(ck), config, spec, technique, checkpoint.cells,
+                resume=True,
+            )
+            cell = (name, None if seed == "-" else int(seed))
+            assert resumed.completed(cell) is None
         checkpoint.flush()
         assert ck.read_bytes() == fixture.read_bytes()
         assert not temp_files(tmp_path)

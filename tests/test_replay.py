@@ -271,19 +271,6 @@ class TestRunnerReplayDifferential:
         assert not core_kernel.kernel_enabled()
         run_differential(SMALL, tuning_factory, ("swim",))
 
-    def test_no_replay_flag_disables_the_store(self):
-        with tempfile.TemporaryDirectory() as store_dir:
-            resilience = ResilienceConfig(
-                trace_store_path=store_dir, replay=False
-            )
-            summary = BenchmarkRunner(SMALL).sweep(
-                tuning_factory, benchmarks=("gzip",), resilience=resilience
-            )
-            assert "trace_hits" not in summary.timings
-            import os
-
-            assert not os.path.exists(os.path.join(store_dir, "index"))
-
 
 # ----------------------------------------------------------------------
 # Cross-backend equivalence over one shared store

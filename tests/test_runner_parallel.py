@@ -16,13 +16,14 @@ import pytest
 
 from repro.core import ResonanceTuningController
 from repro.errors import ConfigurationError
+from repro.faults.chaos import HangOnce
 from repro.sim import (
     BenchmarkRunner,
     ResilienceConfig,
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.checkpoint import cell_key
+from repro.sim.checkpoint import cell_key, spec_digest
 
 
 def tuning_factory(supply, processor):
@@ -117,8 +118,9 @@ class TestParallelEquivalence:
             )
         assert summary_fingerprint(parallel) == summary_fingerprint(expected)
         assert len(parallel.per_benchmark) == len(BENCHMARKS) * len(seeds)
+        spec = spec_digest(SMALL, None, tuning_factory)
         assert set(load_checkpoint(path)["cells"]) == {
-            cell_key(0, name, "resonance-tuning", seed)
+            cell_key(spec, name, "resonance-tuning", seed)
             for name in BENCHMARKS
             for seed in seeds
         }
@@ -295,6 +297,27 @@ class TestParallelTimeouts:
                 )
 
         assert summary_fingerprint(run(1)) == summary_fingerprint(run(2))
+
+    def test_base_that_times_out_once_is_retried_reseeded_on_both(
+        self, tmp_path
+    ):
+        # The sequential warm-up's timed-out base run is the cell's first
+        # attempt, as it is on the pool, which has no warm-up: both
+        # backends finish swim on its re-seeded retry.
+        def run(workers):
+            hang = HangOnce(str(tmp_path / f"hang-{workers}"), "swim")
+            with BenchmarkRunner(SMALL, supply_transform=hang) as runner:
+                return runner.sweep(
+                    tuning_factory,
+                    benchmarks=("swim", "gzip"),
+                    resilience=ResilienceConfig(
+                        timeout_s=1.0, max_retries=1, workers=workers
+                    ),
+                )
+
+        sequential, parallel = run(1), run(2)
+        assert sequential.failures == ()
+        assert summary_fingerprint(sequential) == summary_fingerprint(parallel)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,26 @@
 """Tests for the resilient experiment runner (repro.sim.runner).
 
-Covers: SweepConfig/ResilienceConfig construction validation, the bounded
-base-run cache, failure reporting and bounded retry with deterministic
-re-seeding, per-cell timeouts, the checkpoint write/resume round trip
-(killed mid-sweep -> resumed summary byte-identical to an uninterrupted
-one), and the experiment registry's name suggestions and flag plumbing.
+Covers: SweepConfig/ResilienceConfig construction validation, the
+base-run cache and its warm-up, failure reporting and bounded retry with
+deterministic re-seeding, per-cell timeouts, the checkpoint write/resume
+round trip (killed mid-sweep -> resumed summary byte-identical to an
+uninterrupted one), content-keyed checkpoint cells, and the experiment
+registry's name suggestions and flag plumbing.
 """
 
 import dataclasses
+import functools
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
 from repro.baselines.damping import PipelineDampingController
+from repro.config import TABLE1_SUPPLY
 from repro.core import NullController, ResonanceTuningController
 from repro.errors import ConfigurationError, FaultError
 from repro.sim import (
@@ -24,8 +30,11 @@ from repro.sim import (
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.checkpoint import cell_key
+from repro.sim import runner as runner_module
+from repro.sim.checkpoint import cell_key, spec_digest
+from repro.sim.simulation import Simulation
 from repro.uarch.pipeline import Pipeline
+from repro.uarch.workloads import SPEC2K
 
 
 def tuning_factory(supply, processor):
@@ -78,17 +87,9 @@ class TestResilienceConfigValidation:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(resume=True)
 
-    def test_runner_rejects_unbounded_cache(self):
-        with pytest.raises(ConfigurationError):
-            BenchmarkRunner(SMALL, max_base_cache_entries=0)
-
     def test_rejects_negative_workers(self):
         with pytest.raises(ConfigurationError):
             ResilienceConfig(workers=-1)
-
-    def test_rejects_negative_backoff(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_base_s=-0.5)
 
     def test_rejects_non_positive_heartbeat_staleness(self):
         with pytest.raises(ConfigurationError):
@@ -105,7 +106,7 @@ class TestResilienceConfigValidation:
 
 
 # ----------------------------------------------------------------------
-# Base-run cache bound
+# Base-run cache
 # ----------------------------------------------------------------------
 
 class TestBaseCache:
@@ -113,16 +114,6 @@ class TestBaseCache:
         runner = BenchmarkRunner(SMALL)
         first = runner.run_base("swim")
         assert runner.run_base("swim") is first
-
-    def test_cache_is_bounded_lru(self):
-        runner = BenchmarkRunner(SMALL, max_base_cache_entries=2)
-        a = runner.run_base("swim", seed=1)
-        runner.run_base("swim", seed=2)
-        runner.run_base("swim", seed=1)      # refresh a
-        runner.run_base("swim", seed=3)      # evicts seed=2, not a
-        assert len(runner._base_cache) == 2
-        assert runner.run_base("swim", seed=1) is a
-        assert runner._base_key("swim", 2) not in runner._base_cache
 
     def test_cache_key_includes_config(self):
         """Mutating runner.config must not serve stale base runs."""
@@ -132,17 +123,6 @@ class TestBaseCache:
         longer = runner.run_base("swim")
         assert longer is not short
         assert longer.cycles > short.cycles
-
-    def test_clear_cache_forces_recompute(self):
-        runner = BenchmarkRunner(SMALL)
-        first = runner.run_base("swim")
-        runner.clear_cache()
-        assert len(runner._base_cache) == 0
-        second = runner.run_base("swim")
-        assert second is not first
-        # deterministic: the recomputed run matches the original
-        assert second.cycles == first.cycles
-        assert second.violation_cycles == first.violation_cycles
 
 
 # ----------------------------------------------------------------------
@@ -193,9 +173,8 @@ class TestPrefetch:
     def test_sweep_runs_each_base_once_within_the_cache_bound(
         self, monkeypatch
     ):
-        # A prefetch that warmed more cells than the cache holds would
-        # evict the first ones before the sweep reads them, and the
-        # grid-order sweep would then miss and evict in a cascade.
+        # Each cell reads the base the warm-up cached instead of running
+        # it again.
         builds = []
         build = NullController.__init__
 
@@ -204,7 +183,7 @@ class TestPrefetch:
             build(self, *args, **kwargs)
 
         monkeypatch.setattr(NullController, "__init__", counted)
-        with BenchmarkRunner(TINY, max_base_cache_entries=4) as runner:
+        with BenchmarkRunner(TINY) as runner:
             summary = runner.sweep(
                 tuning_factory, benchmarks=PREFETCH_BENCHMARKS,
                 seeds=PREFETCH_SEEDS,
@@ -213,22 +192,45 @@ class TestPrefetch:
         assert len(builds) == 6
 
     def test_cached_cells_are_refreshed_not_rerun(self):
-        runner = BenchmarkRunner(TINY, max_base_cache_entries=2)
+        runner = BenchmarkRunner(TINY)
         first = runner.run_base("swim", seed=1)
-        runner.run_base("gzip", seed=1)
-        # swim is the LRU entry; the prefetch refreshes it, so warming
-        # eon evicts gzip, the one cell outside the plan.
-        assert runner.prefetch_base_batch(
-            [("swim", 1), ("eon", 1), ("gzip", 1)]
-        ) == 1
+        assert runner.prefetch_base_batch([("swim", 1), ("gzip", 1)]) == 1
         assert runner.run_base("swim", seed=1) is first
-        assert runner._base_key("gzip", 1) not in runner._base_cache
+        assert runner._base_key("gzip", 1) in runner._base_cache
 
     def test_failed_cell_is_left_uncached(self):
         runner = BenchmarkRunner(TINY, supply_transform=break_benchmark("swim"))
-        assert runner.prefetch_base_batch([("swim", 1), ("gzip", 1)]) == 1
+        errors = {}
+        assert runner.prefetch_base_batch(
+            [("swim", 1), ("gzip", 1)], errors=errors
+        ) == 1
         assert runner._base_key("swim", 1) not in runner._base_cache
         assert runner._base_key("gzip", 1) in runner._base_cache
+        assert list(errors) == [("swim", 1)]
+        assert "melted" in str(errors[("swim", 1)])
+
+    def test_warm_up_failure_is_the_cells_first_attempt(self, monkeypatch):
+        # A base that failed in the warm-up is not run again at the same
+        # seed: the budget is the warm-up plus max_retries re-seeded runs.
+        base_seeds = []
+        run = BenchmarkRunner._run_simulation
+
+        def counted(self, benchmark, controller, seed=None, record=False):
+            if benchmark == "swim" and isinstance(controller, NullController):
+                base_seeds.append(seed)
+            return run(self, benchmark, controller, seed=seed, record=record)
+
+        monkeypatch.setattr(BenchmarkRunner, "_run_simulation", counted)
+        runner = BenchmarkRunner(SMALL, supply_transform=break_benchmark("swim"))
+        summary = runner.sweep(
+            tuning_factory,
+            benchmarks=("swim", "gzip"),
+            resilience=ResilienceConfig(max_retries=1),
+        )
+        (failure,) = summary.failures
+        assert failure.attempts == 2
+        assert "melted" in failure.message
+        assert base_seeds == [None, SPEC2K["swim"].seed + 104_729]
 
     def test_should_stop_ends_the_warm_up(self):
         runner = BenchmarkRunner(TINY)
@@ -383,8 +385,9 @@ class TestCheckpointResume:
         assert seen == [1, 2, 3]
         data = load_checkpoint(path)
         assert data["n_cycles"] == SMALL.n_cycles
+        spec = spec_digest(SMALL, None, tuning_factory)
         assert set(data["cells"]) == {
-            cell_key(0, name, "resonance-tuning", None)
+            cell_key(spec, name, "resonance-tuning", None)
             for name in self.BENCHMARKS
         }
 
@@ -427,23 +430,26 @@ class TestCheckpointResume:
         )
         assert resumed == self.uninterrupted()
 
-    def test_resume_skips_completed_cells(self, tmp_path):
+    def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.json")
         warm = BenchmarkRunner(
             SMALL, resilience=ResilienceConfig(checkpoint_path=path)
         )
-        warm.sweep(tuning_factory, benchmarks=self.BENCHMARKS)
+        expected = warm.sweep(tuning_factory, benchmarks=self.BENCHMARKS)
 
-        # a resumed sweep touches no simulation at all: even an
-        # always-broken supply cannot fail it
+        # a resumed sweep touches no simulation at all
+        def no_simulation(self, *args, **kwargs):
+            raise AssertionError("a resumed cell ran a simulation")
+
+        monkeypatch.setattr(Simulation, "run", no_simulation)
         resumed = BenchmarkRunner(
             SMALL,
             resilience=ResilienceConfig(checkpoint_path=path, resume=True),
-            supply_transform=lambda supply, name: BrokenSupply(supply),
         )
         summary = resumed.sweep(tuning_factory, benchmarks=self.BENCHMARKS)
         assert summary.failures == ()
-        assert summary == self.uninterrupted()
+        assert summary == expected
+        assert summary.timings["cells_cached"] == len(self.BENCHMARKS)
 
     def test_mismatched_checkpoint_is_rejected(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -468,17 +474,165 @@ class TestCheckpointResume:
             load_checkpoint(str(path))
 
     def test_multiple_sweeps_on_one_runner_get_distinct_keys(self, tmp_path):
+        # Two variants of one technique: same controller name, other knobs.
         path = str(tmp_path / "ck.json")
+        variants = (
+            tuning_factory,
+            functools.partial(
+                ResonanceTuningController, enable_second_level=False
+            ),
+        )
         runner = BenchmarkRunner(
             SMALL, resilience=ResilienceConfig(checkpoint_path=path)
         )
-        runner.sweep(tuning_factory, benchmarks=("swim",))
-        runner.sweep(tuning_factory, benchmarks=("swim",))
+        for factory in variants:
+            runner.sweep(factory, benchmarks=("swim",))
         keys = set(load_checkpoint(path)["cells"])
+        assert len(keys) == 2
         assert keys == {
-            cell_key(0, "swim", "resonance-tuning", None),
-            cell_key(1, "swim", "resonance-tuning", None),
+            cell_key(
+                spec_digest(SMALL, None, factory),
+                "swim", "resonance-tuning", None,
+            )
+            for factory in variants
         }
+
+
+# ----------------------------------------------------------------------
+# Content-keyed checkpoint cells
+# ----------------------------------------------------------------------
+
+def _table4_row(config, resilience, monkeypatch):
+    """One Table 4 row, swept as ``experiment table4`` sweeps it."""
+    from repro.experiments import table4
+
+    monkeypatch.setattr(runner_module, "DEFAULT_RESILIENCE", resilience)
+    result = table4.run(
+        configs=(config,), benchmarks=("swim", "gzip"), sweep_config=SMALL
+    )
+    return result.summaries[0][1]
+
+
+#: The spec whose digest the subprocess test recomputes: a partial with a
+#: dataclass keyword over a module-level builder, on a non-default supply.
+_DIGEST_SNIPPET = """
+import functools
+from dataclasses import replace
+from repro.config import TABLE1_SUPPLY, TABLE1_TUNING
+from repro.core import ResonanceTuningController
+from repro.sim import SweepConfig
+from repro.sim.checkpoint import spec_digest
+
+config = SweepConfig(
+    n_cycles=3000, warmup_cycles=200,
+    supply=replace(TABLE1_SUPPLY, capacitance_farads=750e-9),
+)
+factory = functools.partial(
+    ResonanceTuningController,
+    tuning_config=replace(TABLE1_TUNING, response_delay_cycles=5),
+)
+digest = spec_digest(config, None, factory)
+"""
+
+
+class TestContentKeys:
+    def test_resumed_table4_row_is_not_served_another_row(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.table4 import VTConfig
+
+        path = str(tmp_path / "ck.json")
+        _table4_row(
+            VTConfig(30, 0, 0), ResilienceConfig(checkpoint_path=path),
+            monkeypatch,
+        )
+        resumed = _table4_row(
+            VTConfig(20, 10, 5),
+            ResilienceConfig(checkpoint_path=path, resume=True),
+            monkeypatch,
+        )
+        clean = _table4_row(VTConfig(20, 10, 5), None, monkeypatch)
+        assert summary_fingerprint(resumed) == summary_fingerprint(clean)
+        assert len(load_checkpoint(path)["cells"]) == 4
+
+    def test_half_capacitance_resume_is_not_served_table1_cells(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "ck.json")
+        half = dataclasses.replace(
+            SMALL,
+            supply=dataclasses.replace(
+                TABLE1_SUPPLY,
+                capacitance_farads=TABLE1_SUPPLY.capacitance_farads / 2,
+            ),
+        )
+        table1 = BenchmarkRunner(SMALL).sweep(
+            tuning_factory, benchmarks=("swim",),
+            resilience=ResilienceConfig(checkpoint_path=path),
+        )
+        resumed = BenchmarkRunner(half).sweep(
+            tuning_factory, benchmarks=("swim",),
+            resilience=ResilienceConfig(checkpoint_path=path, resume=True),
+        )
+        clean = BenchmarkRunner(half).sweep(
+            tuning_factory, benchmarks=("swim",)
+        )
+        assert summary_fingerprint(clean) != summary_fingerprint(table1)
+        assert summary_fingerprint(resumed) == summary_fingerprint(clean)
+        assert resumed.timings["cells_cached"] == 0
+
+    def test_spec_digest_is_the_same_in_a_fresh_interpreter(self):
+        namespace = {}
+        exec(_DIGEST_SNIPPET, namespace)
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        )
+        for hash_seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            child = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SNIPPET + "print(digest)\n"],
+                env=env, capture_output=True, text=True, timeout=120,
+                check=True,
+            )
+            assert child.stdout.strip() == namespace["digest"]
+
+    def test_only_a_resume_serves_cells(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        runner = BenchmarkRunner(SMALL)
+        for resume, cached in ((False, 0.0), (False, 0.0), (True, 1.0)):
+            summary = runner.sweep(
+                tuning_factory, benchmarks=("swim",),
+                resilience=ResilienceConfig(
+                    checkpoint_path=path, resume=resume
+                ),
+            )
+            assert summary.timings["cells_cached"] == cached
+
+    def test_unpicklable_checkpointed_sweep_is_refused_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        runs = []
+        run = Simulation.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", counted)
+        path = tmp_path / "ck.json"
+        unpicklable = lambda s, p: ResonanceTuningController(s, p)  # noqa: E731
+        with pytest.raises(ConfigurationError, match="functools.partial"):
+            BenchmarkRunner(SMALL).sweep(
+                unpicklable, benchmarks=("swim", "gzip"),
+                resilience=ResilienceConfig(checkpoint_path=str(path)),
+            )
+        assert runs == []
+        assert not path.exists()
+        # Without a checkpoint no key is needed, and the sweep runs.
+        summary = BenchmarkRunner(SMALL).sweep(
+            unpicklable, benchmarks=("swim",)
+        )
+        assert len(summary.per_benchmark) == 1
 
 
 # ----------------------------------------------------------------------

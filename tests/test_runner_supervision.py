@@ -1,9 +1,8 @@
-"""Tests for sweep supervision: heartbeats, drain, backoff, lifecycle.
+"""Tests for sweep supervision: heartbeats, drain, lifecycle.
 
 Covers the crash-safety layer around the parallel backend -- hung-worker
 detection and requeue, bounded worker-restart budgets, SIGTERM/SIGINT
-drain with a resumable checkpoint, deterministic retry backoff, the
-per-benchmark circuit breaker, checkpoint durability (fsync + checksum)
+drain with a resumable checkpoint, the per-benchmark circuit breaker, checkpoint durability (fsync + checksum)
 and the :class:`~repro.errors.CheckpointError` contract, timeouts off
 the main thread, plus the runner's pool lifetime and close/re-entry
 semantics.  End-to-end chaos (real SIGKILLs, corrupted files, the
@@ -36,7 +35,7 @@ from repro.sim import (
     load_checkpoint,
 )
 from repro import durable
-from repro.sim.runner import _backoff_delay_s, _call_with_alarm
+from repro.sim.runner import _call_with_alarm
 
 
 def tuning_factory(supply, processor):
@@ -199,61 +198,6 @@ class TestGracefulDrain:
                 benchmarks=self.BENCH3,
                 progress=sigterm_after_first,
             )
-
-
-# ----------------------------------------------------------------------
-# Retry backoff
-# ----------------------------------------------------------------------
-
-class TestBackoff:
-    def test_deterministic_across_calls(self):
-        args = ("resonance-tuning", "swim", 7, 2, 0.5, 30.0)
-        assert _backoff_delay_s(*args) == _backoff_delay_s(*args)
-
-    def test_exponential_growth_and_cap(self):
-        base, cap = 1.0, 4.0
-        for attempt in (1, 2, 3, 4, 5):
-            delay = _backoff_delay_s("t", "b", None, attempt, base, cap)
-            nominal = min(cap, base * 2.0 ** (attempt - 1))
-            assert 0.5 * nominal <= delay < 1.5 * nominal
-        capped = _backoff_delay_s("t", "b", None, 10, base, cap)
-        assert capped < 1.5 * cap
-
-    def test_jitter_differs_between_cells(self):
-        delays = {
-            _backoff_delay_s("t", bench, None, 1, 1.0, 30.0)
-            for bench in ("swim", "gzip", "parser", "mcf")
-        }
-        assert len(delays) > 1
-
-    def test_disabled_without_base(self):
-        assert _backoff_delay_s("t", "b", None, 3, 0.0, 30.0) == 0.0
-        assert _backoff_delay_s("t", "b", None, 0, 1.0, 30.0) == 0.0
-
-    def test_retries_back_off_but_stay_deterministic(self):
-        def run():
-            runner = BenchmarkRunner(
-                SMALL, supply_transform=BreakBenchmark("swim")
-            )
-            return runner.sweep(
-                tuning_factory,
-                benchmarks=BENCHMARKS,
-                resilience=ResilienceConfig(
-                    max_retries=2, backoff_base_s=0.01, backoff_max_s=0.05
-                ),
-            )
-
-        first, second = run(), run()
-        assert fingerprint(first) == fingerprint(second)
-        assert first.failures[0].attempts == 3
-
-    def test_backoff_validation(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_base_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_base_s=2.0, backoff_max_s=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +535,6 @@ class TestSupervisionFlags:
             "--workers", "2",
             "--heartbeat-stale-s", "5",
             "--max-worker-restarts", "1",
-            "--backoff-base-s", "0.25",
             "--drain-deadline-s", "3",
             "--no-circuit-breaker",
         )
@@ -599,7 +542,6 @@ class TestSupervisionFlags:
             workers=2,
             heartbeat_stale_s=5.0,
             max_worker_restarts=1,
-            backoff_base_s=0.25,
             drain_deadline_s=3.0,
             circuit_breaker=False,
         )

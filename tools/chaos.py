@@ -52,7 +52,7 @@ from repro.sim import (  # noqa: E402
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim.checkpoint import cell_key  # noqa: E402
+from repro.sim.checkpoint import cell_key, spec_digest  # noqa: E402
 
 
 def tuning_factory(supply, processor):
@@ -87,9 +87,11 @@ class Plan:
             self._golden = fingerprint(summary)
         return self._golden
 
-    def grid_keys(self, ordinal: int = 0):
+    def grid_keys(self, supply_transform=None):
+        """The grid's checkpoint keys, as the runner computes them."""
+        spec = spec_digest(self.config, supply_transform, tuning_factory)
         return {
-            cell_key(ordinal, name, "resonance-tuning", seed)
+            cell_key(spec, name, "resonance-tuning", seed)
             for name in self.benchmarks
             for seed in self.seeds
         }
@@ -129,7 +131,7 @@ def scenario_worker_kill(plan: Plan, tmp: pathlib.Path):
         incident.error_type == "WorkerLostError" for incident in incidents
     ):
         problems.append("worker loss left no incident record")
-    if set(load_checkpoint(str(ck))["cells"]) != plan.grid_keys():
+    if set(load_checkpoint(str(ck))["cells"]) != plan.grid_keys(transform):
         problems.append("checkpoint cells do not match the sweep grid")
     return problems
 
