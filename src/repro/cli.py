@@ -6,7 +6,8 @@ Commands:
 * ``calibrate`` -- the Section 2.1.3 calibration (threshold, tolerance);
 * ``classify``  -- run benchmarks on the base processor and classify them;
 * ``compare``   -- run one technique against the base on chosen benchmarks;
-* ``experiment``-- regenerate a paper table/figure (see repro.experiments).
+* ``experiment``-- regenerate paper tables and figures, on one session
+  (see repro.experiments).
 
 All circuit parameters default to the Table 1 design point and can be
 overridden with flags, so the tool doubles as a quick design-space probe.
@@ -16,6 +17,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import platform
+import resource
+import sys
+import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -194,12 +200,40 @@ def _cmd_obs_report(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from repro.experiments.registry import resilience_from_args, run_experiment
+    """Run the named experiments on one session, which closes at the end.
 
-    result = run_experiment(
-        args.name, quick=args.quick, resilience=resilience_from_args(args)
+    Stdout holds the rendered artifacts only.  With ``--out``, each one is
+    also saved there, and stderr logs the host (CPU count, Python and
+    NumPy versions) and each experiment's wall time and the peak RSS.
+    """
+    import numpy
+
+    from repro.experiments.persistence import save_result
+    from repro.experiments.registry import (
+        resilience_from_args,
+        run_experiment,
+        select,
     )
-    print(result.render())
+    from repro.sim.runner import Session
+
+    def log(line: str) -> None:
+        if args.out is not None:
+            print(f"=== {line} ===", file=sys.stderr, flush=True)
+
+    names = select(args.names)
+    log(f"host: cpu_count {os.cpu_count()}, Python"
+        f" {platform.python_version()}, NumPy {numpy.__version__}")
+    with Session(resilience_from_args(args)) as session:
+        for name in names:
+            started = time.perf_counter()
+            result = run_experiment(name, quick=args.quick, session=session)
+            print(result.render())
+            print()
+            if args.out is not None:
+                save_result(result, args.out, name)
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            log(f"{name} done in {time.perf_counter() - started:.0f}s,"
+                f" peak RSS {peak_mb:.0f} MB")
     return 0
 
 
@@ -275,9 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
                             help="rows in the slowest-cell/stack tables")
     obs_report.set_defaults(func=_cmd_obs_report)
 
-    experiment = commands.add_parser("experiment", help="regenerate a paper artifact")
-    experiment.add_argument("name", help="e.g. table3, figure5")
-    experiment.add_argument("--quick", action="store_true")
+    experiment = commands.add_parser(
+        "experiment", help="regenerate paper artifacts on one session"
+    )
+    experiment.add_argument(
+        "names", nargs="+", metavar="NAME",
+        help="experiment ids, e.g. table3 figure5, or 'all' for the paper's"
+             " nine artifacts",
+    )
+    experiment.add_argument(
+        "--quick", action="store_true",
+        help="reduced cycles and benchmark subset for a fast pass",
+    )
+    experiment.add_argument(
+        "--out", metavar="DIR", default=None,
+        help="also save each artifact (text and SVG charts) in DIR, and log"
+             " the host and each experiment's time and peak RSS on stderr",
+    )
     from repro.experiments.registry import add_resilience_flags
 
     add_resilience_flags(experiment)

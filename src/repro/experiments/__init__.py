@@ -2,10 +2,15 @@
 
 Run from the command line::
 
-    python -m repro.experiments table3 --quick
-    python -m repro.experiments all
+    python -m repro experiment table3 --quick
+    python -m repro experiment table3 figure5 --checkpoint ck.json
+    python -m repro experiment all --out results
 
 or programmatically via :func:`repro.experiments.registry.run_experiment`.
+One command runs every experiment it names on one
+:class:`~repro.sim.runner.Session`, which each experiment that builds
+runners takes as ``session``: a cell two experiments need is computed
+once.
 """
 
 from repro.experiments import (  # noqa: F401  (re-exported submodules)

@@ -1,8 +1,11 @@
-"""Entry point: ``python -m repro.experiments <id> [--quick]``."""
+"""Entry point: ``python -m repro.experiments NAME... [--quick]``.
+
+The same command as ``python -m repro experiment NAME...``, flags and all.
+"""
 
 import sys
 
-from repro.experiments.registry import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["experiment", *sys.argv[1:]]))

@@ -8,15 +8,17 @@ first-class, CLI-runnable experiment:
 * :func:`run_sensing` -- sensor quantization and response delay;
 * :func:`run_detectors` -- quarter-period vs wavelet (dyadic) detection.
 
-Invoke with ``python -m repro.experiments ablation-two-tier`` etc., or via
-``python -m repro experiment ablation-sensing``.
+Invoke with ``python -m repro experiment ablation-two-tier`` etc.; the
+command runs every experiment it names on one
+:class:`~repro.sim.runner.Session`, which each function takes as
+``session`` (default: a fresh one).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.config import TABLE1_SUPPLY, TABLE1_TUNING
 from repro.core import (
@@ -26,7 +28,12 @@ from repro.core import (
     WaveletDetector,
 )
 from repro.power.rlc import RLCAnalysis
-from repro.sim.runner import BenchmarkRunner, SweepConfig, TechniqueSummary
+from repro.sim.runner import (
+    BenchmarkRunner,
+    Session,
+    SweepConfig,
+    TechniqueSummary,
+)
 from repro.experiments.report import render_table
 
 __all__ = [
@@ -74,8 +81,8 @@ class AblationResult:
         )
 
 
-def _runner(n_cycles: int) -> BenchmarkRunner:
-    return BenchmarkRunner(SweepConfig(n_cycles=n_cycles))
+def _runner(n_cycles: int, session: Optional[Session]) -> BenchmarkRunner:
+    return (session or Session()).runner(SweepConfig(n_cycles=n_cycles))
 
 
 # Module-level builders: each variant's factory is a functools.partial
@@ -100,10 +107,11 @@ def _quantized_controller(supply, processor, quantum_amps):
 
 
 def run_two_tier(
-    n_cycles: int = 60_000, benchmarks: Sequence[str] = VIOLATORS
+    n_cycles: int = 60_000, benchmarks: Sequence[str] = VIOLATORS,
+    session: Optional[Session] = None,
 ) -> AblationResult:
     """Both tiers vs first-only vs second-only (Section 3.2's design)."""
-    runner = _runner(n_cycles)
+    runner = _runner(n_cycles, session)
     variants = (
         ("both", dict(enable_first_level=True, enable_second_level=True)),
         ("first-only", dict(enable_first_level=True, enable_second_level=False)),
@@ -128,10 +136,11 @@ def _detector_factory(half_periods, detector_cls=ResonanceDetector):
 
 
 def run_band_coverage(
-    n_cycles: int = 20_000, benchmarks: Sequence[str] = VIOLATORS
+    n_cycles: int = 20_000, benchmarks: Sequence[str] = VIOLATORS,
+    session: Optional[Session] = None,
 ) -> AblationResult:
     """Band-wide vs single-frequency detection (Section 3.1.3)."""
-    runner = _runner(n_cycles)
+    runner = _runner(n_cycles, session)
     band = RLCAnalysis(TABLE1_SUPPLY).band
     summaries = (
         ("band-wide",
@@ -150,9 +159,10 @@ def run_sensing(
     benchmarks: Sequence[str] = MIXED,
     quanta: Sequence[float] = (1.0, 4.0, 8.0),
     delays: Sequence[int] = (0, 5),
+    session: Optional[Session] = None,
 ) -> AblationResult:
     """Sensor coarseness and response delay (Sections 2.1.4 and 5.2)."""
-    runner = _runner(n_cycles)
+    runner = _runner(n_cycles, session)
     summaries = []
     for quantum in quanta:
         summaries.append((
@@ -179,10 +189,11 @@ def run_sensing(
 
 
 def run_detectors(
-    n_cycles: int = 20_000, benchmarks: Sequence[str] = MIXED
+    n_cycles: int = 20_000, benchmarks: Sequence[str] = MIXED,
+    session: Optional[Session] = None,
 ) -> AblationResult:
     """Quarter-period detection vs the wavelet alternative (ref [11])."""
-    runner = _runner(n_cycles)
+    runner = _runner(n_cycles, session)
     band = RLCAnalysis(TABLE1_SUPPLY).band
     summaries = (
         ("quarter-period (9 adders)",

@@ -11,7 +11,7 @@ saturation, reporting jitter, and a square-wave resonant attacker at
 ``f0`` that the core-current sensors cannot even see.
 
 All fault models are seeded, so the campaign is deterministic end to end;
-with a :class:`~repro.sim.runner.ResilienceConfig` installed (the
+on a :class:`~repro.sim.runner.Session` with a checkpoint (the
 ``--checkpoint`` / ``--resume`` CLI flags) a killed campaign resumes at
 the cell where it stopped.
 """
@@ -34,12 +34,7 @@ from repro.faults import (
     SaturationFault,
     StuckAtFault,
 )
-from repro.sim.runner import (
-    BenchmarkRunner,
-    ResilienceConfig,
-    SweepConfig,
-    TechniqueSummary,
-)
+from repro.sim.runner import Session, SweepConfig, TechniqueSummary
 from repro.experiments.report import render_table
 
 __all__ = ["FaultRow", "FaultInjectionResult", "run", "FAULT_KINDS"]
@@ -206,11 +201,15 @@ def run(
     n_cycles: int = 20_000,
     benchmarks: Sequence[str] = DEFAULT_BENCHMARKS,
     intensities: Sequence[float] = DEFAULT_INTENSITIES,
-    resilience: Optional[ResilienceConfig] = None,
+    session: Optional[Session] = None,
 ) -> FaultInjectionResult:
-    """Sweep every fault kind over ``intensities``; includes a clean row."""
+    """Sweep every fault kind over ``intensities``; includes a clean row.
+
+    Runs on ``session`` (default: a fresh one).
+    """
     config = SweepConfig(n_cycles=n_cycles)
-    runner = BenchmarkRunner(config, resilience=resilience)
+    session = session or Session()
+    runner = session.runner(config)
     rows: List[FaultRow] = []
 
     clean = runner.sweep(_tuning_controller, benchmarks=benchmarks)
@@ -232,14 +231,13 @@ def run(
             ))
 
     # The resonant attacker changes the power supply itself, so base runs
-    # must see the same attack: a dedicated runner per intensity.
+    # must see the same attack: a runner per intensity, whose transform
+    # keys its own base runs.
     for intensity in intensities:
         attack = functools.partial(
             _attack, amplitude_amps=intensity * _ATTACK_FULL_AMPS
         )
-        attacked = BenchmarkRunner(
-            config, resilience=resilience, supply_transform=attack
-        )
+        attacked = session.runner(config, supply_transform=attack)
         label = f"attack {intensity:.2f}"
         summary = attacked.sweep(
             functools.partial(_tuning_controller, label=label),

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.sim.runner import SweepConfig
+from repro.sim.runner import Session, SweepConfig
 from repro.experiments import table3
 from repro.experiments import table4
 from repro.experiments import table5
@@ -102,19 +102,27 @@ def run(
     n_cycles: int = 60_000,
     benchmarks: Optional[Sequence[str]] = None,
     sweep_config: Optional[SweepConfig] = None,
+    session: Optional[Session] = None,
 ) -> Figure5Result:
-    """Compose the Figure 5 comparison from the Table 3/4/5 machinery."""
+    """Compose the Figure 5 comparison from the Table 3/4/5 machinery.
+
+    Every design point is a Table 3, 4 or 5 row at the same
+    :class:`SweepConfig`, so on a ``session`` that already ran those
+    tables the figure is served their cells instead of recomputing them.
+    """
     sweep = sweep_config or SweepConfig(n_cycles=n_cycles)
+    session = session or Session()
     tuning = table3.run(
         initial_response_times=(75, 100), benchmarks=benchmarks,
-        sweep_config=sweep,
+        sweep_config=sweep, session=session,
     )
     voltage = table4.run(
         configs=(table4.VTConfig(20, 10, 5), table4.VTConfig(20, 15, 3)),
-        benchmarks=benchmarks, sweep_config=sweep,
+        benchmarks=benchmarks, sweep_config=sweep, session=session,
     )
     damping = table5.run(
         relative_deltas=(0.5, 0.25), benchmarks=benchmarks, sweep_config=sweep,
+        session=session,
     )
     descriptions = dict(DESIGN_POINTS)
 

@@ -2,20 +2,16 @@
 
 ``save_result`` writes what a result object can produce: its rendered text
 table always, one SVG file per chart when the result exposes
-``to_svg_charts()``.  ``run_and_save_all`` regenerates every paper artifact
-at full scale into a directory -- the library-level equivalent of
-``tools/run_full_experiments.py``.
+``to_svg_charts()``.  ``python -m repro experiment NAME... --out DIR``
+calls it for every experiment the command runs.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
-__all__ = ["save_result", "run_and_save_all"]
+__all__ = ["save_result"]
 
 
 def save_result(result, directory: str, stem: str) -> List[str]:
@@ -32,22 +28,4 @@ def save_result(result, directory: str, stem: str) -> List[str]:
             with open(svg_path, "w") as handle:
                 handle.write(svg)
             written.append(svg_path)
-    return written
-
-
-def run_and_save_all(
-    directory: str,
-    quick: bool = False,
-    names: Optional[Sequence[str]] = None,
-    progress: Optional[Callable[[str, float], None]] = None,
-) -> Dict[str, List[str]]:
-    """Run the registered experiments and persist each one's artifacts."""
-    chosen = list(names) if names is not None else sorted(EXPERIMENTS)
-    written: Dict[str, List[str]] = {}
-    for name in chosen:
-        started = time.time()
-        result = run_experiment(name, quick=quick)
-        written[name] = save_result(result, directory, name)
-        if progress is not None:
-            progress(name, time.time() - started)
     return written

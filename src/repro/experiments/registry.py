@@ -1,27 +1,25 @@
-"""Registry and CLI for the paper's experiments.
+"""Registry of the paper's experiments, and the flags that configure them.
 
-``python -m repro.experiments <id>`` runs one experiment and prints its
-rendered table/figure; ``--quick`` shrinks cycle counts and the benchmark
-set for a fast sanity pass.  Every table and figure in the paper's
-evaluation has an entry.
+``python -m repro experiment NAME... [--quick]`` runs experiments by name
+and prints each rendered table or figure; ``all`` names the paper's nine
+artifacts, and ``--quick`` shrinks cycle counts and the benchmark set for
+a fast sanity pass.  Every table and figure in the paper's evaluation has
+an entry.
 
-Resilience flags (``--checkpoint``, ``--resume``, ``--max-retries``,
-``--timeout-s``, ``--workers``) build a
-:class:`~repro.sim.runner.ResilienceConfig` that :func:`run_experiment`
-installs as the process-wide default, so every sweep an experiment
-performs -- however deeply it constructs its runners -- checkpoints after
-each completed cell, survives flaky ones, and fans cells out to worker
-processes when asked.
+The command builds one :class:`~repro.sim.runner.Session` from the
+resilience flags (``--checkpoint``, ``--resume``, ``--max-retries``,
+``--timeout-s``, ``--workers`` ...) and :func:`run_experiment` hands it to
+every experiment, so all of the command's sweeps share one checkpoint,
+one worker pool and one memo of finished cells and base runs: a cell that
+two experiments need (Figure 5's design points are Table 3-5 rows) is
+computed once.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-from typing import Callable, Dict, Optional, Sequence
-
-from repro import obs
-from repro.errors import SweepInterrupted
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import (
     ablations,
@@ -36,10 +34,9 @@ from repro.experiments import (
     table4,
     table5,
 )
-from repro.sim import runner as runner_module
-from repro.sim.runner import ResilienceConfig
+from repro.sim.runner import ResilienceConfig, Session
 
-__all__ = ["EXPERIMENTS", "EXTENSIONS", "run_experiment", "main"]
+__all__ = ["EXPERIMENTS", "EXTENSIONS", "run_experiment", "select"]
 
 #: Small benchmark subset for --quick runs (violators + quiet apps).
 QUICK_BENCHMARKS = ("swim", "bzip", "parser", "mcf", "fma3d", "gzip")
@@ -49,128 +46,107 @@ QUICK_CYCLES = 20_000
 #: explicit ``--checkpoint`` path.
 DEFAULT_CHECKPOINT = ".repro-checkpoint.json"
 
-
-def _run_figure1(quick: bool):
-    return figure1.run()
+Experiment = Callable[[bool, Session], object]
 
 
-def _run_table1(quick: bool):
-    return table1.run()
+def _on_session(run, **quick) -> Experiment:
+    """``run`` on the command's session, at full scale or with ``quick``'s
+    keyword arguments under ``--quick``."""
+    def experiment(quick_mode: bool, session: Session):
+        return run(session=session, **(quick if quick_mode else {}))
+    return experiment
 
 
-def _run_figure3(quick: bool):
-    return figure3.run()
+def _without_session(run, **quick) -> Experiment:
+    """``run`` for an artifact that sweeps nothing, so needs no session."""
+    def experiment(quick_mode: bool, session: Session):
+        return run(**(quick if quick_mode else {}))
+    return experiment
 
 
-def _run_figure4(quick: bool):
-    # Quick mode scales with the same knob as every other experiment
-    # (figure 4 needs a longer window than a sweep cell to catch a
-    # violation, hence the factor of two).
-    return figure4.run(max_cycles=2 * QUICK_CYCLES if quick else 200_000)
+_QUICK_SWEEP = dict(n_cycles=QUICK_CYCLES, benchmarks=QUICK_BENCHMARKS)
+_QUICK_ABLATION = dict(n_cycles=8_000, benchmarks=("swim", "gzip"))
 
-
-def _run_table2(quick: bool):
-    if quick:
-        return table2.run(n_cycles=QUICK_CYCLES, benchmarks=QUICK_BENCHMARKS)
-    return table2.run()
-
-
-def _run_table3(quick: bool):
-    if quick:
-        return table3.run(
-            initial_response_times=(75, 100),
-            n_cycles=QUICK_CYCLES,
-            benchmarks=QUICK_BENCHMARKS,
-        )
-    return table3.run()
-
-
-def _run_table4(quick: bool):
-    if quick:
-        return table4.run(
-            configs=(table4.VTConfig(30, 0, 0), table4.VTConfig(20, 15, 3)),
-            n_cycles=QUICK_CYCLES,
-            benchmarks=QUICK_BENCHMARKS,
-        )
-    return table4.run()
-
-
-def _run_table5(quick: bool):
-    if quick:
-        return table5.run(n_cycles=QUICK_CYCLES, benchmarks=QUICK_BENCHMARKS)
-    return table5.run()
-
-
-def _run_figure5(quick: bool):
-    if quick:
-        return figure5.run(n_cycles=QUICK_CYCLES, benchmarks=QUICK_BENCHMARKS)
-    return figure5.run()
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], object]] = {
-    "figure1": _run_figure1,
-    "table1": _run_table1,
-    "figure3": _run_figure3,
-    "figure4": _run_figure4,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
-    "table5": _run_table5,
-    "figure5": _run_figure5,
+EXPERIMENTS: Dict[str, Experiment] = {
+    "figure1": _without_session(figure1.run),
+    "table1": _without_session(table1.run),
+    "figure3": _without_session(figure3.run),
+    # Figure 4 needs a longer window than a sweep cell to catch a
+    # violation, hence twice the quick cycle count.
+    "figure4": _without_session(figure4.run, max_cycles=2 * QUICK_CYCLES),
+    "table2": _on_session(table2.run, **_QUICK_SWEEP),
+    "table3": _on_session(
+        table3.run, initial_response_times=(75, 100), **_QUICK_SWEEP
+    ),
+    "table4": _on_session(
+        table4.run,
+        configs=(table4.VTConfig(30, 0, 0), table4.VTConfig(20, 15, 3)),
+        **_QUICK_SWEEP,
+    ),
+    "table5": _on_session(table5.run, **_QUICK_SWEEP),
+    "figure5": _on_session(figure5.run, **_QUICK_SWEEP),
 }
-
-
-def _ablation(fn):
-    def run(quick: bool):
-        if quick:
-            return fn(n_cycles=8_000, benchmarks=("swim", "gzip"))
-        return fn()
-    return run
-
-
-def _run_fault_injection(quick: bool):
-    if quick:
-        return faults.run(
-            n_cycles=6_000, benchmarks=("swim",), intensities=(0.3,)
-        )
-    return faults.run()
-
 
 #: Design-choice evidence beyond the paper's own tables ('all' excludes
 #: these; run them by name).
-EXTENSIONS: Dict[str, Callable[[bool], object]] = {
-    "ablation-two-tier": _ablation(ablations.run_two_tier),
-    "ablation-band-coverage": _ablation(ablations.run_band_coverage),
-    "ablation-sensing": _ablation(ablations.run_sensing),
-    "ablation-detectors": _ablation(ablations.run_detectors),
-    "ablation-fault-injection": _run_fault_injection,
+EXTENSIONS: Dict[str, Experiment] = {
+    "ablation-two-tier": _on_session(ablations.run_two_tier, **_QUICK_ABLATION),
+    "ablation-band-coverage": _on_session(
+        ablations.run_band_coverage, **_QUICK_ABLATION
+    ),
+    "ablation-sensing": _on_session(ablations.run_sensing, **_QUICK_ABLATION),
+    "ablation-detectors": _on_session(
+        ablations.run_detectors, **_QUICK_ABLATION
+    ),
+    "ablation-fault-injection": _on_session(
+        faults.run, n_cycles=6_000, benchmarks=("swim",), intensities=(0.3,)
+    ),
 }
 
 
-def run_experiment(
-    name: str,
-    quick: bool = False,
-    resilience: Optional[ResilienceConfig] = None,
-):
-    """Run one registered experiment or extension; returns its result.
-
-    An unknown name raises :class:`KeyError` with close-match suggestions.
-    A :class:`ResilienceConfig` is installed as the sweep default for the
-    duration of the run (and restored afterwards), so nested runners honour
-    checkpointing, retries and timeouts.
-    """
+def _lookup(name: str) -> Experiment:
+    """The experiment registered as ``name``; KeyError with suggestions."""
     experiment = EXPERIMENTS.get(name) or EXTENSIONS.get(name)
     if experiment is None:
         known = sorted(EXPERIMENTS) + sorted(EXTENSIONS)
         close = difflib.get_close_matches(name, known, n=3)
         hint = f"; did you mean {' or '.join(map(repr, close))}?" if close else ""
         raise KeyError(f"unknown experiment {name!r}{hint} (choose from {known})")
-    previous = runner_module.DEFAULT_RESILIENCE
-    runner_module.DEFAULT_RESILIENCE = resilience
-    try:
-        return experiment(quick)
-    finally:
-        runner_module.DEFAULT_RESILIENCE = previous
+    return experiment
+
+
+def select(names: Sequence[str]) -> List[str]:
+    """The experiments a command line names, in order.
+
+    ``all`` anywhere selects the paper's nine artifacts.  Every name is
+    checked before any experiment runs: an unknown one raises
+    :class:`KeyError` with close-match suggestions.
+    """
+    if "all" in names:
+        return sorted(EXPERIMENTS)
+    for name in names:
+        _lookup(name)
+    return list(names)
+
+
+def run_experiment(
+    name: str,
+    quick: bool = False,
+    session: Optional[Session] = None,
+):
+    """Run one registered experiment or extension; returns its result.
+
+    The experiment's sweeps run on ``session``, whose resilience
+    configures them and whose memo serves every cell it already holds.
+    Without one, the experiment gets a fresh session, closed when it
+    returns.  An unknown name raises :class:`KeyError` with close-match
+    suggestions.
+    """
+    experiment = _lookup(name)
+    if session is None:
+        with Session() as own:
+            return experiment(quick, own)
+    return experiment(quick, session)
 
 
 def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
@@ -252,8 +228,8 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
 
     Only flags the user actually set become constructor overrides, so
     adding supervision knobs never disturbs the defaults of a config
-    built from other flags (and an all-default command line still means
-    "no resilience installed").
+    built from other flags (and an all-default command line leaves the
+    session at the default :class:`ResilienceConfig`).
     """
     checkpoint = args.checkpoint
     if args.resume and checkpoint is None:
@@ -283,44 +259,3 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
     if not overrides:
         return None
     return ResilienceConfig(**overrides)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        choices=sorted(EXPERIMENTS) + sorted(EXTENSIONS) + ["all"],
-        help="experiment ids (or 'all' for the paper's artifacts)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced cycles and benchmark subset for a fast pass",
-    )
-    add_resilience_flags(parser)
-    obs.add_observability_flags(parser)
-    args = parser.parse_args(argv)
-    observing = obs.configure_from_args(args)
-    logger = obs.get_logger("experiments")
-    resilience = resilience_from_args(args)
-    names = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    try:
-        for name in names:
-            try:
-                result = run_experiment(
-                    name, quick=args.quick, resilience=resilience
-                )
-            except SweepInterrupted as stop:
-                logger.warning("%s: %s", name, stop)
-                return stop.exit_code
-            print(result.render())
-            print()
-        return 0
-    finally:
-        if observing:
-            for path in obs.finalize(metadata={"experiments": list(names)}):
-                logger.info("observability artifact written: %s", path)

@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment results.
 
 Every experiment's ``render()`` produces the paper's table or figure as
-aligned text so `python -m repro.experiments <id>` output can be compared
+aligned text so `python -m repro experiment <id>` output can be compared
 side by side with the paper.
 """
 

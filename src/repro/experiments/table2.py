@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.sim.runner import BenchmarkRunner, SweepConfig
+from repro.sim.runner import Session, SweepConfig
 from repro.uarch.workloads import (
     PAPER_IPC,
     PAPER_VIOLATION_FRACTION,
@@ -95,10 +95,12 @@ def run(
     n_cycles: int = 120_000,
     benchmarks: Optional[Sequence[str]] = None,
     sweep_config: Optional[SweepConfig] = None,
+    session: Optional[Session] = None,
 ) -> Table2Result:
-    """Classify the benchmarks on the base processor."""
+    """Classify the benchmarks on the base processor, on ``session``
+    (default: a fresh one)."""
     config = sweep_config or SweepConfig(n_cycles=n_cycles)
-    runner = BenchmarkRunner(config)
+    runner = (session or Session()).runner(config)
     names = list(benchmarks) if benchmarks is not None else sorted(SPEC2K)
     rows = []
     for name in names:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.config import TuningConfig
 from repro.core.tuning import ResonanceTuningController
-from repro.sim.runner import BenchmarkRunner, SweepConfig, TechniqueSummary
+from repro.sim.runner import Session, SweepConfig, TechniqueSummary
 from repro.experiments.report import render_table
 
 __all__ = ["Table3Result", "run", "PAPER_ROWS"]
@@ -74,10 +74,11 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     tuning: Optional[TuningConfig] = None,
     sweep_config: Optional[SweepConfig] = None,
+    session: Optional[Session] = None,
 ) -> Table3Result:
-    """Run the Table 3 sweep."""
+    """Run the Table 3 sweep on ``session`` (default: a fresh one)."""
     config = sweep_config or SweepConfig(n_cycles=n_cycles)
-    runner = BenchmarkRunner(config)
+    runner = (session or Session()).runner(config)
     base_tuning = tuning or TuningConfig()
     summaries = []
     for time_value in initial_response_times:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.baselines.voltage_threshold import VoltageThresholdController
-from repro.sim.runner import BenchmarkRunner, SweepConfig, TechniqueSummary
+from repro.sim.runner import Session, SweepConfig, TechniqueSummary
 from repro.experiments.report import render_table
 
 __all__ = ["VTConfig", "Table4Result", "run", "PAPER_CONFIGS", "PAPER_ROWS"]
@@ -102,10 +102,11 @@ def run(
     n_cycles: int = 60_000,
     benchmarks: Optional[Sequence[str]] = None,
     sweep_config: Optional[SweepConfig] = None,
+    session: Optional[Session] = None,
 ) -> Table4Result:
-    """Run the Table 4 sweep."""
+    """Run the Table 4 sweep on ``session`` (default: a fresh one)."""
     sweep = sweep_config or SweepConfig(n_cycles=n_cycles)
-    runner = BenchmarkRunner(sweep)
+    runner = (session or Session()).runner(sweep)
     summaries = []
     for config in configs:
         factory = functools.partial(_vt_controller, config=config)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.baselines.damping import PipelineDampingController
 from repro.config import TuningConfig
-from repro.sim.runner import BenchmarkRunner, SweepConfig, TechniqueSummary
+from repro.sim.runner import Session, SweepConfig, TechniqueSummary
 from repro.experiments.report import render_table
 
 __all__ = ["Table5Result", "run", "PAPER_ROWS"]
@@ -71,10 +71,11 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     tuning: Optional[TuningConfig] = None,
     sweep_config: Optional[SweepConfig] = None,
+    session: Optional[Session] = None,
 ) -> Table5Result:
-    """Run the Table 5 sweep."""
+    """Run the Table 5 sweep on ``session`` (default: a fresh one)."""
     sweep = sweep_config or SweepConfig(n_cycles=n_cycles)
-    runner = BenchmarkRunner(sweep)
+    runner = (session or Session()).runner(sweep)
     threshold = (tuning or TuningConfig()).resonant_current_threshold_amps
     summaries = []
     for relative_delta in relative_deltas:

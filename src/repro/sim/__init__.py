@@ -14,6 +14,7 @@ from repro.sim.runner import (
     FailureReport,
     ResilienceConfig,
     SeedStatistics,
+    Session,
     SweepConfig,
     TechniqueSummary,
     summarize,
@@ -29,6 +30,7 @@ __all__ = [
     "ResilienceConfig",
     "SeedStatistics",
     "SequentialBackend",
+    "Session",
     "SweepBackend",
     "SweepConfig",
     "SweepJob",

@@ -22,9 +22,12 @@ Two backends exist:
 Everything about the pool lives here: :class:`WorkerPool` (the executor,
 the heartbeat channel and their lifecycle), the entry points its worker
 processes run (:func:`_worker_init`, :func:`_worker_run_cell`) and the
-supervisor inside :meth:`ProcessPoolBackend.execute`.  Each runner owns
-one :class:`WorkerPool` and reuses it across its sweeps, so the workers'
-base-run caches stay warm from one technique variant to the next.
+supervisor inside :meth:`ProcessPoolBackend.execute`.  Each
+:class:`~repro.sim.runner.Session` owns one :class:`WorkerPool` and reuses
+it across the command's sweeps.  Workers keep no results between cells:
+a cell's base result travels with the cell when the session holds it, and
+a base the worker had to compute comes back with the cell's metrics, so
+each (config, benchmark, seed) base runs once per session.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class SweepJob:
     failure_map: Dict[Cell, "object"]
     timings: Dict[str, float]
     drain: "object"  # the sweep's drain flag: is_set(), signum, signal_name
-    #: the runner's process pool (used by the pool backend only)
+    #: the session's process pool (used by the pool backend only)
     pool: "WorkerPool"
     #: root of the sweep's trace store, shipped to pool workers; None
     #: when record/replay is off
@@ -109,7 +112,7 @@ class SweepJob:
     # Shared result/failure/drain bookkeeping
     # ------------------------------------------------------------------
     def keep(self, cell: Cell, metrics: RelativeMetrics) -> None:
-        """Hold a completed cell in the results and the checkpoint mirror."""
+        """Hold a completed cell in the results and the session's cells."""
         self.results[cell] = metrics
         self.checkpoint.record(cell, metrics)
 
@@ -301,15 +304,16 @@ class SequentialBackend(SweepBackend):
         # cell's first attempt, so it is not run again at the same seed.
         warmup_errors: Dict[Cell, Exception] = {}
         if len(job.pending) > 1:
-            # Warm the base cache, one cell at a time, before the first
-            # cell, so cell times hold the technique runs; a failed
-            # prefetch only costs the warm-up.
+            # Warm the session's base runs, one cell at a time, before
+            # the first cell, so cell times hold the technique runs; a
+            # failed prefetch only costs the warm-up.
             try:
                 job.runner.prefetch_base_batch(
                     job.pending,
                     timeout_s=resilience.timeout_s,
                     should_stop=job.drain.is_set,
                     errors=warmup_errors,
+                    resilience=resilience,
                 )
             except Exception:
                 pass
@@ -353,10 +357,8 @@ class SequentialBackend(SweepBackend):
 # Worker-process entry points
 # ----------------------------------------------------------------------
 
-#: Per-worker-process cache: the runner rebuilt from the last cell spec,
-#: plus the heartbeat channel installed by the pool initializer.  Keeping
-#: the runner across cells lets one worker reuse base runs exactly as the
-#: sequential path does within its own process.
+#: What a worker process keeps between cells: the heartbeat channel the
+#: pool initializer installed, and nothing else.
 _WORKER_STATE: dict = {}
 
 
@@ -392,15 +394,17 @@ def _worker_run_cell(
     seed: Optional[int],
     timeout_s: Optional[float],
     max_retries: int,
+    base=None,
     ctx: Optional[dict] = None,
 ):
     """Execute one sweep cell inside a pool worker.
 
     ``spec_blob`` pickles ``(sweep_config, supply_transform,
-    trace_store_root)``; the worker rebuilds a
-    private :class:`~repro.sim.runner.BenchmarkRunner` from it (cached
-    until the spec changes) so no simulator state is shared with the
-    parent or with sibling workers.  The cell runs through the same
+    trace_store_root)``; the worker builds a
+    :class:`~repro.sim.runner.BenchmarkRunner` with a private session from
+    it for this cell alone, so no simulator state is shared with the
+    parent or with sibling workers.  ``base`` is the cell's base result
+    when the parent's session holds it.  The cell runs through the same
     :meth:`~repro.sim.runner.BenchmarkRunner.run_cell` as the sequential
     path -- on the worker's main thread, so the SIGALRM timeout applies
     and a timed-out cell dies in place instead of leaking a live thread.
@@ -409,14 +413,13 @@ def _worker_run_cell(
     and at completion; the parent's supervisor treats a ``run``-stage
     stamp older than ``heartbeat_stale_s`` as a hung worker.
 
-    Returns ``(metrics, failure, telemetry)``: the worker's metrics
-    registry is reset at cell start and snapshotted at cell end, so
-    ``telemetry`` is exactly this cell's counter deltas for the parent to
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- additive and
+    Returns ``(metrics, failure, telemetry, computed_base)``: the worker's
+    metrics registry is reset at cell start and snapshotted at cell end,
+    so ``telemetry`` is exactly this cell's counter deltas for the parent
+    to :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- additive and
     order-independent, so the merged totals do not depend on completion
-    order.  (Totals can still differ from a sequential sweep's where a
-    worker-local base cache recomputes a base run another worker already
-    has; see docs/observability.md.)
+    order.  ``computed_base`` is the base result at ``seed`` when the
+    worker ran it, for the parent's session to hold.
     """
     # Function-level import: the runner module imports this one.
     from repro.sim.runner import BenchmarkRunner, ResilienceConfig
@@ -427,17 +430,15 @@ def _worker_run_cell(
     if registry is not None:
         registry.reset()
     try:
-        if _WORKER_STATE.get("spec") != spec_blob:
-            config, supply_transform, trace_store_root = pickle.loads(
-                spec_blob
-            )
-            _WORKER_STATE["runner"] = BenchmarkRunner(
-                config,
-                supply_transform=supply_transform,
-                trace_store=trace_store_root,
-            )
-            _WORKER_STATE["spec"] = spec_blob
-        runner = _WORKER_STATE["runner"]
+        config, supply_transform, trace_store_root = pickle.loads(spec_blob)
+        runner = BenchmarkRunner(
+            config,
+            supply_transform=supply_transform,
+            trace_store=trace_store_root,
+        )
+        base_key = runner.base_key(benchmark, seed)
+        if base is not None:
+            runner.session.bases[base_key] = base
         resilience = ResilienceConfig(
             timeout_s=timeout_s, max_retries=max_retries
         )
@@ -456,7 +457,10 @@ def _worker_run_cell(
                 on_attempt=lambda attempt: _worker_beat("run", cell_label),
             )
         telemetry = registry.snapshot() if registry is not None else None
-        return metrics, failure, telemetry
+        computed = None if base is not None else runner.session.bases.get(
+            base_key
+        )
+        return metrics, failure, telemetry, computed
     finally:
         profiler = obs_profile.active_profiler()
         if profiler is not None:
@@ -483,14 +487,15 @@ def _merge_worker_telemetry(telemetry: Optional[dict]) -> None:
 # ----------------------------------------------------------------------
 
 class WorkerPool:
-    """One runner's worker processes: the executor and heartbeat channel.
+    """One session's worker processes: the executor and heartbeat channel.
 
     Empty until the first parallel sweep; :meth:`ensure` then starts the
     executor and keeps it for later sweeps of the same shape (worker
-    count, heartbeat supervision, observability spec), so the workers'
-    base-run caches outlive each sweep.  :meth:`shutdown` releases the
-    executor but leaves the pool usable (the supervisor rebuilds through
-    it); :meth:`close` releases everything for good.
+    count, heartbeat supervision, observability spec), so a command's
+    sweeps do not pay for process start-up more than once.
+    :meth:`shutdown` releases the executor but leaves the pool usable (the
+    supervisor rebuilds through it); :meth:`close` releases everything for
+    good.
     """
 
     def __init__(self) -> None:
@@ -505,7 +510,8 @@ class WorkerPool:
         """The executor for this shape, rebuilt when the shape changed."""
         if self.closed:
             raise HarnessError(
-                "BenchmarkRunner is closed: create a new runner to sweep again"
+                "the session is closed: its worker pool was released;"
+                " create a new runner or session to sweep again"
             )
         shape = (workers, heartbeat, obs.worker_spec())
         if self._executor is not None and self._shape != shape:
@@ -642,6 +648,7 @@ class ProcessPoolBackend(SweepBackend):
 
         def submit(cell):
             name, seed = cell
+            base = runner.session.bases.get(runner.base_key(name, seed))
             if dispatch_ctx is not None and tracer is not None:
                 # Open a flow arrow to the worker's cell span; both sides
                 # derive the same deterministic cell span id.
@@ -658,9 +665,21 @@ class ProcessPoolBackend(SweepBackend):
                 seed,
                 resilience.timeout_s,
                 resilience.max_retries,
+                base=base,
                 ctx=None if dispatch_ctx is None else dispatch_ctx.to_dict(),
             )
             inflight[future] = cell
+
+        def collect(cell, outcome):
+            """Merge a finished cell's telemetry and hold its base run;
+            returns ``(metrics, failure)``."""
+            metrics, failure, telemetry, computed = outcome
+            _merge_worker_telemetry(telemetry)
+            if computed is not None:
+                runner.session.bases.setdefault(
+                    runner.base_key(*cell), computed
+                )
+            return metrics, failure
 
         def record_result(cell, metrics, failure):
             if failure is not None:
@@ -746,10 +765,10 @@ class ProcessPoolBackend(SweepBackend):
                 for future in done:
                     cell = inflight.pop(future)
                     try:
-                        metrics, failure, telemetry = future.result()
+                        outcome = future.result()
                     except BaseException:
                         continue  # lost to the drain; --resume recomputes
-                    _merge_worker_telemetry(telemetry)
+                    metrics, failure = collect(cell, outcome)
                     if failure is None:
                         job.keep(cell, metrics)
             for future in inflight:
@@ -809,7 +828,7 @@ class ProcessPoolBackend(SweepBackend):
                 for future in done:
                     cell = inflight.pop(future)
                     try:
-                        metrics, failure, telemetry = future.result()
+                        outcome = future.result()
                     except BrokenProcessPool as error:
                         # Hold the lost cell until the broken pool
                         # finishes failing its remaining futures, then
@@ -821,8 +840,7 @@ class ProcessPoolBackend(SweepBackend):
                             f" ({type(error).__name__}: {error})"
                         )
                         continue
-                    _merge_worker_telemetry(telemetry)
-                    record_result(cell, metrics, failure)
+                    record_result(cell, *collect(cell, outcome))
                 if pool_broken and not inflight:
                     handle_lost_cells()
         except SweepInterrupted:

@@ -12,6 +12,9 @@ and only the writes made here feed ``runner_checkpoint_bytes_total`` and
 Cells are keyed by what they compute (:func:`spec_digest`), not by where
 they sit in a run, so any sweep that resumes a file is served exactly the
 cells it would compute itself, whichever experiment or runner wrote them.
+The ``_meta`` cycle counts describe the sweep that last flushed the file;
+they gate nothing, since the spec digest already covers the whole
+``SweepConfig``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import asdict, fields
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.durable import atomic_write, content_digest, quarantine
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.log import warn_once
@@ -278,69 +281,41 @@ def load_checkpoint(path: str, salvage: bool = False) -> dict:
 # ----------------------------------------------------------------------
 
 class SweepCheckpoint:
-    """The checkpoint of one sweep: the cells mirror and the files.
+    """One sweep's view of its session's finished cells, and the files.
 
     Cells are keyed by :func:`cell_key` under the sweep's ``spec`` digest.
-    ``cells`` (cell key -> metrics record) belongs to the runner and
-    outlives the sweep: the runner's next sweep files its cells into the
-    same mirror, and every flush writes all of them.  Only a ``resume``
-    serves cells back.  Without a ``path`` the checkpoint records, serves
-    and writes nothing.
+    ``cells`` (cell key -> metrics record) belongs to the session
+    (:class:`~repro.sim.runner.Session`) and outlives the sweep: it serves
+    every sweep of the session the cells it would compute, and every
+    flush writes all of it.  A sweep whose spec does not pickle has no
+    ``spec``, so it is neither served nor held; without a ``path`` nothing
+    is written.
     """
 
     def __init__(self, path: Optional[str], config, spec: Optional[str],
-                 technique: str, cells: Dict[str, dict],
-                 resume: bool = False):
+                 technique: str, cells: Dict[str, dict]):
         self.path = path
         self.config = config  # a SweepConfig: n_cycles, warmup_cycles
         self.spec = spec
         self.technique = technique
         self.cells = cells
-        self.resume = resume
         self._write_warned = False
 
     @classmethod
     def open(
-        cls,
-        resilience,
-        config,
-        spec: Optional[str],
-        technique: str,
-        cells: Optional[Dict[str, dict]] = None,
+        cls, resilience, config, spec: Optional[str], technique: str
     ) -> "SweepCheckpoint":
-        """The checkpoint of a sweep whose :func:`spec_digest` is ``spec``.
+        """The checkpoint at ``resilience.checkpoint_path``, with its cells.
 
-        ``cells`` is the mirror an earlier sweep of the runner left.
-        Without one, a ``resume`` reads ``resilience.checkpoint_path``: a
-        corrupt or truncated file is salvaged (digest-valid cells kept,
-        the original quarantined, the kept cells re-persisted at once);
-        only a file written for other cycle counts than ``config``'s is
-        refused, with :class:`~repro.errors.ConfigurationError`.
+        A session opens the file once, for the first sweep that resumes
+        it.  A missing file holds no cells; a corrupt or truncated one is
+        salvaged (digest-valid cells kept, the original quarantined, the
+        kept cells re-persisted at once).
         """
         path = resilience.checkpoint_path
-        checkpoint = cls(
-            path, config, spec, technique, {} if cells is None else cells,
-            resume=resilience.resume,
-        )
-        if cells is None and resilience.resume and path \
-                and os.path.exists(path):
+        checkpoint = cls(path, config, spec, technique, {})
+        if path and os.path.exists(path):
             data = load_checkpoint(path, salvage=True)
-            recovered_n = data["n_cycles"]
-            recovered_warmup = data["warmup_cycles"]
-            if (
-                recovered_n is not None and recovered_n != config.n_cycles
-            ) or (
-                recovered_warmup is not None
-                and recovered_warmup != config.warmup_cycles
-            ):
-                raise ConfigurationError(
-                    f"checkpoint {path!r} was written for"
-                    f" n_cycles={recovered_n}"
-                    f" warmup_cycles={recovered_warmup}, which does"
-                    f" not match this sweep"
-                    f" (n_cycles={config.n_cycles},"
-                    f" warmup_cycles={config.warmup_cycles})"
-                )
             checkpoint.cells.update(data["cells"])
             if data["quarantined"]:
                 # Salvage moved the damaged original aside; re-persist
@@ -355,8 +330,8 @@ class SweepCheckpoint:
         return cell_key(self.spec, name, self.technique, seed)
 
     def completed(self, cell: Cell) -> Optional[RelativeMetrics]:
-        """The metrics a resumed checkpoint already holds for ``cell``."""
-        if not self.resume:  # a resume always has a path
+        """The metrics the session already holds for ``cell``, if any."""
+        if self.spec is None:
             return None
         record = self.cells.get(self._key(cell))
         if record is None:
@@ -367,12 +342,12 @@ class SweepCheckpoint:
         )
 
     def record(self, cell: Cell, metrics: RelativeMetrics) -> None:
-        """Put a completed cell in the mirror; :meth:`flush` persists it."""
-        if self.path is not None:
+        """Hold a completed cell in the session; :meth:`flush` persists it."""
+        if self.spec is not None:
             self.cells[self._key(cell)] = asdict(metrics)
 
     def flush(self) -> None:
-        """Write every cell of the mirror to the checkpoint, durably.
+        """Write every cell the session holds to the checkpoint, durably.
 
         A failing write (disk full, I/O error) is reported once per sweep
         as a RuntimeWarning and otherwise tolerated: results are still

@@ -18,16 +18,20 @@ sweep.
 Sweeps are also *parallel*: ``ResilienceConfig(workers=N)`` dispatches the
 (benchmark, seed) cell grid to a process pool (:mod:`repro.sim.backends`,
 which owns the pool, its workers and their supervision).  Each worker
-process rebuilds its own :class:`BenchmarkRunner` from a picklable spec --
-no simulator state ever crosses a process boundary -- and keeps a warm
-base-run cache across the cells it executes.  Cells are deterministic and
+process rebuilds a runner from a picklable spec for every cell; the only
+simulator output that crosses the process boundary is a cell's base
+result, which travels with the cell when the session holds it and comes
+back when the worker computed it.  Cells are deterministic and
 independent (retry attempt ``k`` always reseeds to ``seed + 104729 * k``),
 so the parallel backend produces aggregates, checkpoints and failure
 reports bit-identical to the sequential one: checkpoints are written from
 the parent in completion order but keyed by the same cell keys, and rows
 are always aggregated in grid order.
 
-This module keeps the cells, the base-run cache and the sweep loop.
+Everything a command's sweeps share -- finished cells, base runs, the
+checkpoint, the worker pool and the trace stores -- lives on one
+:class:`Session`; a :class:`BenchmarkRunner` is a view of a session at one
+:class:`SweepConfig` and supply transform, and holds no state of its own.
 """
 
 from __future__ import annotations
@@ -66,19 +70,12 @@ __all__ = [
     "TechniqueSummary",
     "SeedStatistics",
     "BenchmarkRunner",
+    "Session",
     "summarize",
-    "DEFAULT_RESILIENCE",
 ]
 
 ControllerFactory = Callable[[PowerSupplyConfig, ProcessorConfig], NoiseController]
 SupplyTransform = Callable[[PowerSupply, str], PowerSupply]
-
-#: Process-wide fallback resilience, installed temporarily by
-#: :func:`repro.experiments.registry.run_experiment` so experiments that
-#: build their own runners deep inside still honour ``--resume`` /
-#: ``--timeout-s`` / ``--max-retries`` / ``--workers`` without threading a
-#: parameter through every experiment signature.
-DEFAULT_RESILIENCE: Optional["ResilienceConfig"] = None
 
 #: Seed stride between retry attempts: a failed cell re-runs on a freshly
 #: regenerated trace whose seed is a deterministic function of (profile
@@ -389,51 +386,45 @@ def _drain_on_signals(drain: "_DrainFlag"):
             signal.signal(sig, old)
 
 
-class BenchmarkRunner:
-    """Runs benchmarks against controller factories, caching base runs.
+class Session:
+    """What one command's sweeps share, so the command computes each cell once.
 
-    Parameters
-    ----------
-    config:
-        Cycle counts and hardware configuration shared by every run.
-    resilience:
-        Default :class:`ResilienceConfig` for :meth:`sweep`; when None the
-        module-level :data:`DEFAULT_RESILIENCE` (set by the experiments
-        registry from CLI flags) applies.
-    supply_transform:
-        Optional ``(supply, benchmark) -> supply`` hook wrapping the power
-        supply of every run -- the fault-injection subsystem uses it to
-        mount adversarial current attackers on otherwise unchanged sweeps.
-        A checkpointed or parallel sweep pickles it, so build it as a
-        module-level callable or a ``functools.partial`` over one.
-    trace_store:
-        Optional trace record/replay store -- a directory path or a
-        :class:`repro.trace.TraceStore` -- for cells whose controller
-        schedule is replayable (see :func:`repro.trace.replay.schedule_token`).
-        When None, the store configured on the active
-        :class:`ResilienceConfig` (``--trace-store``) applies.
+    ``python -m repro experiment`` builds one session and hands it to every
+    experiment it runs; their runners are views of it (:meth:`runner`).  A
+    session holds:
 
-    Base runs are cached per ``(benchmark, seed)``, configuration and
-    transform for the runner's lifetime; each holds a few scalars and no
-    trace.
+    * ``resilience`` -- the command's :class:`ResilienceConfig`, which a
+      sweep's own ``resilience=`` argument overrides for that sweep;
+    * ``cells`` -- finished cells as metrics records, keyed by their
+      content key (:func:`~repro.sim.checkpoint.cell_key`).  It is the memo
+      every sweep is served from, with or without ``resume``, and the
+      checkpoint: a flush writes all of it.  Cells whose spec does not
+      pickle have no content key and are not held;
+    * ``bases`` -- base runs keyed by ``(benchmark, seed, SweepConfig,
+      supply transform)``, the transform compared by identity, so runners
+      with a transform that does not pickle still share their base runs;
+    * ``pool`` -- one :class:`~repro.sim.backends.WorkerPool`;
+    * the trace stores (:meth:`trace_store`), one per directory.
 
-    A runner used with ``workers > 1`` owns a lazily created process pool
-    (a :class:`~repro.sim.backends.WorkerPool`); :meth:`close` (or use as a
-    context manager) releases it.  The pool is kept alive between sweeps
-    so worker-side base-run caches stay warm across the technique
-    variants of one experiment.
+    Building a session starts nothing: the pool and its heartbeat channel
+    wait for the first parallel sweep, stores touch no file before a cell
+    runs, and a checkpoint file is read only when a sweep resumes it, once
+    per path.  :meth:`close` (or use as a context manager) releases the
+    pool.  A session belongs to one command and is never process-wide:
+    two sessions share nothing.
     """
 
     def __init__(
         self,
-        config: Optional[SweepConfig] = None,
         resilience: Optional[ResilienceConfig] = None,
-        supply_transform: Optional[SupplyTransform] = None,
         trace_store=None,
     ):
-        self.config = config or SweepConfig()
-        self.resilience = resilience
-        self.supply_transform = supply_transform
+        self.resilience = resilience or ResilienceConfig()
+        self.cells: Dict[str, dict] = {}
+        self.bases: Dict[tuple, SimulationResult] = {}
+        self.pool = WorkerPool()
+        self._resumed: set = set()
+        #: a store given here wins over every ``trace_store_path``
         self._trace_store_path: Optional[str] = None
         self._trace_stores: Dict[str, object] = {}
         if trace_store is not None:
@@ -443,29 +434,76 @@ class BenchmarkRunner:
                 self._trace_stores[root] = trace_store
             else:
                 self._trace_store_path = str(trace_store)
-        self._active_resilience: Optional[ResilienceConfig] = None
-        self._base_cache: Dict[tuple, SimulationResult] = {}
-        self._checkpoint_cells: Optional[Dict[str, dict]] = None
-        self._pool = WorkerPool()
 
-    # ------------------------------------------------------------------
-    # Process-pool lifecycle
-    # ------------------------------------------------------------------
+    def runner(
+        self,
+        config: Optional[SweepConfig] = None,
+        supply_transform: Optional[SupplyTransform] = None,
+    ) -> "BenchmarkRunner":
+        """A runner at ``config`` and ``supply_transform`` over this session."""
+        runner = BenchmarkRunner(config, supply_transform=supply_transform)
+        runner.session = self  # in place of the private one it was built with
+        return runner
+
+    def trace_store(self, resilience: Optional[ResilienceConfig] = None):
+        """The :class:`~repro.trace.TraceStore` cells use, or None.
+
+        A store given to the constructor wins; otherwise the
+        ``trace_store_path`` of ``resilience`` (default: the session's)
+        names it.  One store object per directory, so hit and miss counts
+        accumulate across the session.
+        """
+        path = self._trace_store_path
+        if path is None:
+            path = (resilience or self.resilience).trace_store_path
+        if path is None:
+            return None
+        store = self._trace_stores.get(path)
+        if store is None:
+            # Function-level import: repro.trace.replay imports the
+            # simulation module, which sits beside this one.
+            from repro.trace import TraceStore
+
+            store = TraceStore(path)
+            self._trace_stores[path] = store
+        return store
+
+    def checkpoint(
+        self,
+        resilience: ResilienceConfig,
+        config: SweepConfig,
+        spec: Optional[str],
+        technique: str,
+    ) -> SweepCheckpoint:
+        """One sweep's checkpoint over the session's ``cells``.
+
+        The first sweep that resumes a path reads the file
+        (:meth:`SweepCheckpoint.open`) into the cells.  Without ``resume``
+        the file is never read, so the sweep's first flush replaces it
+        with the session's cells.
+        """
+        path = resilience.checkpoint_path
+        if resilience.resume and path not in self._resumed:
+            self._resumed.add(path)
+            resumed = SweepCheckpoint.open(resilience, config, spec, technique)
+            for key, record in resumed.cells.items():
+                self.cells.setdefault(key, record)
+        return SweepCheckpoint(path, config, spec, technique, self.cells)
+
+    @property
+    def closed(self) -> bool:
+        return self.pool.closed
+
     def close(self) -> None:
         """Release the worker pool and heartbeat channel; idempotent.
 
-        A closed runner refuses further sweeps (and ``with`` re-entry)
-        with :class:`~repro.errors.HarnessError` -- a clear error beats a
-        sweep silently hanging on a dead pool.
+        A closed session refuses further sweeps with
+        :class:`~repro.errors.HarnessError` -- a clear error beats a sweep
+        silently hanging on a dead pool.
         """
-        self._pool.close()
+        self.pool.close()
 
-    def __enter__(self) -> "BenchmarkRunner":
-        if self._pool.closed:
-            raise HarnessError(
-                "BenchmarkRunner is closed: its worker pool was released;"
-                " create a new runner instead of re-entering this one"
-            )
+    def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -476,6 +514,69 @@ class BenchmarkRunner:
             self.close()
         except Exception:
             pass
+
+
+class BenchmarkRunner:
+    """Runs benchmarks against controller factories: a view of a session.
+
+    A runner is a :class:`Session` seen at one :class:`SweepConfig` and
+    supply transform.  It holds no state of its own: finished cells, base
+    runs, the checkpoint, the worker pool and the trace stores belong to
+    the session, so every runner of one session is served what any of
+    them computed.
+
+    Parameters
+    ----------
+    config:
+        Cycle counts and hardware configuration shared by every run.
+    resilience:
+        Default :class:`ResilienceConfig` of the runner's private session.
+    supply_transform:
+        Optional ``(supply, benchmark) -> supply`` hook wrapping the power
+        supply of every run -- the fault-injection subsystem uses it to
+        mount adversarial current attackers on otherwise unchanged sweeps.
+        A checkpointed or parallel sweep pickles it, so build it as a
+        module-level callable or a ``functools.partial`` over one.
+    trace_store:
+        Optional trace record/replay store -- a directory path or a
+        :class:`repro.trace.TraceStore` -- for cells whose controller
+        schedule is replayable (see :func:`repro.trace.replay.schedule_token`).
+        When None, the ``trace_store_path`` of the resilience in force
+        applies.
+
+    The constructor builds a private session, so a new runner starts cold;
+    :meth:`Session.runner` gives a runner over a shared one.
+    :meth:`close` (or use as a context manager) closes the session.
+    """
+
+    def __init__(
+        self,
+        config: Optional[SweepConfig] = None,
+        resilience: Optional[ResilienceConfig] = None,
+        supply_transform: Optional[SupplyTransform] = None,
+        trace_store=None,
+    ):
+        self.session = Session(resilience, trace_store)
+        self.config = config or SweepConfig()
+        self.supply_transform = supply_transform
+
+    # ------------------------------------------------------------------
+    # Session lifecycle
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the runner's session; idempotent."""
+        self.session.close()
+
+    def __enter__(self) -> "BenchmarkRunner":
+        if self.session.closed:
+            raise HarnessError(
+                "BenchmarkRunner is closed: its worker pool was released;"
+                " create a new runner instead of re-entering this one"
+            )
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Building and running single cells
@@ -495,49 +596,24 @@ class BenchmarkRunner:
             supply_config=config.supply,
             seed=seed,
         )
-        supply = PowerSupply(
-            config.supply, initial_current=config.processor.min_current_amps
-        )
-        if self.supply_transform is not None:
-            supply = self.supply_transform(supply, benchmark)
         return Simulation(
             processor,
-            supply,
+            self._supply(benchmark),
             controller,
             record=record,
             benchmark=benchmark,
             warmup_cycles=config.warmup_cycles,
         )
 
-    # ------------------------------------------------------------------
-    # Trace record/replay (repro.trace; ROADMAP item 2)
-    # ------------------------------------------------------------------
-    def _trace_layer(self, resilience: Optional[ResilienceConfig] = None):
-        """The active :class:`~repro.trace.TraceStore`, or None.
-
-        Resolution order: a store passed to the constructor, then the
-        resilience config (the explicit argument, the sweep in progress,
-        the runner's own, or :data:`DEFAULT_RESILIENCE` -- same chain as
-        :meth:`_resolve_resilience`).  Store objects are cached per path
-        so hit/miss statistics accumulate across a whole sweep.
-        """
-        path = self._trace_store_path
-        if path is None:
-            if resilience is None:
-                resilience = self._active_resilience
-            resilience = self._resolve_resilience(resilience)
-            path = resilience.trace_store_path
-        if path is None:
-            return None
-        store = self._trace_stores.get(path)
-        if store is None:
-            # Function-level import: repro.trace.replay imports the
-            # simulation module, which sits beside this one.
-            from repro.trace import TraceStore
-
-            store = TraceStore(path)
-            self._trace_stores[path] = store
-        return store
+    def _supply(self, benchmark: str) -> PowerSupply:
+        """A fresh supply, with the runner's overlay applied."""
+        supply = PowerSupply(
+            self.config.supply,
+            initial_current=self.config.processor.min_current_amps,
+        )
+        if self.supply_transform is not None:
+            supply = self.supply_transform(supply, benchmark)
+        return supply
 
     def _trace_key(
         self,
@@ -578,22 +654,13 @@ class BenchmarkRunner:
             overlay=overlay,
         )
 
-    def _replay_supply(self, benchmark: str) -> PowerSupply:
-        """A fresh supply (overlay applied), identical to a full run's."""
-        supply = PowerSupply(
-            self.config.supply,
-            initial_current=self.config.processor.min_current_amps,
-        )
-        if self.supply_transform is not None:
-            supply = self.supply_transform(supply, benchmark)
-        return supply
-
     def _run_simulation(
         self,
         benchmark: str,
         controller: NoiseController,
         seed: Optional[int] = None,
         record: bool = False,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
         """Run one cell: replay a recorded trace when possible, else
         simulate fully (recording the trace on a store miss).
@@ -605,7 +672,7 @@ class BenchmarkRunner:
         replayable (see :class:`~repro.trace.store.TraceCapture`),
         re-records it.
         """
-        store = self._trace_layer()
+        store = self.session.trace_store(resilience)
         if store is not None:
             key = self._trace_key(benchmark, controller, seed)
         else:
@@ -623,7 +690,7 @@ class BenchmarkRunner:
         if payload is not None:
             replay = ReplaySimulation(
                 payload,
-                self._replay_supply(benchmark),
+                self._supply(benchmark),
                 controller,
                 record=record,
                 benchmark=benchmark,
@@ -638,27 +705,34 @@ class BenchmarkRunner:
             store.save(simulation.capture)
         return result
 
-    def _base_key(self, benchmark: str, seed: Optional[int]) -> tuple:
-        """Cache key of one base run.
+    def base_key(self, benchmark: str, seed: Optional[int]) -> tuple:
+        """The session's key of one base run at this runner's view.
 
-        The sweep configuration (and the supply transform, compared by
-        identity) is part of the key: ``config`` is a plain attribute, so a
-        runner whose configuration is swapped between runs -- an ablation
-        grid reusing one cache-shaped workflow -- must not be served a base
-        run computed under the old configuration.
+        The sweep configuration and the supply transform (compared by
+        identity) are part of the key, so runners of one session at other
+        configurations or overlays are never served each other's bases.
         """
         return (benchmark, seed, self.config, self.supply_transform)
 
     def run_base(
-        self, benchmark: str, seed: Optional[int] = None
+        self,
+        benchmark: str,
+        seed: Optional[int] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
-        """Run (or fetch the cached) uncontrolled base configuration."""
-        key = self._base_key(benchmark, seed)
-        if key not in self._base_cache:
-            self._base_cache[key] = self._run_simulation(
-                benchmark, NullController(), seed=seed
+        """Run (or fetch the session's) uncontrolled base configuration.
+
+        ``resilience`` (default: the session's) names the trace store, as
+        for every run of the runner.
+        """
+        key = self.base_key(benchmark, seed)
+        base = self.session.bases.get(key)
+        if base is None:
+            base = self._run_simulation(
+                benchmark, NullController(), seed=seed, resilience=resilience
             )
-        return self._base_cache[key]
+            self.session.bases[key] = base
+        return base
 
     def prefetch_base_batch(
         self,
@@ -666,27 +740,28 @@ class BenchmarkRunner:
         timeout_s: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         errors: Optional[Dict[Tuple[str, Optional[int]], Exception]] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> int:
-        """Warm the base-run cache for a sweep's ``(benchmark, seed)`` cells.
+        """Warm the session's base runs for a sweep's ``(benchmark, seed)`` cells.
 
         Runs the cells, in the order given, one at a time through
         :meth:`run_base`, so each cell's trace, pipeline and supply are
-        freed before the next is built.  Cells already cached are not
-        rerun; cells whose trace the store already holds are skipped,
-        since ``run_base`` replays them cheaply on demand.
+        freed before the next is built.  Cells the session already holds
+        are not rerun; cells whose trace the store already holds are
+        skipped, since ``run_base`` replays them cheaply on demand.
         ``should_stop`` is polled before each cell.
 
-        A cell that fails or outlasts ``timeout_s`` is left uncached, and
+        A cell that fails or outlasts ``timeout_s`` is left unheld, and
         its error goes into ``errors`` under the cell, where a sweep
         treats it as that cell's first attempt.  Returns the number of
-        cells newly cached.
+        cells newly held.
         """
-        store = self._trace_layer()
+        store = self.session.trace_store(resilience)
         cached = 0
         for benchmark, seed in cells:
             if should_stop is not None and should_stop():
                 break
-            if self._base_key(benchmark, seed) in self._base_cache:
+            if self.base_key(benchmark, seed) in self.session.bases:
                 continue
             if store is not None:
                 trace_key = self._trace_key(benchmark, NullController(), seed)
@@ -694,7 +769,8 @@ class BenchmarkRunner:
                     continue
             try:
                 _call_with_timeout(
-                    lambda: self.run_base(benchmark, seed), timeout_s
+                    lambda: self.run_base(benchmark, seed, resilience),
+                    timeout_s,
                 )
             except Exception as error:
                 if errors is not None:
@@ -708,18 +784,24 @@ class BenchmarkRunner:
         benchmark: str,
         factory: ControllerFactory,
         seed: Optional[int] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
         controller = factory(self.config.supply, self.config.processor)
-        return self._run_simulation(benchmark, controller, seed=seed)
+        return self._run_simulation(
+            benchmark, controller, seed=seed, resilience=resilience
+        )
 
     def compare(
         self,
         benchmark: str,
         factory: ControllerFactory,
         seed: Optional[int] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> RelativeMetrics:
-        base = self.run_base(benchmark, seed=seed)
-        result = self.run_technique(benchmark, factory, seed=seed)
+        base = self.run_base(benchmark, seed=seed, resilience=resilience)
+        result = self.run_technique(
+            benchmark, factory, seed=seed, resilience=resilience
+        )
         return result.relative_to(base)
 
     def compare_seeds(
@@ -762,17 +844,6 @@ class BenchmarkRunner:
     # ------------------------------------------------------------------
     # Resilient sweeping
     # ------------------------------------------------------------------
-    def _resolve_resilience(
-        self, override: Optional[ResilienceConfig]
-    ) -> ResilienceConfig:
-        if override is not None:
-            return override
-        if self.resilience is not None:
-            return self.resilience
-        if DEFAULT_RESILIENCE is not None:
-            return DEFAULT_RESILIENCE
-        return ResilienceConfig()
-
     def run_cell(
         self,
         benchmark: str,
@@ -866,7 +937,10 @@ class BenchmarkRunner:
                     if attempt == 0 and warmup_error is not None:
                         raise warmup_error
                     metrics = _call_with_timeout(
-                        lambda: self.compare(benchmark, factory, seed=seed),
+                        lambda: self.compare(
+                            benchmark, factory, seed=seed,
+                            resilience=resilience,
+                        ),
                         resilience.timeout_s,
                     )
                     span_args["attempts"] = attempt + 1
@@ -905,12 +979,14 @@ class BenchmarkRunner:
     ) -> TechniqueSummary:
         """Run one technique over a (benchmark, seed) grid and aggregate.
 
-        With a :class:`ResilienceConfig` (passed here, on the runner, or via
-        :data:`DEFAULT_RESILIENCE`), each completed cell is appended to the
-        JSON checkpoint before the next starts, failed cells are retried on
+        ``resilience`` (default: the session's) configures the sweep: with
+        a checkpoint path, each completed cell is flushed to the JSON
+        checkpoint before the next starts; failed cells are retried on
         re-seeded traces and finally reported as :class:`FailureReport`
-        entries, and ``resume=True`` skips cells already in the checkpoint
-        -- producing a summary identical to an uninterrupted sweep.
+        entries; ``resume=True`` reads the checkpoint into the session.
+        A cell the session already holds -- computed by an earlier sweep
+        of the session or read on resume -- is served, not run, producing
+        a summary identical to an uninterrupted sweep.
 
         ``seeds`` widens the grid: every benchmark runs once per seed
         (default ``(None,)``, today's single-run behaviour), with each
@@ -935,10 +1011,10 @@ class BenchmarkRunner:
         :class:`~repro.errors.SweepInterrupted` -- the CLI exits nonzero
         but the run resumes with ``--resume``.
         """
-        if self._pool.closed:
+        if self.session.closed:
             raise HarnessError(
-                "BenchmarkRunner is closed: its worker pool was released;"
-                " create a new runner to sweep again"
+                "BenchmarkRunner is closed: its session's worker pool was"
+                " released; create a new runner to sweep again"
             )
         t_total = time.perf_counter()
         tracer = obs_trace.active_tracer()
@@ -946,13 +1022,7 @@ class BenchmarkRunner:
         with contextlib.ExitStack() as sweep_stack:
             sweep_args = sweep_stack.enter_context(_maybe_span(tracer, "sweep"))
             with _maybe_span(tracer, "setup"):
-                resilience = self._resolve_resilience(resilience)
-                # Cells executed through compare/run_base must see this
-                # sweep's resilience (its --trace-store in particular).
-                self._active_resilience = resilience
-                sweep_stack.callback(
-                    setattr, self, "_active_resilience", None
-                )
+                resilience = resilience or self.session.resilience
                 names = (
                     list(benchmarks) if benchmarks is not None
                     else sorted(SPEC2K)
@@ -990,12 +1060,9 @@ class BenchmarkRunner:
                 technique = factory(
                     self.config.supply, self.config.processor
                 ).name
-                checkpoint = SweepCheckpoint.open(
-                    resilience, self.config, spec, technique,
-                    cells=self._checkpoint_cells,
+                checkpoint = self.session.checkpoint(
+                    resilience, self.config, spec, technique
                 )
-                if checkpoint.path is not None:
-                    self._checkpoint_cells = checkpoint.cells
                 grid = [(name, seed) for name in names for seed in seed_list]
 
                 results: Dict[Tuple[str, Optional[int]], RelativeMetrics] = {}
@@ -1038,7 +1105,7 @@ class BenchmarkRunner:
 
             incidents: List[FailureReport] = []
             drain = _DrainFlag()
-            trace_store = self._trace_layer(resilience)
+            trace_store = self.session.trace_store(resilience)
             trace_stats_before = (
                 dict(trace_store.stats) if trace_store is not None else None
             )
@@ -1057,7 +1124,7 @@ class BenchmarkRunner:
                     failure_map=failure_map,
                     timings=timings,
                     drain=drain,
-                    pool=self._pool,
+                    pool=self.session.pool,
                     trace_store_root=(
                         None if trace_store is None else trace_store.root
                     ),

@@ -283,7 +283,6 @@ class TestOnDiskFormats:
             _, name, technique, seed = key.split("|")
             resumed = SweepCheckpoint(
                 str(ck), config, spec, technique, checkpoint.cells,
-                resume=True,
             )
             cell = (name, None if seed == "-" else int(seed))
             assert resumed.completed(cell) is None

@@ -284,13 +284,25 @@ class TestPersistence:
         written = persistence.save_result(table1.run(), str(tmp_path), "table1")
         assert len(written) == 1
 
-    def test_run_and_save_all_subset(self, tmp_path):
-        from repro.experiments import persistence
+    def test_experiment_out_saves_each_artifact(self, tmp_path, capsys):
+        from repro.cli import main
 
-        seen = []
-        written = persistence.run_and_save_all(
-            str(tmp_path), quick=True, names=["figure1"],
-            progress=lambda name, seconds: seen.append(name),
+        assert main([
+            "experiment", "figure1", "table1", "--quick",
+            "--out", str(tmp_path),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "figure1.txt", "figure1_impedance.svg", "table1.txt",
+        ]
+        # Stdout stays the rendered artifacts, one blank line after each.
+        assert captured.out == "".join(
+            (tmp_path / f"{name}.txt").read_text() + "\n"
+            for name in ("figure1", "table1")
         )
-        assert seen == ["figure1"]
-        assert "figure1" in written
+        log = captured.err.splitlines()
+        assert log[0].startswith("=== host: cpu_count ")
+        assert "NumPy" in log[0]
+        assert log[1].startswith("=== figure1 done in ")
+        assert log[2].startswith("=== table1 done in ")
+        assert log[2].endswith(" MB ===")

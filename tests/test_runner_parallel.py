@@ -232,7 +232,8 @@ class TestFallbacks:
                 resilience=ResilienceConfig(workers=4),
             )
         assert summary.timings["workers"] == 1.0
-        assert runner._pool._executor is None  # the pool was never spun up
+        # the session's pool was never spun up
+        assert runner.session.pool._executor is None
 
     def test_workers_validation(self):
         with pytest.raises(ConfigurationError):
@@ -248,7 +249,7 @@ class TestFallbacks:
                 resilience=ResilienceConfig(workers=0),
             )
         assert summary.timings["workers"] == 1.0
-        assert runner._pool._executor is None
+        assert runner.session.pool._executor is None
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for the resilient experiment runner (repro.sim.runner).
 
 Covers: SweepConfig/ResilienceConfig construction validation, the
-base-run cache and its warm-up, failure reporting and bounded retry with
-deterministic re-seeding, per-cell timeouts, the checkpoint write/resume
-round trip (killed mid-sweep -> resumed summary byte-identical to an
-uninterrupted one), content-keyed checkpoint cells, and the experiment
-registry's name suggestions and flag plumbing.
+session's base runs and their warm-up, failure reporting and bounded retry
+with deterministic re-seeding, per-cell timeouts, the checkpoint
+write/resume round trip (killed mid-sweep -> resumed summary
+byte-identical to an uninterrupted one), content-keyed checkpoint cells,
+the session memo that serves them, and the experiment registry's name
+suggestions and flag plumbing.
 """
 
 import dataclasses
@@ -27,10 +28,10 @@ from repro.sim import (
     BenchmarkRunner,
     FailureReport,
     ResilienceConfig,
+    Session,
     SweepConfig,
     load_checkpoint,
 )
-from repro.sim import runner as runner_module
 from repro.sim.checkpoint import cell_key, spec_digest
 from repro.sim.simulation import Simulation
 from repro.uarch.pipeline import Pipeline
@@ -47,6 +48,11 @@ def summary_fingerprint(summary):
 
 
 SMALL = SweepConfig(n_cycles=3000, warmup_cycles=200)
+
+
+def held_bases(runner):
+    """The (benchmark, seed) of every base run the runner's session holds."""
+    return [key[:2] for key in runner.session.bases]
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +202,7 @@ class TestPrefetch:
         first = runner.run_base("swim", seed=1)
         assert runner.prefetch_base_batch([("swim", 1), ("gzip", 1)]) == 1
         assert runner.run_base("swim", seed=1) is first
-        assert runner._base_key("gzip", 1) in runner._base_cache
+        assert held_bases(runner) == [("swim", 1), ("gzip", 1)]
 
     def test_failed_cell_is_left_uncached(self):
         runner = BenchmarkRunner(TINY, supply_transform=break_benchmark("swim"))
@@ -204,8 +210,7 @@ class TestPrefetch:
         assert runner.prefetch_base_batch(
             [("swim", 1), ("gzip", 1)], errors=errors
         ) == 1
-        assert runner._base_key("swim", 1) not in runner._base_cache
-        assert runner._base_key("gzip", 1) in runner._base_cache
+        assert held_bases(runner) == [("gzip", 1)]
         assert list(errors) == [("swim", 1)]
         assert "melted" in str(errors[("swim", 1)])
 
@@ -215,10 +220,10 @@ class TestPrefetch:
         base_seeds = []
         run = BenchmarkRunner._run_simulation
 
-        def counted(self, benchmark, controller, seed=None, record=False):
+        def counted(self, benchmark, controller, seed=None, **kwargs):
             if benchmark == "swim" and isinstance(controller, NullController):
                 base_seeds.append(seed)
-            return run(self, benchmark, controller, seed=seed, record=record)
+            return run(self, benchmark, controller, seed=seed, **kwargs)
 
         monkeypatch.setattr(BenchmarkRunner, "_run_simulation", counted)
         runner = BenchmarkRunner(SMALL, supply_transform=break_benchmark("swim"))
@@ -238,7 +243,7 @@ class TestPrefetch:
         assert runner.prefetch_base_batch(
             [("swim", 1), ("gzip", 1)], should_stop=lambda: next(polls)
         ) == 1
-        assert list(runner._base_cache) == [runner._base_key("swim", 1)]
+        assert held_bases(runner) == [("swim", 1)]
 
 
 # ----------------------------------------------------------------------
@@ -451,19 +456,26 @@ class TestCheckpointResume:
         assert summary == expected
         assert summary.timings["cells_cached"] == len(self.BENCHMARKS)
 
-    def test_mismatched_checkpoint_is_rejected(self, tmp_path):
+    def test_resume_at_other_cycle_counts_serves_nothing(self, tmp_path):
+        # The content key carries the whole SweepConfig, so a file written
+        # at other cycle counts resumes, serves none of its cells, and
+        # keeps them for the sweeps they belong to.
         path = str(tmp_path / "ck.json")
-        warm = BenchmarkRunner(
+        other = SweepConfig(n_cycles=4000, warmup_cycles=200)
+        BenchmarkRunner(
             SMALL, resilience=ResilienceConfig(checkpoint_path=path)
-        )
-        warm.sweep(tuning_factory, benchmarks=("swim",))
+        ).sweep(tuning_factory, benchmarks=("swim",))
 
-        other = BenchmarkRunner(
-            SweepConfig(n_cycles=4000, warmup_cycles=200),
+        resumed = BenchmarkRunner(
+            other,
             resilience=ResilienceConfig(checkpoint_path=path, resume=True),
+        ).sweep(tuning_factory, benchmarks=("swim",))
+        clean = BenchmarkRunner(other).sweep(
+            tuning_factory, benchmarks=("swim",)
         )
-        with pytest.raises(ConfigurationError, match="does not match"):
-            other.sweep(tuning_factory, benchmarks=("swim",))
+        assert resumed.timings["cells_cached"] == 0
+        assert summary_fingerprint(resumed) == summary_fingerprint(clean)
+        assert len(load_checkpoint(path)["cells"]) == 2
 
     def test_corrupt_version_is_rejected(self, tmp_path):
         from repro.errors import CheckpointError
@@ -502,14 +514,15 @@ class TestCheckpointResume:
 # Content-keyed checkpoint cells
 # ----------------------------------------------------------------------
 
-def _table4_row(config, resilience, monkeypatch):
+def _table4_row(config, resilience):
     """One Table 4 row, swept as ``experiment table4`` sweeps it."""
     from repro.experiments import table4
 
-    monkeypatch.setattr(runner_module, "DEFAULT_RESILIENCE", resilience)
-    result = table4.run(
-        configs=(config,), benchmarks=("swim", "gzip"), sweep_config=SMALL
-    )
+    with Session(resilience) as session:
+        result = table4.run(
+            configs=(config,), benchmarks=("swim", "gzip"),
+            sweep_config=SMALL, session=session,
+        )
     return result.summaries[0][1]
 
 
@@ -536,22 +549,16 @@ digest = spec_digest(config, None, factory)
 
 
 class TestContentKeys:
-    def test_resumed_table4_row_is_not_served_another_row(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resumed_table4_row_is_not_served_another_row(self, tmp_path):
         from repro.experiments.table4 import VTConfig
 
         path = str(tmp_path / "ck.json")
-        _table4_row(
-            VTConfig(30, 0, 0), ResilienceConfig(checkpoint_path=path),
-            monkeypatch,
-        )
+        _table4_row(VTConfig(30, 0, 0), ResilienceConfig(checkpoint_path=path))
         resumed = _table4_row(
             VTConfig(20, 10, 5),
             ResilienceConfig(checkpoint_path=path, resume=True),
-            monkeypatch,
         )
-        clean = _table4_row(VTConfig(20, 10, 5), None, monkeypatch)
+        clean = _table4_row(VTConfig(20, 10, 5), None)
         assert summary_fingerprint(resumed) == summary_fingerprint(clean)
         assert len(load_checkpoint(path)["cells"]) == 4
 
@@ -596,11 +603,21 @@ class TestContentKeys:
             )
             assert child.stdout.strip() == namespace["digest"]
 
-    def test_only_a_resume_serves_cells(self, tmp_path):
+    def test_session_memo_serves_and_only_resume_reads_file(self, tmp_path):
+        # Within one session a finished cell is served with or without
+        # resume; across sessions only a resume reads the file.
         path = str(tmp_path / "ck.json")
         runner = BenchmarkRunner(SMALL)
-        for resume, cached in ((False, 0.0), (False, 0.0), (True, 1.0)):
+        for resume, cached in ((False, 0.0), (False, 1.0), (True, 1.0)):
             summary = runner.sweep(
+                tuning_factory, benchmarks=("swim",),
+                resilience=ResilienceConfig(
+                    checkpoint_path=path, resume=resume
+                ),
+            )
+            assert summary.timings["cells_cached"] == cached
+        for resume, cached in ((False, 0.0), (True, 1.0)):
+            summary = BenchmarkRunner(SMALL).sweep(
                 tuning_factory, benchmarks=("swim",),
                 resilience=ResilienceConfig(
                     checkpoint_path=path, resume=resume

@@ -339,8 +339,11 @@ class TestTimeoutOffTheMainThread:
 # closed runner refuses work
 # ----------------------------------------------------------------------
 
-def pid_marking_factory(supply, processor, directory):
-    """Picklable factory leaving a file named after the building process."""
+def pid_marking_factory(supply, processor, directory, tag=None):
+    """Picklable factory leaving a file named after the building process.
+
+    ``tag`` only tells sweeps apart: it changes the spec, not the run.
+    """
     pathlib.Path(directory, str(os.getpid())).touch()
     # Hold this worker so the other one takes the next queued cell: both
     # workers then serve the first sweep, not just the faster one.
@@ -361,12 +364,14 @@ def marked_pids(directory):
 
 class TestRunnerLifecycle:
     def test_pool_serves_later_sweeps_and_dies_with_close(self, tmp_path):
-        factory = functools.partial(pid_marking_factory, directory=tmp_path)
         runner = BenchmarkRunner(SMALL)
         served = []
-        for _ in range(2):
+        # Two specs: the session would serve a repeated one from its memo.
+        for tag in ("first", "second"):
             runner.sweep(
-                factory,
+                functools.partial(
+                    pid_marking_factory, directory=tmp_path, tag=tag
+                ),
                 benchmarks=BENCHMARKS,
                 seeds=(None, 7),
                 resilience=ResilienceConfig(workers=2),
@@ -412,9 +417,10 @@ class TestRunnerLifecycle:
             resilience=ResilienceConfig(workers=2, heartbeat_stale_s=30.0),
         )
         runner.close()
-        assert runner._pool._manager is None
-        assert runner._pool._heartbeats is None
-        assert runner._pool._executor is None
+        pool = runner.session.pool
+        assert pool._manager is None
+        assert pool._heartbeats is None
+        assert pool._executor is None
 
 
 # ----------------------------------------------------------------------

@@ -294,6 +294,9 @@ class TestSeedStatistics:
         b = runner.run_base("gzip", seed=123)
         assert a is not b
         assert a is runner.run_base("gzip")
+        assert [key[:2] for key in runner.session.bases] == [
+            ("gzip", None), ("gzip", 123),
+        ]
 
 
 class TestDeterminism:

@@ -560,7 +560,7 @@ class TestRunnerFallback:
         corrupted_runner = BenchmarkRunner(SMALL, trace_store=store_dir)
         corrupted = corrupted_runner.run_base("gzip")
         assert corrupted == plain
-        fallback_store = corrupted_runner._trace_stores[store_dir]
+        fallback_store = corrupted_runner.session.trace_store()
         assert fallback_store.stats["guard_failures"] == 1
         assert fallback_store.stats["fallbacks"] == 1
         # The re-simulation re-records the entry, healing the store.
