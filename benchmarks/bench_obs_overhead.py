@@ -19,10 +19,10 @@ from repro.cli import build_tuning
 from repro.config import TuningConfig
 from repro.sim import BenchmarkRunner, SweepConfig
 
-from conftest import FULL, run_once
+from conftest import run_once
 
 BENCH_BENCHMARKS = ("swim", "parser", "gzip")
-BENCH_CYCLES = 20_000 if FULL else 8_000
+BENCH_CYCLES = 8_000
 REPEATS = 3
 #: Absolute slack so sub-second sweeps don't fail on timer jitter.
 ABSOLUTE_FLOOR_S = 0.05

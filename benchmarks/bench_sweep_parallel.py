@@ -18,11 +18,11 @@ from repro.cli import build_convolution, build_damping, build_tuning
 from repro.config import TuningConfig
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 
-from conftest import BENCH_CYCLES, FULL, run_once
+from conftest import run_once
 
 GRID_BENCHMARKS = ("swim", "parser", "gzip", "fma3d")
 GRID_SEEDS = (None, 11, 12, 13)
-GRID_CYCLES = BENCH_CYCLES if FULL else 6000
+GRID_CYCLES = 6000
 
 TECHNIQUES = (
     ("tuning", functools.partial(build_tuning, tuning=TuningConfig())),

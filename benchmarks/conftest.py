@@ -1,36 +1,14 @@
-"""Shared sizing for the benchmark harness.
+"""Shared helper for the host-timing benches.
 
-Each bench regenerates one of the paper's tables or figures.  By default
-the sweeps run at a reduced scale (a representative benchmark subset and
-shorter cycle counts) so ``pytest benchmarks/ --benchmark-only`` finishes
-in minutes; set ``REPRO_BENCH_FULL=1`` for the paper-scale runs used to
-produce EXPERIMENTS.md.
+Each bench times one mechanism on this host -- the cycle kernel, trace
+replay, the sweep backends, observability overhead -- and asserts its
+own equivalence and speedup floors.  The paper's claims are checked by
+``python -m repro experiment NAME... --out DIR`` (``DIR/claims.txt``,
+see ``repro.experiments.claims``), not here.
 """
-
-import os
-
-import pytest
-
-FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-
-#: Representative subset: heavy violators, moderate violators, clean apps.
-SUBSET = ("swim", "bzip", "parser", "mcf", "lucas", "fma3d", "gzip", "eon")
-
-BENCH_CYCLES = 60_000 if FULL else 20_000
-BENCHMARKS = None if FULL else SUBSET  # None = all 26
-
-
-@pytest.fixture(scope="session")
-def bench_benchmarks():
-    return BENCHMARKS
-
-
-@pytest.fixture(scope="session")
-def bench_cycles():
-    return BENCH_CYCLES
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
+    """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)

@@ -37,7 +37,8 @@ class PipelineDampingController(NoiseController):
     would complicate the issue queue further").  Each window keeps its own
     history and the issue bounds are the intersection of every window's
     bounds -- strictly stronger damping at strictly higher hardware cost,
-    which ``benchmarks/bench_multiwindow_damping.py`` quantifies.
+    which the ``multiwindow-damping`` experiment quantifies
+    (:func:`repro.experiments.ablations.run_multiwindow_damping`).
     """
 
     name = "pipeline-damping"

@@ -203,11 +203,14 @@ def _cmd_experiment(args) -> int:
     """Run the named experiments on one session, which closes at the end.
 
     Stdout holds the rendered artifacts only.  With ``--out``, each one is
-    also saved there, and stderr logs the host (CPU count, Python and
-    NumPy versions) and each experiment's wall time and the peak RSS.
+    also saved there with ``claims.txt``, the verdicts of the paper's
+    claims about them, and stderr logs the host (CPU count, Python and
+    NumPy versions), each experiment's wall time and the peak RSS, and the
+    claims' aggregate verdict.
     """
     import numpy
 
+    from repro.experiments import claims
     from repro.experiments.persistence import save_result
     from repro.experiments.registry import (
         resilience_from_args,
@@ -223,10 +226,13 @@ def _cmd_experiment(args) -> int:
     names = select(args.names)
     log(f"host: cpu_count {os.cpu_count()}, Python"
         f" {platform.python_version()}, NumPy {numpy.__version__}")
+    results = {}
     with Session(resilience_from_args(args)) as session:
         for name in names:
             started = time.perf_counter()
-            result = run_experiment(name, quick=args.quick, session=session)
+            result = results[name] = run_experiment(
+                name, quick=args.quick, session=session
+            )
             print(result.render())
             print()
             if args.out is not None:
@@ -234,6 +240,10 @@ def _cmd_experiment(args) -> int:
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             log(f"{name} done in {time.perf_counter() - started:.0f}s,"
                 f" peak RSS {peak_mb:.0f} MB")
+    if args.out is not None:
+        verdicts = claims.evaluate(results, quick=args.quick)
+        claims.write(verdicts, args.out)
+        log(claims.summary_line(verdicts))
     return 0
 
 
@@ -323,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--out", metavar="DIR", default=None,
-        help="also save each artifact (text and SVG charts) in DIR, and log"
-             " the host and each experiment's time and peak RSS on stderr",
+        help="also save each artifact (text and SVG charts) and claims.txt,"
+             " the verdicts of the paper's claims about them, in DIR, and"
+             " log the host and each experiment's time and peak RSS on"
+             " stderr",
     )
     from repro.experiments.registry import add_resilience_flags
 

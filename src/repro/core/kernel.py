@@ -27,8 +27,8 @@ advances *whole traces* per call:
 
 ``REPRO_KERNEL=0`` in the environment disables every kernel fast path
 (the scalar loops run instead); this is the escape hatch the
-equivalence hooks in ``tools/verify_all.py`` and the differential tests
-use to compare both paths end to end.
+differential tests in ``tests/test_kernel.py`` use to compare both paths
+end to end.
 """
 
 from __future__ import annotations

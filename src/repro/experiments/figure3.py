@@ -6,7 +6,9 @@ to cycle 500.  The paper's observations, all checked here:
 * the noise margin is violated when the resonant event count reaches the
   maximum repetition tolerance (4);
 * after the stimulus stops, ringing dissipates at about 66 % per resonant
-  period (Q = 2.83).
+  period (Q = 2.83);
+* the same wave below the resonant current variation threshold (20 A)
+  never violates.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from repro.experiments.report import ascii_series, render_table
 
 __all__ = ["Figure3Result", "run"]
 
+#: Peak-to-peak amplitude (A) of the same wave below the resonant current
+#: variation threshold, which must not violate.
+BELOW_THRESHOLD_PP = 20.0
+
 
 @dataclass
 class Figure3Result:
@@ -37,6 +43,8 @@ class Figure3Result:
     count_milestones: List[Tuple[int, int]]   # (count, first cycle)
     measured_dissipation_per_period: float
     expected_dissipation_per_period: float
+    #: first violating cycle of the same wave below the threshold
+    below_threshold_violation_cycle: Optional[int]
 
     def to_svg_charts(self) -> dict:
         """SVG renderings keyed by chart name."""
@@ -102,9 +110,13 @@ def run(
     tuning = tuning or TuningConfig()
     analysis = RLCAnalysis(supply_config)
     period = analysis.resonant_period_cycles
-    wave = square_wave(
-        n_cycles, period, amplitude_pp, mean=mean_current, start=start, end=end
-    )
+
+    def stimulus(amplitude):
+        return square_wave(
+            n_cycles, period, amplitude, mean=mean_current, start=start, end=end
+        )
+
+    wave = stimulus(amplitude_pp)
     supply = PowerSupply(supply_config, initial_current=mean_current, record=True)
     detector = ResonanceDetector(
         analysis.band.half_periods,
@@ -129,6 +141,9 @@ def run(
             milestones.append((count, int(hits[0])))
 
     measured = _dissipation_after_stimulus(voltages, end, period)
+    below = PowerSupply(supply_config, initial_current=mean_current)
+    for current in stimulus(BELOW_THRESHOLD_PP):
+        below.step(current)
     return Figure3Result(
         currents=wave,
         voltages=voltages,
@@ -138,6 +153,7 @@ def run(
         count_milestones=milestones,
         measured_dissipation_per_period=measured,
         expected_dissipation_per_period=analysis.dissipation_per_period,
+        below_threshold_violation_cycle=below.first_violation_cycle,
     )
 
 

@@ -4,7 +4,9 @@
 and prints each rendered table or figure; ``all`` names the paper's nine
 artifacts, and ``--quick`` shrinks cycle counts and the benchmark set for
 a fast sanity pass.  Every table and figure in the paper's evaluation has
-an entry.
+an entry, and every extension beyond it (:data:`EXTENSIONS`).  With
+``--out DIR`` the command also checks the paper's claims about what it
+produced (:mod:`repro.experiments.claims`) into ``DIR/claims.txt``.
 
 The command builds one :class:`~repro.sim.runner.Session` from the
 resilience flags (``--checkpoint``, ``--resume``, ``--max-retries``,
@@ -23,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments import (
     ablations,
+    extensions,
     faults,
     figure1,
     figure3,
@@ -101,6 +104,14 @@ EXTENSIONS: Dict[str, Experiment] = {
     "ablation-fault-injection": _on_session(
         faults.run, n_cycles=6_000, benchmarks=("swim",), intensities=(0.3,)
     ),
+    "lowfreq-resonance": _without_session(extensions.run_lowfreq),
+    "convolution-baseline": _on_session(
+        ablations.run_convolution, **_QUICK_ABLATION
+    ),
+    "multiwindow-damping": _on_session(
+        ablations.run_multiwindow_damping, **_QUICK_ABLATION
+    ),
+    "design-space": _without_session(extensions.run_design_space),
 }
 
 
@@ -116,17 +127,20 @@ def _lookup(name: str) -> Experiment:
 
 
 def select(names: Sequence[str]) -> List[str]:
-    """The experiments a command line names, in order.
+    """The experiments a command line names, in order, each once.
 
-    ``all`` anywhere selects the paper's nine artifacts.  Every name is
-    checked before any experiment runs: an unknown one raises
+    ``all`` expands in place to the paper's nine artifacts.  Every other
+    name is checked before any experiment runs: an unknown one raises
     :class:`KeyError` with close-match suggestions.
     """
-    if "all" in names:
-        return sorted(EXPERIMENTS)
+    chosen: List[str] = []
     for name in names:
-        _lookup(name)
-    return list(names)
+        if name == "all":
+            chosen.extend(sorted(EXPERIMENTS))
+        else:
+            _lookup(name)
+            chosen.append(name)
+    return list(dict.fromkeys(chosen))
 
 
 def run_experiment(

@@ -13,7 +13,6 @@ from repro.sim.runner import (
     BenchmarkRunner,
     FailureReport,
     ResilienceConfig,
-    SeedStatistics,
     Session,
     SweepConfig,
     TechniqueSummary,
@@ -28,7 +27,6 @@ __all__ = [
     "FailureReport",
     "ProcessPoolBackend",
     "ResilienceConfig",
-    "SeedStatistics",
     "SequentialBackend",
     "Session",
     "SweepBackend",

@@ -68,7 +68,6 @@ __all__ = [
     "ResilienceConfig",
     "FailureReport",
     "TechniqueSummary",
-    "SeedStatistics",
     "BenchmarkRunner",
     "Session",
     "summarize",
@@ -210,26 +209,6 @@ class FailureReport:
     error_type: str
     message: str
     skipped: bool = False
-
-
-@dataclass(frozen=True)
-class SeedStatistics:
-    """Mean / spread of one technique on one benchmark across trace seeds.
-
-    Seeds regenerate the synthetic trace from the same statistical profile,
-    so the spread measures sensitivity to the particular random instruction
-    stream rather than to the workload's character.
-    """
-
-    benchmark: str
-    technique: str
-    n_seeds: int
-    mean_slowdown: float
-    std_slowdown: float
-    mean_energy_delay: float
-    std_energy_delay: float
-    max_violation_fraction: float
-    runs: Tuple[RelativeMetrics, ...]
 
 
 @dataclass(frozen=True)
@@ -804,43 +783,6 @@ class BenchmarkRunner:
         )
         return result.relative_to(base)
 
-    def compare_seeds(
-        self,
-        benchmark: str,
-        factory: ControllerFactory,
-        n_seeds: int = 3,
-    ) -> SeedStatistics:
-        """Repeat the comparison over ``n_seeds`` regenerated traces."""
-        if n_seeds < 1:
-            raise ValueError("n_seeds must be at least 1")
-        profile_seed = SPEC2K[benchmark].seed
-        seeds: List[Optional[int]] = [None]
-        seeds += [profile_seed + 1000 * k for k in range(1, n_seeds)]
-        runs = tuple(
-            self.compare(benchmark, factory, seed=seed) for seed in seeds
-        )
-        slowdowns = [run.slowdown for run in runs]
-        energy_delays = [run.energy_delay for run in runs]
-
-        def mean(values):
-            return sum(values) / len(values)
-
-        def std(values):
-            centre = mean(values)
-            return (sum((v - centre) ** 2 for v in values) / len(values)) ** 0.5
-
-        return SeedStatistics(
-            benchmark=benchmark,
-            technique=runs[0].technique,
-            n_seeds=n_seeds,
-            mean_slowdown=mean(slowdowns),
-            std_slowdown=std(slowdowns),
-            mean_energy_delay=mean(energy_delays),
-            std_energy_delay=std(energy_delays),
-            max_violation_fraction=max(run.violation_fraction for run in runs),
-            runs=runs,
-        )
-
     # ------------------------------------------------------------------
     # Resilient sweeping
     # ------------------------------------------------------------------
@@ -1199,6 +1141,10 @@ class BenchmarkRunner:
                     registry, technique, workers, grid, pending, results,
                     failure_map, incidents,
                 )
+            if len(results) == len(grid) - len(pending):
+                # No cell completed, so no flush wrote this sweep's path:
+                # write the session's cells there now.
+                checkpoint.flush()
             checkpoint.write_summary(summary)
             return summary
 

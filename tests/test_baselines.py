@@ -241,7 +241,7 @@ class TestMultiWindowDamping:
 
     def test_multiwindow_no_better_than_single_at_equal_delta(self):
         """The negative result: band coverage of the estimate is not the
-        leak at delta = 1x (see bench_multiwindow_damping)."""
+        leak at delta = 1x (see the multiwindow-damping experiment)."""
         runner = BenchmarkRunner(SweepConfig(n_cycles=15_000))
         single = runner.compare(
             "swim",

@@ -1,4 +1,9 @@
-"""Tests for the experiment modules (tiny scales; full runs live in benchmarks/)."""
+"""Tests for the experiment modules at tiny scales.
+
+The paper's claims about each artifact are checked in tests/test_claims.py
+(at ``--quick``) and by ``python -m repro experiment all --out DIR``
+(at full scale).
+"""
 
 import pytest
 
@@ -259,6 +264,10 @@ class TestAblations:
             "ablation-sensing",
             "ablation-detectors",
             "ablation-fault-injection",
+            "lowfreq-resonance",
+            "convolution-baseline",
+            "multiwindow-damping",
+            "design-space",
         }
         assert not set(EXTENSIONS) & set(EXPERIMENTS)
 
@@ -293,7 +302,8 @@ class TestPersistence:
         ]) == 0
         captured = capsys.readouterr()
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "figure1.txt", "figure1_impedance.svg", "table1.txt",
+            "claims.txt", "figure1.txt", "figure1_impedance.svg",
+            "table1.txt",
         ]
         # Stdout stays the rendered artifacts, one blank line after each.
         assert captured.out == "".join(

@@ -69,6 +69,23 @@ class TestCommandCheckpoint:
         assert cells(metrics, "cached") == 12
         assert resumed == first
 
+    def test_a_fully_served_sweep_writes_its_own_path(self, tmp_path):
+        damping = functools.partial(PipelineDampingController, delta_amps=13.0)
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+        with BenchmarkRunner(TINY) as runner:
+            summaries = [
+                runner.sweep(
+                    damping, benchmarks=PAIR,
+                    resilience=ResilienceConfig(checkpoint_path=path),
+                )
+                for path in paths
+            ]
+            held = set(runner.session.cells)
+        assert summaries[1].timings["cells_cached"] == 2
+        assert summaries[1] == summaries[0]
+        for path in paths:
+            assert set(load_checkpoint(path)["cells"]) == held
+
 
 class TestMemo:
     def test_figure5_is_served_the_table3_rows_it_shares(self, metrics):
@@ -147,6 +164,14 @@ class TestExperimentCommand:
         assert chosen == sorted(registry.EXPERIMENTS)
         assert len(chosen) == 9
         assert registry.select(["table3", "figure5"]) == ["table3", "figure5"]
+
+    def test_all_expands_in_place_and_every_other_name_is_checked(self):
+        chosen = registry.select(["all", "ablation-two-tier"])
+        assert chosen == sorted(registry.EXPERIMENTS) + ["ablation-two-tier"]
+        assert registry.select(["table3", "all"])[0] == "table3"
+        assert len(registry.select(["table3", "all"])) == 9
+        with pytest.raises(KeyError, match="'nope'"):
+            registry.select(["all", "nope"])
 
     def test_unknown_name_is_refused_before_any_experiment_runs(
         self, capsys
