@@ -11,12 +11,10 @@ and the sampling profiler on top -- interleaved, each leg the best of
 baseline plus ``ABSOLUTE_FLOOR_S``.
 """
 
-import functools
 import time
 
 from repro import obs
-from repro.cli import build_tuning
-from repro.config import TuningConfig
+from repro.core import ResonanceTuningController
 from repro.sim import BenchmarkRunner, SweepConfig
 
 from conftest import run_once
@@ -27,7 +25,7 @@ REPEATS = 3
 #: Absolute slack so sub-second sweeps don't fail on timer jitter.
 ABSOLUTE_FLOOR_S = 0.05
 
-FACTORY = functools.partial(build_tuning, tuning=TuningConfig())
+FACTORY = ResonanceTuningController
 
 
 def _sweep_once():

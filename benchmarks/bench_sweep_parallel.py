@@ -14,8 +14,8 @@ import json
 import os
 import time
 
-from repro.cli import build_convolution, build_damping, build_tuning
-from repro.config import TuningConfig
+from repro.baselines import ConvolutionController, PipelineDampingController
+from repro.core import ResonanceTuningController
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 
 from conftest import run_once
@@ -25,9 +25,10 @@ GRID_SEEDS = (None, 11, 12, 13)
 GRID_CYCLES = 6000
 
 TECHNIQUES = (
-    ("tuning", functools.partial(build_tuning, tuning=TuningConfig())),
-    ("damping", functools.partial(build_damping, delta_amps=13.0)),
-    ("convolution", functools.partial(build_convolution, estimate_gain=1.0)),
+    ("tuning", ResonanceTuningController),
+    ("damping", functools.partial(PipelineDampingController, delta_amps=13.0)),
+    ("convolution",
+     functools.partial(ConvolutionController, estimate_gain=1.0)),
 )
 
 

@@ -29,14 +29,7 @@ from repro import obs
 from repro.config import PowerSupplyConfig, TABLE1_SUPPLY, TuningConfig
 from repro.errors import ReproError, SweepInterrupted
 
-__all__ = [
-    "main",
-    "build_parser",
-    "build_tuning",
-    "build_voltage_threshold",
-    "build_damping",
-    "build_convolution",
-]
+__all__ = ["main", "build_parser"]
 
 
 def _supply_from_args(args) -> PowerSupplyConfig:
@@ -101,61 +94,34 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-# Module-level controller builders: ``functools.partial`` over these
-# pickles by qualified name, so CLI-built factories survive the trip to
-# the parallel sweep backend's worker processes.
-
-def build_tuning(supply, processor, tuning):
+def _technique_factory(args):
+    from repro.baselines.convolution import ConvolutionController
+    from repro.baselines.damping import PipelineDampingController
+    from repro.baselines.voltage_threshold import VoltageThresholdController
     from repro.core.tuning import ResonanceTuningController
 
-    return ResonanceTuningController(supply, processor, tuning)
-
-
-def build_voltage_threshold(
-    supply, processor, threshold_volts, noise_volts, delay_cycles
-):
-    from repro.baselines.voltage_threshold import VoltageThresholdController
-
-    return VoltageThresholdController(
-        supply,
-        processor,
-        target_threshold_volts=threshold_volts,
-        sensor_noise_pp_volts=noise_volts,
-        delay_cycles=delay_cycles,
-    )
-
-
-def build_damping(supply, processor, delta_amps):
-    from repro.baselines.damping import PipelineDampingController
-
-    return PipelineDampingController(supply, processor, delta_amps)
-
-
-def build_convolution(supply, processor, estimate_gain):
-    from repro.baselines.convolution import ConvolutionController
-
-    return ConvolutionController(supply, processor, estimate_gain=estimate_gain)
-
-
-def _technique_factory(args):
     name = args.technique
     if name == "tuning":
         return functools.partial(
-            build_tuning,
-            tuning=TuningConfig(initial_response_time=args.response_time),
+            ResonanceTuningController,
+            tuning_config=TuningConfig(
+                initial_response_time=args.response_time
+            ),
         )
     if name == "voltage-threshold":
         return functools.partial(
-            build_voltage_threshold,
-            threshold_volts=args.threshold_mv * 1e-3,
-            noise_volts=args.noise_mv * 1e-3,
+            VoltageThresholdController,
+            target_threshold_volts=args.threshold_mv * 1e-3,
+            sensor_noise_pp_volts=args.noise_mv * 1e-3,
             delay_cycles=args.delay,
         )
     if name == "damping":
-        return functools.partial(build_damping, delta_amps=args.delta_amps)
+        return functools.partial(
+            PipelineDampingController, delta_amps=args.delta_amps
+        )
     if name == "convolution":
         return functools.partial(
-            build_convolution, estimate_gain=args.estimate_gain
+            ConvolutionController, estimate_gain=args.estimate_gain
         )
     raise ReproError(f"unknown technique {name}")  # pragma: no cover
 

@@ -170,7 +170,12 @@ class CurrentHistoryRegister:
 
 
 class EventHistoryRegister:
-    """One-bit-per-cycle shift register of resonant events of one polarity."""
+    """One-bit-per-cycle shift register of resonant events of one polarity.
+
+    Beside each event bit it keeps the first cycle of the consecutive-event
+    run the bit belongs to, so :meth:`run_start` is O(1) however long the
+    run (``core.kernel.run_detector`` derives the same starts vectorized).
+    """
 
     def __init__(self, length_cycles: int):
         if length_cycles < 1:
@@ -181,6 +186,7 @@ class EventHistoryRegister:
             size *= 2
         self._mask = size - 1
         self._bits = bytearray(size)
+        self._run_starts = [0] * size
         self._cycle = -1
 
     def shift(self, cycle: int, event: bool) -> None:
@@ -190,7 +196,14 @@ class EventHistoryRegister:
                 f"event history must shift every cycle (got {cycle}, "
                 f"expected {self._cycle + 1})"
             )
-        self._bits[cycle & self._mask] = 1 if event else 0
+        index = cycle & self._mask
+        if event:
+            previous = (cycle - 1) & self._mask
+            self._run_starts[index] = (
+                self._run_starts[previous]
+                if cycle and self._bits[previous] else cycle
+            )
+        self._bits[index] = 1 if event else 0
         self._cycle = cycle
 
     def has_event_at(self, cycle: int) -> bool:
@@ -214,11 +227,13 @@ class EventHistoryRegister:
 
         Events in consecutive cycles are one physical variation spanning
         several cycles and must count only once (Section 3.1.3); counting
-        code uses the run's start as the event's canonical cycle.
+        code uses the run's start as the event's canonical cycle.  A run
+        older than the register's horizon starts, as far as the register
+        can tell, at the oldest cycle it still holds.
         """
         if not self.has_event_at(cycle):
             raise SimulationError(f"no event at cycle {cycle}")
-        start = cycle
-        while start > 0 and self.has_event_at(start - 1):
-            start -= 1
-        return start
+        return max(
+            self._run_starts[cycle & self._mask],
+            self._cycle - self.length_cycles + 1,
+        )

@@ -122,9 +122,11 @@ def _runner(n_cycles: int, session: Optional[Session]) -> BenchmarkRunner:
     return (session or Session()).runner(SweepConfig(n_cycles=n_cycles))
 
 
-# Module-level builders: each variant's factory is a functools.partial
-# over one, so it pickles for pool workers and checkpoint keys, and each
-# controller gets its own sensor or detector.
+# Builders of the variants that need their own sensor or detector.  A
+# sweep calls its factory once and keys its cells by the controller it
+# builds, so a variant that builds the default controller (a 1 A sensor,
+# the band-wide quarter-period detector, no response delay) is served the
+# cells of every other variant that does.
 
 def _detector_controller(
     supply, processor, half_periods, detector_cls=ResonanceDetector

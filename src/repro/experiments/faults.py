@@ -176,12 +176,12 @@ def _tuning_controller(
     fault: Optional[Tuple[str, float, int, int]] = None,
     label: Optional[str] = None,
 ):
-    """Module-level builder of the campaign's controllers.
+    """Builder of the campaign's controllers.
 
-    Sweeps take it as a ``functools.partial``, which pickles for pool
-    workers and checkpoint keys.  ``fault`` holds the
-    :func:`_sensor_faults` arguments; the faults are built here, so each
-    controller gets its own fault state.
+    ``fault`` holds the :func:`_sensor_faults` arguments.  A sweep calls
+    it once and runs every cell on a fresh copy of that controller,
+    restored from the sweep's spec, so each run starts from the same
+    fault state.
     """
     sensor = FaultySensor(_sensor_faults(*fault)) if fault is not None else None
     controller = ResonanceTuningController(supply, processor, sensor=sensor)

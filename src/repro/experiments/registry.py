@@ -205,26 +205,12 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              " death only)",
     )
     parser.add_argument(
-        "--max-worker-restarts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="requeue a cell at most N times after losing its worker"
-             " before parking it as a failure (default 2)",
-    )
-    parser.add_argument(
         "--drain-deadline-s",
         type=float,
         default=None,
         metavar="S",
         help="on SIGTERM/SIGINT, wait S seconds for in-flight cells before"
              " killing the pool and exiting resumable (default 10)",
-    )
-    parser.add_argument(
-        "--no-circuit-breaker",
-        action="store_true",
-        help="run every (benchmark, seed) cell even after the benchmark's"
-             " first cell exhausted its retry budget",
     )
     parser.add_argument(
         "--trace-store",
@@ -262,12 +248,8 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
         overrides["workers"] = workers
     if getattr(args, "heartbeat_stale_s", None) is not None:
         overrides["heartbeat_stale_s"] = args.heartbeat_stale_s
-    if getattr(args, "max_worker_restarts", None) is not None:
-        overrides["max_worker_restarts"] = args.max_worker_restarts
     if getattr(args, "drain_deadline_s", None) is not None:
         overrides["drain_deadline_s"] = args.drain_deadline_s
-    if getattr(args, "no_circuit_breaker", False):
-        overrides["circuit_breaker"] = False
     if getattr(args, "trace_store", None) is not None:
         overrides["trace_store_path"] = args.trace_store
     if not overrides:

@@ -63,11 +63,6 @@ class Table3Result:
         )
 
 
-def _tuned_controller(supply, processor, tuning):
-    """Module-level builder so sweep factories pickle for worker processes."""
-    return ResonanceTuningController(supply, processor, tuning)
-
-
 def run(
     initial_response_times: Sequence[int] = (75, 100, 125, 150, 200),
     n_cycles: int = 60_000,
@@ -83,6 +78,8 @@ def run(
     summaries = []
     for time_value in initial_response_times:
         tuned = replace(base_tuning, initial_response_time=time_value)
-        factory = functools.partial(_tuned_controller, tuning=tuned)
+        factory = functools.partial(
+            ResonanceTuningController, tuning_config=tuned
+        )
         summaries.append((time_value, runner.sweep(factory, benchmarks)))
     return Table3Result(summaries=tuple(summaries), n_cycles=config.n_cycles)

@@ -86,17 +86,6 @@ class Table4Result:
         )
 
 
-def _vt_controller(supply, processor, config):
-    """Module-level builder so sweep factories pickle for worker processes."""
-    return VoltageThresholdController(
-        supply,
-        processor,
-        target_threshold_volts=config.target_mv * 1e-3,
-        sensor_noise_pp_volts=config.noise_mv * 1e-3,
-        delay_cycles=config.delay_cycles,
-    )
-
-
 def run(
     configs: Sequence[VTConfig] = PAPER_CONFIGS,
     n_cycles: int = 60_000,
@@ -109,6 +98,11 @@ def run(
     runner = (session or Session()).runner(sweep)
     summaries = []
     for config in configs:
-        factory = functools.partial(_vt_controller, config=config)
+        factory = functools.partial(
+            VoltageThresholdController,
+            target_threshold_volts=config.target_mv * 1e-3,
+            sensor_noise_pp_volts=config.noise_mv * 1e-3,
+            delay_cycles=config.delay_cycles,
+        )
         summaries.append((config, runner.sweep(factory, benchmarks)))
     return Table4Result(summaries=tuple(summaries), n_cycles=sweep.n_cycles)

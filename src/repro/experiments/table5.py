@@ -60,11 +60,6 @@ class Table5Result:
         )
 
 
-def _damping_controller(supply, processor, delta_amps):
-    """Module-level builder so sweep factories pickle for worker processes."""
-    return PipelineDampingController(supply, processor, delta_amps)
-
-
 def run(
     relative_deltas: Sequence[float] = (1.0, 0.5, 0.25),
     n_cycles: int = 60_000,
@@ -80,7 +75,9 @@ def run(
     summaries = []
     for relative_delta in relative_deltas:
         delta_amps = relative_delta * threshold
-        factory = functools.partial(_damping_controller, delta_amps=delta_amps)
+        factory = functools.partial(
+            PipelineDampingController, delta_amps=delta_amps
+        )
         summaries.append((relative_delta, runner.sweep(factory, benchmarks)))
     return Table5Result(
         summaries=tuple(summaries),

@@ -1,6 +1,6 @@
 """Ops report: one self-contained HTML page from a run's obs artifacts.
 
-``repro obs report`` (or ``tools/obs_report.py``) folds the artifacts a
+``python -m repro obs report`` folds the artifacts a
 sweep leaves behind -- the merged Chrome trace, the metrics JSON, and
 optionally a speedscope profile -- into a single static HTML file with no
 external assets: a phase waterfall, cell-latency histograms, the
@@ -394,7 +394,7 @@ def render_html(report: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# Entry point (repro obs report / tools/obs_report.py)
+# Entry point (python -m repro obs report)
 # ----------------------------------------------------------------------
 
 def main(argv=None) -> int:

@@ -19,6 +19,12 @@ Two backends exist:
 ``ResilienceConfig.workers`` alone selects between them (see
 :func:`select_backend`).
 
+Both run what the sweep's spec names: the one pickle of its
+``SweepConfig``, supply transform and probe controller
+(:func:`~repro.sim.checkpoint.sweep_spec`).  Every attempt runs a fresh
+copy of the probe restored from it, in-process or in a worker; a worker
+receives those bytes in place of the runner and the factory.
+
 Everything about the pool lives here: :class:`WorkerPool` (the executor,
 the heartbeat channel and their lifecycle), the entry points its worker
 processes run (:func:`_worker_init`, :func:`_worker_run_cell`) and the
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import functools
 import multiprocessing
 import os
 import pickle
@@ -57,7 +64,6 @@ from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
-from repro.obs.log import warn_once
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import RelativeMetrics
 
@@ -76,6 +82,11 @@ Cell = Tuple[str, Optional[int]]
 #: requests while no future has completed, in seconds.
 _SUPERVISOR_POLL_S = 0.2
 
+#: How many times one cell may be requeued after losing its worker
+#: (killed, OOM'd, or heartbeat-stale) before it is parked as a
+#: WorkerLostError failure.
+_MAX_WORKER_RESTARTS = 2
+
 
 @dataclass
 class SweepJob:
@@ -93,7 +104,9 @@ class SweepJob:
     grid: Sequence[Cell]
     pending: Sequence[Cell]
     technique: str
-    factory: Callable
+    #: the sweep's spec: one pickle of (SweepConfig, supply transform,
+    #: probe controller), see :func:`repro.sim.checkpoint.sweep_spec`
+    spec_blob: bytes
     resilience: "object"  # ResilienceConfig
     progress: Optional[Callable[[str, RelativeMetrics], None]]
     checkpoint: SweepCheckpoint
@@ -159,6 +172,12 @@ class SweepJob:
         )
 
 
+def _fresh_controller(spec_blob: bytes, supply_config, processor_config):
+    """A fresh copy of a sweep's probe controller, restored from its spec
+    (the probe was built at the configurations the arguments repeat)."""
+    return pickle.loads(spec_blob)[2]
+
+
 def _circuit_open_report(benchmark: str, technique: str, seed: Optional[int]):
     """A cell parked (never attempted) by the per-benchmark circuit breaker."""
     from repro.sim.runner import FailureReport
@@ -206,26 +225,20 @@ class _CellQueue:
     identical set of cells.
     """
 
-    def __init__(self, job: SweepJob, circuit_breaker: bool):
+    def __init__(self, job: SweepJob):
         self.job = job
         self.queue: deque = deque()
         self.held: Dict[str, List[Cell]] = {}
         self.probes: Dict[Cell, str] = {}
-        if circuit_breaker:
-            seen: set = set()
-            for cell in job.pending:
-                name = cell[0]
-                if name in seen:
-                    self.held.setdefault(name, []).append(cell)
-                else:
-                    seen.add(name)
-                    self.probes[cell] = name
-                    self.queue.append(cell)
-        else:
-            self.queue.extend(job.pending)
-
-    def __bool__(self) -> bool:
-        return bool(self.queue or any(self.held.values()))
+        seen: set = set()
+        for cell in job.pending:
+            name = cell[0]
+            if name in seen:
+                self.held.setdefault(name, []).append(cell)
+            else:
+                seen.add(name)
+                self.probes[cell] = name
+                self.queue.append(cell)
 
     def release_probe(self, cell: Cell, run_failed: bool) -> None:
         """Unblock (or park) the cells held behind a probe."""
@@ -298,6 +311,7 @@ class SequentialBackend(SweepBackend):
                 f" a sequential sweep enforces it with SIGALRM; run the"
                 f" sweep on the main thread or drop timeout_s"
             )
+        factory = functools.partial(_fresh_controller, job.spec_blob)
         open_benchmarks: set = set()
         probed: set = set()
         # Base runs that failed in the warm-up, by cell: each is that
@@ -333,12 +347,12 @@ class SequentialBackend(SweepBackend):
             is_probe = name not in probed
             probed.add(name)
             metrics, failure = job.runner.run_cell(
-                name, job.technique, job.factory, resilience, base_seed=seed,
+                name, job.technique, factory, resilience, base_seed=seed,
                 warmup_error=warmup_errors.get(cell),
             )
             if failure is not None:
                 job.record_failure(cell, failure)
-                if is_probe and resilience.circuit_breaker:
+                if is_probe:
                     open_benchmarks.add(name)
                     if tracer is not None:
                         tracer.instant(
@@ -388,22 +402,23 @@ def _worker_beat(stage: str, cell_label: str) -> None:
 
 def _worker_run_cell(
     spec_blob: bytes,
-    factory: Callable,
     benchmark: str,
     technique: str,
     seed: Optional[int],
     timeout_s: Optional[float],
     max_retries: int,
+    trace_store_root: Optional[str] = None,
     base=None,
     ctx: Optional[dict] = None,
 ):
     """Execute one sweep cell inside a pool worker.
 
-    ``spec_blob`` pickles ``(sweep_config, supply_transform,
-    trace_store_root)``; the worker builds a
+    ``spec_blob`` is the sweep's spec, the pickle of ``(sweep_config,
+    supply_transform, probe controller)``; the worker builds a
     :class:`~repro.sim.runner.BenchmarkRunner` with a private session from
     it for this cell alone, so no simulator state is shared with the
-    parent or with sibling workers.  ``base`` is the cell's base result
+    parent or with sibling workers, and every attempt runs a fresh copy
+    of the probe restored from it.  ``base`` is the cell's base result
     when the parent's session holds it.  The cell runs through the same
     :meth:`~repro.sim.runner.BenchmarkRunner.run_cell` as the sequential
     path -- on the worker's main thread, so the SIGALRM timeout applies
@@ -430,7 +445,7 @@ def _worker_run_cell(
     if registry is not None:
         registry.reset()
     try:
-        config, supply_transform, trace_store_root = pickle.loads(spec_blob)
+        config, supply_transform, _ = pickle.loads(spec_blob)
         runner = BenchmarkRunner(
             config,
             supply_transform=supply_transform,
@@ -451,7 +466,7 @@ def _worker_run_cell(
             metrics, failure = runner.run_cell(
                 benchmark,
                 technique,
-                factory,
+                functools.partial(_fresh_controller, spec_blob),
                 resilience,
                 base_seed=seed,
                 on_attempt=lambda attempt: _worker_beat("run", cell_label),
@@ -595,7 +610,7 @@ class ProcessPoolBackend(SweepBackend):
     OOM kill, segfault, SIGKILL) or a hung one (heartbeat older than
     ``heartbeat_stale_s``, killed by the supervisor) triggers a pool
     rebuild; the lost cells are requeued with a per-cell restart budget
-    (``max_worker_restarts``) and each event is recorded on the
+    (:data:`_MAX_WORKER_RESTARTS`) and each event is recorded on the
     summary's ``incidents``.  Cells that keep losing their worker are
     parked as ``WorkerLostError`` failures; the sweep always terminates
     instead of hanging on a poisoned pool.
@@ -622,14 +637,10 @@ class ProcessPoolBackend(SweepBackend):
             for cell in job.grid:
                 if cell in job.results:
                     job.progress(cell[0], job.results[cell])
-        spec_blob = pickle.dumps(
-            (runner.config, runner.supply_transform, job.trace_store_root),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
         heartbeat = resilience.heartbeat_stale_s is not None
         executor = pool.ensure(workers, heartbeat=heartbeat)
 
-        cell_queue = _CellQueue(job, resilience.circuit_breaker)
+        cell_queue = _CellQueue(job)
         queue = cell_queue.queue
 
         inflight: Dict[object, Cell] = {}
@@ -637,9 +648,9 @@ class ProcessPoolBackend(SweepBackend):
         lost_detail = ""
         lost_counts: Dict[Cell, int] = {}
         # Each rebuild loses at least one in-flight cell, and each cell
-        # is parked after max_worker_restarts losses, so this hard cap
+        # is parked after _MAX_WORKER_RESTARTS losses, so this hard cap
         # can only bind if supervision itself misbehaves.
-        rebuilds_left = (resilience.max_worker_restarts + 1) * max(
+        rebuilds_left = (_MAX_WORKER_RESTARTS + 1) * max(
             1, len(job.pending)
         )
         pool_broken = False
@@ -658,13 +669,13 @@ class ProcessPoolBackend(SweepBackend):
                 tracer.flow_start(cell_ctx.span_id)
             future = executor.submit(
                 _worker_run_cell,
-                spec_blob,
-                job.factory,
+                job.spec_blob,
                 name,
                 job.technique,
                 seed,
                 resilience.timeout_s,
                 resilience.max_retries,
+                trace_store_root=job.trace_store_root,
                 base=base,
                 ctx=None if dispatch_ctx is None else dispatch_ctx.to_dict(),
             )
@@ -713,13 +724,13 @@ class ProcessPoolBackend(SweepBackend):
                         cell[0], job.technique, cell[1], losses, detail
                     )
                 )
-                if losses > resilience.max_worker_restarts:
+                if losses > _MAX_WORKER_RESTARTS:
                     abandon_cell(
                         cell,
                         losses,
                         f"abandoned after losing its worker {losses}"
                         f" time(s)"
-                        f" (budget {resilience.max_worker_restarts});"
+                        f" (budget {_MAX_WORKER_RESTARTS});"
                         f" last incident: {detail}",
                     )
                 else:
@@ -855,26 +866,13 @@ class ProcessPoolBackend(SweepBackend):
             raise
 
 
-def select_backend(
-    resilience, n_pending: int, unpicklable: Optional[Exception] = None
-) -> SweepBackend:
+def select_backend(resilience, n_pending: int) -> SweepBackend:
     """The backend this sweep runs on, chosen by ``resilience.workers``.
 
     More than one worker with more than one pending cell fans out to the
-    process pool; anything else runs sequentially.  ``unpicklable`` is
-    the error pickling the sweep's spec raised, if it did: such a sweep
-    degrades to :class:`SequentialBackend` with a warning -- never
-    silently change results, always run the sweep.
+    process pool; anything else runs sequentially.
     """
     workers = min(resilience.workers, n_pending)
     if workers <= 1:
-        return SequentialBackend()
-    if unpicklable is not None:
-        warn_once(
-            f"parallel sweep disabled: cell spec is not picklable"
-            f" ({type(unpicklable).__name__}: {unpicklable}); running"
-            f" sequentially",
-            stacklevel=4,
-        )
         return SequentialBackend()
     return ProcessPoolBackend(workers)

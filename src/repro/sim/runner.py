@@ -17,11 +17,14 @@ sweep.
 
 Sweeps are also *parallel*: ``ResilienceConfig(workers=N)`` dispatches the
 (benchmark, seed) cell grid to a process pool (:mod:`repro.sim.backends`,
-which owns the pool, its workers and their supervision).  Each worker
-process rebuilds a runner from a picklable spec for every cell; the only
-simulator output that crosses the process boundary is a cell's base
-result, which travels with the cell when the session holds it and comes
-back when the worker computed it.  Cells are deterministic and
+which owns the pool, its workers and their supervision).  A sweep is one
+pickle of its :class:`SweepConfig`, supply transform and a probe
+controller (:func:`~repro.sim.checkpoint.sweep_spec`): its digest keys the
+cells, each worker rebuilds a runner from it for every cell, and every
+attempt on either backend runs a fresh copy of the probe restored from
+it.  The only simulator output that crosses the process boundary is a
+cell's base result, which travels with the cell when the session holds it
+and comes back when the worker computed it.  Cells are deterministic and
 independent (retry attempt ``k`` always reseeds to ``seed + 104729 * k``),
 so the parallel backend produces aggregates, checkpoints and failure
 reports bit-identical to the sequential one: checkpoints are written from
@@ -57,7 +60,7 @@ from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.power.supply import PowerSupply
 from repro.sim.backends import SweepJob, WorkerPool, select_backend
-from repro.sim.checkpoint import SweepCheckpoint, spec_digest
+from repro.sim.checkpoint import SweepCheckpoint, sweep_spec
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.simulation import Simulation
 from repro.uarch.processor import Processor
@@ -129,14 +132,6 @@ class ResilienceConfig:
     #: many seconds is presumed hung, killed, and its cell requeued;
     #: None disables heartbeat supervision
     heartbeat_stale_s: Optional[float] = None
-    #: how many times one cell may be requeued after losing its worker
-    #: (killed, OOM'd, or heartbeat-stale) before it is parked as a
-    #: WorkerLostError failure
-    max_worker_restarts: int = 2
-    #: park the remaining (benchmark, seed) cells of a benchmark whose
-    #: first pending cell exhausted its retry budget, instead of burning
-    #: the full budget once per seed
-    circuit_breaker: bool = True
     #: after SIGTERM/SIGINT, how long the parallel drain waits for
     #: in-flight cells before killing the pool and exiting resumable
     drain_deadline_s: float = 10.0
@@ -175,11 +170,6 @@ class ResilienceConfig:
             reject(
                 f"heartbeat_stale_s must be positive when set,"
                 f" got {self.heartbeat_stale_s!r}"
-            )
-        if self.max_worker_restarts < 0:
-            reject(
-                f"max_worker_restarts must be non-negative,"
-                f" got {self.max_worker_restarts!r}"
             )
         if self.drain_deadline_s <= 0:
             reject(
@@ -377,11 +367,9 @@ class Session:
     * ``cells`` -- finished cells as metrics records, keyed by their
       content key (:func:`~repro.sim.checkpoint.cell_key`).  It is the memo
       every sweep is served from, with or without ``resume``, and the
-      checkpoint: a flush writes all of it.  Cells whose spec does not
-      pickle have no content key and are not held;
+      checkpoint: a flush writes all of it;
     * ``bases`` -- base runs keyed by ``(benchmark, seed, SweepConfig,
-      supply transform)``, the transform compared by identity, so runners
-      with a transform that does not pickle still share their base runs;
+      supply transform)``, the transform compared by identity;
     * ``pool`` -- one :class:`~repro.sim.backends.WorkerPool`;
     * the trace stores (:meth:`trace_store`), one per directory.
 
@@ -451,7 +439,7 @@ class Session:
         self,
         resilience: ResilienceConfig,
         config: SweepConfig,
-        spec: Optional[str],
+        spec: str,
         technique: str,
     ) -> SweepCheckpoint:
         """One sweep's checkpoint over the session's ``cells``.
@@ -514,8 +502,8 @@ class BenchmarkRunner:
         Optional ``(supply, benchmark) -> supply`` hook wrapping the power
         supply of every run -- the fault-injection subsystem uses it to
         mount adversarial current attackers on otherwise unchanged sweeps.
-        A checkpointed or parallel sweep pickles it, so build it as a
-        module-level callable or a ``functools.partial`` over one.
+        Every sweep pickles it, so build it as a module-level callable or
+        a ``functools.partial`` over one.
     trace_store:
         Optional trace record/replay store -- a directory path or a
         :class:`repro.trace.TraceStore` -- for cells whose controller
@@ -921,6 +909,11 @@ class BenchmarkRunner:
     ) -> TechniqueSummary:
         """Run one technique over a (benchmark, seed) grid and aggregate.
 
+        ``factory`` is called once, for a probe controller; every attempt
+        runs a fresh copy of the probe restored from the sweep's spec
+        (:func:`~repro.sim.checkpoint.sweep_spec`), whose digest keys the
+        cells, so factories that build equal controllers share cells.
+
         ``resilience`` (default: the session's) configures the sweep: with
         a checkpoint path, each completed cell is flushed to the JSON
         checkpoint before the next starts; failed cells are retried on
@@ -976,32 +969,14 @@ class BenchmarkRunner:
                     raise ConfigurationError(
                         "seeds must be non-empty when given"
                     )
-                # One pickle of what the cells compute, taken before any
-                # of them runs: its digest keys the checkpoint cells and
-                # roots the trace, and a spec that does not pickle cannot
-                # reach a pool worker either.
-                try:
-                    spec = spec_digest(
-                        self.config, self.supply_transform, factory
-                    )
-                    unpicklable = None
-                except Exception as error:
-                    spec, unpicklable = None, error
-                if unpicklable is not None \
-                        and resilience.checkpoint_path is not None:
-                    raise ConfigurationError(
-                        f"a checkpointed sweep keys its cells by a digest"
-                        f" of the pickled (SweepConfig, supply transform,"
-                        f" factory), and this one does not pickle"
-                        f" ({type(unpicklable).__name__}: {unpicklable});"
-                        f" build the factory and any supply transform as"
-                        f" a functools.partial over a module-level builder"
-                    ) from unpicklable
-                # One probe controller names the technique (cells are keyed
-                # by it).
-                technique = factory(
-                    self.config.supply, self.config.processor
-                ).name
+                # The factory's one call.  The spec pickles the probe with
+                # the config and transform before any cell runs: its digest
+                # keys the cells and roots the trace.
+                probe = factory(self.config.supply, self.config.processor)
+                technique = probe.name
+                spec_blob, spec = sweep_spec(
+                    self.config, self.supply_transform, probe
+                )
                 checkpoint = self.session.checkpoint(
                     resilience, self.config, spec, technique
                 )
@@ -1018,15 +993,13 @@ class BenchmarkRunner:
                         results[cell] = metrics
                     else:
                         pending.append(cell)
-                backend = select_backend(
-                    resilience, len(pending), unpicklable
-                )
+                backend = select_backend(resilience, len(pending))
                 workers = backend.workers
             if tracer is not None:
                 # Every sweep roots its own trace from what it computes,
                 # so fixed-seed runs get byte-identical ids.
                 sweep_ctx = obs_context.TraceContext.root(
-                    f"sweep|{technique}|{spec or '-'}|{len(grid)}"
+                    f"sweep|{technique}|{spec}|{len(grid)}"
                 )
                 sweep_args.update(sweep_ctx.span_args())
                 sweep_stack.enter_context(obs_context.use_context(sweep_ctx))
@@ -1058,7 +1031,7 @@ class BenchmarkRunner:
                     grid=grid,
                     pending=pending,
                     technique=technique,
-                    factory=factory,
+                    spec_blob=spec_blob,
                     resilience=resilience,
                     progress=progress,
                     checkpoint=checkpoint,

@@ -45,7 +45,9 @@ BENCHMARKS = ("swim", "gzip")
 
 def grid_keys(supply_transform=None):
     """The grid's checkpoint keys, as the runner computes them."""
-    spec = spec_digest(SMALL, supply_transform, tuning_factory)
+    spec = spec_digest(
+        SMALL, supply_transform, tuning_factory(SMALL.supply, SMALL.processor)
+    )
     return {
         cell_key(spec, name, "resonance-tuning", None) for name in BENCHMARKS
     }

@@ -1,5 +1,7 @@
 """Unit tests for the current sensor and the history registers."""
 
+import random
+
 import pytest
 
 from repro.core import CurrentHistoryRegister, CurrentSensor, EventHistoryRegister
@@ -201,6 +203,26 @@ class TestEventHistoryRegister:
             register.shift(cycle, event=(8 <= cycle <= 12))
         assert register.run_start(12) == 8
         assert register.run_start(8) == 8
+
+    def test_run_start_matches_the_walk_back(self):
+        # The register keeps each run's first cycle; a run older than the
+        # horizon starts at the oldest cycle still held, as a walk back
+        # through the bits finds.
+        rng = random.Random(5)
+        register = EventHistoryRegister(length_cycles=8)
+        for cycle in range(400):
+            register.shift(cycle, event=rng.random() < 0.8)
+            for probe in range(max(0, cycle - 7), cycle + 1):
+                if not register.has_event_at(probe):
+                    continue
+                start = probe
+                while start > 0 and register.has_event_at(start - 1):
+                    start -= 1
+                assert register.run_start(probe) == start
+        long_run = EventHistoryRegister(length_cycles=8)
+        for cycle in range(20):
+            long_run.shift(cycle, True)
+        assert long_run.run_start(19) == 12
 
     def test_run_start_requires_event(self):
         register = EventHistoryRegister(length_cycles=64)

@@ -271,7 +271,9 @@ class TestOnDiskFormats:
         ck = tmp_path / "ck.json"
         shutil.copy(fixture, ck)
         config = SweepConfig(n_cycles=3000, warmup_cycles=500)
-        spec = spec_digest(config, None, tuning_factory)
+        spec = spec_digest(
+            config, None, tuning_factory(config.supply, config.processor)
+        )
         checkpoint = SweepCheckpoint.open(
             ResilienceConfig(checkpoint_path=str(ck), resume=True),
             config, spec, "resonance-tuning",

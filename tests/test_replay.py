@@ -249,19 +249,20 @@ class TestRunnerReplayDifferential:
         )
 
     def test_unpicklable_overlay_disables_replay_not_correctness(self):
+        # A sweep refuses an overlay that does not pickle; a base run
+        # takes it, and the replay gate keeps it away from the store.
         plain = BenchmarkRunner(
             SMALL, supply_transform=lambda s, b: s
-        ).sweep(tuning_factory, benchmarks=("gzip",))
+        ).run_base("gzip")
         with tempfile.TemporaryDirectory() as store_dir:
-            stored = BenchmarkRunner(
-                SMALL, supply_transform=lambda s, b: s
-            ).sweep(
-                tuning_factory, benchmarks=("gzip",),
-                resilience=ResilienceConfig(trace_store_path=store_dir),
+            runner = BenchmarkRunner(
+                SMALL, supply_transform=lambda s, b: s, trace_store=store_dir
             )
-            assert stored.timings["trace_records"] == 0.0
-            assert stored.timings["trace_hits"] == 0.0
-        assert fingerprint(stored) == fingerprint(plain)
+            stored = runner.run_base("gzip")
+            stats = runner.session.trace_store().stats
+            assert stats["records"] == 0
+            assert stats["hits"] == 0
+        assert stored == plain
 
     def test_scalar_path_replay(self, monkeypatch):
         """REPRO_KERNEL=0: the per-cycle replay loop, not run_supply."""

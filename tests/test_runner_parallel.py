@@ -2,12 +2,13 @@
 
 The contract under test: a sweep dispatched to worker processes produces
 aggregates, checkpoint files and failure reports bit-identical to the
-sequential path, resumes interchangeably with it, degrades to sequential
-when the cell spec cannot pickle, and enforces per-cell timeouts without
-leaving a live background thread behind.
+sequential path, resumes interchangeably with it, fans out any factory
+whose controller pickles, and enforces per-cell timeouts without leaving
+a live background thread behind.
 """
 
 import dataclasses
+import functools
 import json
 import threading
 import time
@@ -118,7 +119,9 @@ class TestParallelEquivalence:
             )
         assert summary_fingerprint(parallel) == summary_fingerprint(expected)
         assert len(parallel.per_benchmark) == len(BENCHMARKS) * len(seeds)
-        spec = spec_digest(SMALL, None, tuning_factory)
+        spec = spec_digest(
+            SMALL, None, tuning_factory(SMALL.supply, SMALL.processor)
+        )
         assert set(load_checkpoint(path)["cells"]) == {
             cell_key(spec, name, "resonance-tuning", seed)
             for name in BENCHMARKS
@@ -209,20 +212,30 @@ class TestParallelEquivalence:
 # ----------------------------------------------------------------------
 
 class TestFallbacks:
-    def test_unpicklable_factory_degrades_to_sequential(self):
-        expected = BenchmarkRunner(SMALL).sweep(
-            tuning_factory, benchmarks=BENCHMARKS[:2]
-        )
-        unpicklable = lambda s, p: ResonanceTuningController(s, p)  # noqa: E731
-        with BenchmarkRunner(SMALL) as runner:
-            with pytest.warns(RuntimeWarning, match="not picklable"):
-                summary = runner.sweep(
-                    unpicklable,
+    def test_lambda_factory_fans_out_with_the_partials_keys(self, tmp_path):
+        # Only the controller has to pickle: a lambda factory fans out,
+        # and its cells are keyed as the partial's that builds the same
+        # controller.
+        summaries, keys = {}, {}
+        for name, factory in (
+            ("lambda", lambda s, p: ResonanceTuningController(s, p)),
+            ("partial", functools.partial(ResonanceTuningController)),
+        ):
+            path = str(tmp_path / f"{name}.json")
+            with BenchmarkRunner(SMALL) as runner:
+                summaries[name] = runner.sweep(
+                    factory,
                     benchmarks=BENCHMARKS[:2],
-                    resilience=ResilienceConfig(workers=4),
+                    resilience=ResilienceConfig(
+                        workers=2, checkpoint_path=path
+                    ),
                 )
-        assert summary_fingerprint(summary) == summary_fingerprint(expected)
-        assert summary.timings["workers"] == 1.0
+            keys[name] = set(load_checkpoint(path)["cells"])
+        assert summaries["lambda"].timings["workers"] == 2.0
+        assert summary_fingerprint(summaries["lambda"]) == summary_fingerprint(
+            summaries["partial"]
+        )
+        assert keys["lambda"] == keys["partial"]
 
     def test_single_pending_cell_runs_in_process(self):
         with BenchmarkRunner(SMALL) as runner:

@@ -16,12 +16,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
 
 from repro.baselines.damping import PipelineDampingController
-from repro.config import TABLE1_SUPPLY
+from repro.config import TABLE1_SUPPLY, TABLE1_TUNING
 from repro.core import NullController, ResonanceTuningController
 from repro.errors import ConfigurationError, FaultError
 from repro.sim import (
@@ -40,6 +41,11 @@ from repro.uarch.workloads import SPEC2K
 
 def tuning_factory(supply, processor):
     return ResonanceTuningController(supply, processor)
+
+
+def spec_of(factory):
+    """The spec digest a sweep of ``factory`` at ``SMALL`` keys cells by."""
+    return spec_digest(SMALL, None, factory(SMALL.supply, SMALL.processor))
 
 
 def summary_fingerprint(summary):
@@ -205,7 +211,7 @@ class TestPrefetch:
         assert held_bases(runner) == [("swim", 1), ("gzip", 1)]
 
     def test_failed_cell_is_left_uncached(self):
-        runner = BenchmarkRunner(TINY, supply_transform=break_benchmark("swim"))
+        runner = BenchmarkRunner(TINY, supply_transform=BreakBenchmark("swim"))
         errors = {}
         assert runner.prefetch_base_batch(
             [("swim", 1), ("gzip", 1)], errors=errors
@@ -226,7 +232,7 @@ class TestPrefetch:
             return run(self, benchmark, controller, seed=seed, **kwargs)
 
         monkeypatch.setattr(BenchmarkRunner, "_run_simulation", counted)
-        runner = BenchmarkRunner(SMALL, supply_transform=break_benchmark("swim"))
+        runner = BenchmarkRunner(SMALL, supply_transform=BreakBenchmark("swim"))
         summary = runner.sweep(
             tuning_factory,
             benchmarks=("swim", "gzip"),
@@ -263,16 +269,73 @@ class BrokenSupply:
         return getattr(self._supply, name)
 
 
-def break_benchmark(target):
-    def transform(supply, benchmark):
-        return BrokenSupply(supply) if benchmark == target else supply
+class BreakBenchmark:
+    """Picklable transform breaking every cell of ``target`` (of every
+    benchmark when it is None)."""
 
-    return transform
+    def __init__(self, target=None):
+        self.target = target
+
+    def __call__(self, supply, benchmark):
+        if self.target in (None, benchmark):
+            return BrokenSupply(supply)
+        return supply
+
+
+class FlakySupply:
+    """A supply whose step fails once for its :class:`FlakyOnce`."""
+
+    def __init__(self, supply, flaky):
+        self._supply = supply
+        self._flaky = flaky
+
+    def step(self, cpu_current):
+        if not self._flaky.failed:
+            self._flaky.failed = True
+            raise RuntimeError("transient")
+        return self._supply.step(cpu_current)
+
+    def __getattr__(self, name):
+        return getattr(self._supply, name)
+
+
+class FlakyOnce:
+    """Picklable transform whose supplies fail one step between them."""
+
+    def __init__(self):
+        self.failed = False
+
+    def __call__(self, supply, benchmark):
+        return FlakySupply(supply, self)
+
+
+class HungSupply:
+    """A supply whose step blocks far beyond any test timeout."""
+
+    def __init__(self, supply):
+        self._supply = supply
+
+    def step(self, cpu_current):
+        time.sleep(30)
+        return self._supply.step(cpu_current)
+
+    def __getattr__(self, name):
+        return getattr(self._supply, name)
+
+
+class HangBenchmark:
+    """Picklable transform hanging every cell of one benchmark."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def __call__(self, supply, benchmark):
+        return HungSupply(supply) if benchmark == self.target else supply
 
 
 class TestFailureReports:
     def test_failed_cell_becomes_failure_report(self):
-        runner = BenchmarkRunner(SMALL, supply_transform=break_benchmark("swim"))
+        runner = BenchmarkRunner(SMALL, supply_transform=BreakBenchmark("swim"))
         summary = runner.sweep(tuning_factory, benchmarks=("swim", "gzip"))
         assert len(summary.failures) == 1
         failure = summary.failures[0]
@@ -286,7 +349,7 @@ class TestFailureReports:
         assert [row.benchmark for row in summary.per_benchmark] == ["gzip"]
 
     def test_retry_budget_is_spent_and_recorded(self):
-        runner = BenchmarkRunner(SMALL, supply_transform=break_benchmark("swim"))
+        runner = BenchmarkRunner(SMALL, supply_transform=BreakBenchmark("swim"))
         summary = runner.sweep(
             tuning_factory,
             benchmarks=("swim", "gzip"),
@@ -296,31 +359,12 @@ class TestFailureReports:
         assert summary.failures[0].seed is not None  # last retry was re-seeded
 
     def test_all_cells_failing_raises_fault_error(self):
-        runner = BenchmarkRunner(
-            SMALL, supply_transform=lambda supply, name: BrokenSupply(supply)
-        )
+        runner = BenchmarkRunner(SMALL, supply_transform=BreakBenchmark())
         with pytest.raises(FaultError, match="every cell"):
             runner.sweep(tuning_factory, benchmarks=("swim",))
 
     def test_flaky_cell_recovers_on_retry(self):
-        calls = {"count": 0}
-
-        class FlakyOnce:
-            def __init__(self, supply):
-                self._supply = supply
-
-            def step(self, cpu_current):
-                if calls["count"] == 0:
-                    calls["count"] += 1
-                    raise RuntimeError("transient")
-                return self._supply.step(cpu_current)
-
-            def __getattr__(self, name):
-                return getattr(self._supply, name)
-
-        runner = BenchmarkRunner(
-            SMALL, supply_transform=lambda supply, name: FlakyOnce(supply)
-        )
+        runner = BenchmarkRunner(SMALL, supply_transform=FlakyOnce())
         summary = runner.sweep(
             tuning_factory,
             benchmarks=("swim",),
@@ -332,23 +376,7 @@ class TestFailureReports:
 
 class TestTimeout:
     def test_hung_cell_times_out_into_failure_report(self):
-        import time
-
-        class HungSupply:
-            def __init__(self, supply):
-                self._supply = supply
-
-            def step(self, cpu_current):
-                time.sleep(30)
-                return self._supply.step(cpu_current)
-
-            def __getattr__(self, name):
-                return getattr(self._supply, name)
-
-        def hang_swim(supply, benchmark):
-            return HungSupply(supply) if benchmark == "swim" else supply
-
-        runner = BenchmarkRunner(SMALL, supply_transform=hang_swim)
+        runner = BenchmarkRunner(SMALL, supply_transform=HangBenchmark("swim"))
         summary = runner.sweep(
             tuning_factory,
             benchmarks=("swim", "gzip"),
@@ -390,7 +418,7 @@ class TestCheckpointResume:
         assert seen == [1, 2, 3]
         data = load_checkpoint(path)
         assert data["n_cycles"] == SMALL.n_cycles
-        spec = spec_digest(SMALL, None, tuning_factory)
+        spec = spec_of(tuning_factory)
         assert set(data["cells"]) == {
             cell_key(spec, name, "resonance-tuning", None)
             for name in self.BENCHMARKS
@@ -502,10 +530,7 @@ class TestCheckpointResume:
         keys = set(load_checkpoint(path)["cells"])
         assert len(keys) == 2
         assert keys == {
-            cell_key(
-                spec_digest(SMALL, None, factory),
-                "swim", "resonance-tuning", None,
-            )
+            cell_key(spec_of(factory), "swim", "resonance-tuning", None)
             for factory in variants
         }
 
@@ -526,8 +551,8 @@ def _table4_row(config, resilience):
     return result.summaries[0][1]
 
 
-#: The spec whose digest the subprocess test recomputes: a partial with a
-#: dataclass keyword over a module-level builder, on a non-default supply.
+#: The spec whose digest the subprocess test recomputes: a controller
+#: built with a dataclass keyword, on a non-default supply.
 _DIGEST_SNIPPET = """
 import functools
 from dataclasses import replace
@@ -544,7 +569,9 @@ factory = functools.partial(
     ResonanceTuningController,
     tuning_config=replace(TABLE1_TUNING, response_delay_cycles=5),
 )
-digest = spec_digest(config, None, factory)
+digest = spec_digest(
+    config, None, factory(config.supply, config.processor)
+)
 """
 
 
@@ -625,9 +652,35 @@ class TestContentKeys:
             )
             assert summary.timings["cells_cached"] == cached
 
-    def test_unpicklable_checkpointed_sweep_is_refused_before_any_cell(
-        self, tmp_path, monkeypatch
-    ):
+    def test_equal_controllers_share_cells(self):
+        # Two spellings of the default tuning controller are one spec, so
+        # the second sweep is served every cell of the first.
+        from repro.experiments import ablations
+
+        runner = BenchmarkRunner(SMALL)
+        first = runner.sweep(
+            functools.partial(
+                ablations._quantized_controller, quantum_amps=1.0
+            ),
+            benchmarks=("swim", "gzip"),
+        )
+        second = runner.sweep(
+            functools.partial(
+                ResonanceTuningController,
+                tuning_config=dataclasses.replace(
+                    TABLE1_TUNING, response_delay_cycles=0
+                ),
+            ),
+            benchmarks=("swim", "gzip"),
+        )
+        assert first.timings["cells_cached"] == 0
+        assert second.timings["cells_cached"] == 2
+        assert summary_fingerprint(second) == summary_fingerprint(first)
+
+    @staticmethod
+    def assert_refused_before_any_cell(monkeypatch, checkpoint):
+        """A local-class controller and a lambda transform are each
+        refused, naming which, at workers 1 and 2, before any cell runs."""
         runs = []
         run = Simulation.run
 
@@ -636,20 +689,61 @@ class TestContentKeys:
             return run(self, *args, **kwargs)
 
         monkeypatch.setattr(Simulation, "run", counted)
-        path = tmp_path / "ck.json"
-        unpicklable = lambda s, p: ResonanceTuningController(s, p)  # noqa: E731
-        with pytest.raises(ConfigurationError, match="functools.partial"):
-            BenchmarkRunner(SMALL).sweep(
-                unpicklable, benchmarks=("swim", "gzip"),
-                resilience=ResilienceConfig(checkpoint_path=str(path)),
-            )
+
+        class LocalController(ResonanceTuningController):
+            """Defined in a function, so it does not pickle."""
+
+        keep_supply = lambda supply, benchmark: supply  # noqa: E731
+        for workers in (1, 2):
+            for factory, transform, culprit in (
+                (LocalController, None, "controller"),
+                (tuning_factory, keep_supply, "supply transform"),
+            ):
+                runner = BenchmarkRunner(SMALL, supply_transform=transform)
+                with pytest.raises(
+                    ConfigurationError, match=f"{culprit} .*does not pickle"
+                ):
+                    runner.sweep(
+                        factory, benchmarks=("swim", "gzip"),
+                        resilience=ResilienceConfig(
+                            workers=workers, checkpoint_path=checkpoint
+                        ),
+                    )
         assert runs == []
+
+    def test_unpicklable_checkpointed_sweep_is_refused_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ck.json"
+        self.assert_refused_before_any_cell(monkeypatch, str(path))
         assert not path.exists()
-        # Without a checkpoint no key is needed, and the sweep runs.
-        summary = BenchmarkRunner(SMALL).sweep(
-            unpicklable, benchmarks=("swim",)
-        )
-        assert len(summary.per_benchmark) == 1
+
+    def test_unpicklable_spec_is_refused_before_any_cell(self, monkeypatch):
+        # Without a checkpoint no key is written, but every attempt runs
+        # a copy restored from the spec, so it is refused all the same.
+        self.assert_refused_before_any_cell(monkeypatch, None)
+
+    def test_factory_runs_once_per_sweep(self):
+        # The probe is the only controller the factory builds: every
+        # attempt, the retry included, runs a copy restored from the spec.
+        for workers in (1, 2):
+            calls = []
+
+            def counting_factory(supply, processor):
+                calls.append(workers)
+                return ResonanceTuningController(supply, processor)
+
+            flaky = FlakyOnce()
+            with BenchmarkRunner(SMALL, supply_transform=flaky) as runner:
+                summary = runner.sweep(
+                    counting_factory, benchmarks=("swim", "gzip"),
+                    resilience=ResilienceConfig(
+                        max_retries=1, workers=workers
+                    ),
+                )
+            assert summary.failures == ()
+            assert len(summary.per_benchmark) == 2
+            assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ harness itself) lives in ``tests/test_chaos.py`` and ``tools/chaos.py``.
 """
 
 import dataclasses
-import functools
 import json
 import os
 import pathlib
@@ -109,17 +108,17 @@ class TestHeartbeatSupervision:
                 tuning_factory,
                 benchmarks=BENCHMARKS,
                 resilience=ResilienceConfig(
-                    workers=2, heartbeat_stale_s=0.5, max_worker_restarts=1
+                    workers=2, heartbeat_stale_s=0.5
                 ),
             )
         assert len(summary.failures) == 1
         failure = summary.failures[0]
         assert failure.benchmark == "swim"
         assert failure.error_type == "WorkerLostError"
-        assert failure.attempts == 2  # initial run + one requeue
+        assert failure.attempts == 3  # initial run + two requeues
         assert [row.benchmark for row in summary.per_benchmark] == ["gzip"]
         # every loss left an incident, not just the final abandonment
-        assert len(summary.incidents) >= 2
+        assert len(summary.incidents) >= 3
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +206,7 @@ class TestGracefulDrain:
 class TestCircuitBreaker:
     SEEDS = (None, 7, 8)
 
-    def run(self, workers=1, **resilience_kwargs):
+    def run(self, workers=1):
         with BenchmarkRunner(
             SMALL, supply_transform=BreakBenchmark("swim")
         ) as runner:
@@ -215,9 +214,7 @@ class TestCircuitBreaker:
                 tuning_factory,
                 benchmarks=BENCHMARKS,
                 seeds=self.SEEDS,
-                resilience=ResilienceConfig(
-                    workers=workers, **resilience_kwargs
-                ),
+                resilience=ResilienceConfig(workers=workers),
             )
 
     def test_probe_failure_parks_remaining_seeds(self):
@@ -231,20 +228,8 @@ class TestCircuitBreaker:
         # the healthy benchmark ran every seed
         assert len(summary.per_benchmark) == len(self.SEEDS)
 
-    def test_disabled_breaker_burns_budget_per_seed(self):
-        summary = self.run(circuit_breaker=False)
-        swim = [f for f in summary.failures if f.benchmark == "swim"]
-        assert len(swim) == len(self.SEEDS)
-        assert not any(f.skipped for f in swim)
-        assert all(f.attempts == 1 for f in swim)
-
     def test_parallel_parks_identical_cells(self):
         assert fingerprint(self.run(workers=2)) == fingerprint(self.run())
-
-    def test_parallel_no_breaker_matches_sequential(self):
-        assert fingerprint(
-            self.run(workers=2, circuit_breaker=False)
-        ) == fingerprint(self.run(circuit_breaker=False))
 
 
 # ----------------------------------------------------------------------
@@ -339,21 +324,28 @@ class TestTimeoutOffTheMainThread:
 # closed runner refuses work
 # ----------------------------------------------------------------------
 
-def pid_marking_factory(supply, processor, directory, tag=None):
-    """Picklable factory leaving a file named after the building process.
+class PidMarker:
+    """Picklable transform leaving a file named after each process that
+    builds a supply, so a cell's runs mark the worker that ran them.
 
     ``tag`` only tells sweeps apart: it changes the spec, not the run.
     """
-    pathlib.Path(directory, str(os.getpid())).touch()
-    # Hold this worker so the other one takes the next queued cell: both
-    # workers then serve the first sweep, not just the faster one.
-    time.sleep(0.2)
-    return ResonanceTuningController(supply, processor)
+
+    def __init__(self, directory, tag):
+        self.directory = str(directory)
+        self.tag = tag
+
+    def __call__(self, supply, benchmark):
+        pathlib.Path(self.directory, str(os.getpid())).touch()
+        # Hold this worker so the other one takes the next queued cell:
+        # both workers then serve the first sweep, not just the faster one.
+        time.sleep(0.2)
+        return supply
 
 
 def marked_pids(directory):
-    """Pids that built a controller since the last call, minus this
-    process (the sweep's probe build); clears the marks."""
+    """Pids that ran a cell since the last call, minus this process;
+    clears the marks."""
     pids = set()
     for mark in pathlib.Path(directory).iterdir():
         pids.add(int(mark.name))
@@ -368,10 +360,9 @@ class TestRunnerLifecycle:
         served = []
         # Two specs: the session would serve a repeated one from its memo.
         for tag in ("first", "second"):
-            runner.sweep(
-                functools.partial(
-                    pid_marking_factory, directory=tmp_path, tag=tag
-                ),
+            view = runner.session.runner(SMALL, PidMarker(tmp_path, tag))
+            view.sweep(
+                tuning_factory,
                 benchmarks=BENCHMARKS,
                 seeds=(None, 7),
                 resilience=ResilienceConfig(workers=2),
@@ -540,16 +531,12 @@ class TestSupervisionFlags:
         resilience = self.parse(
             "--workers", "2",
             "--heartbeat-stale-s", "5",
-            "--max-worker-restarts", "1",
             "--drain-deadline-s", "3",
-            "--no-circuit-breaker",
         )
         assert resilience == ResilienceConfig(
             workers=2,
             heartbeat_stale_s=5.0,
-            max_worker_restarts=1,
             drain_deadline_s=3.0,
-            circuit_breaker=False,
         )
 
     def test_defaults_still_mean_no_resilience(self):
@@ -560,7 +547,5 @@ class TestSupervisionFlags:
 
         with pytest.raises(ConfigurationError):
             ResilienceConfig(heartbeat_stale_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(max_worker_restarts=-1)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(drain_deadline_s=0.0)

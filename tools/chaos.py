@@ -89,7 +89,10 @@ class Plan:
 
     def grid_keys(self, supply_transform=None):
         """The grid's checkpoint keys, as the runner computes them."""
-        spec = spec_digest(self.config, supply_transform, tuning_factory)
+        spec = spec_digest(
+            self.config, supply_transform,
+            tuning_factory(self.config.supply, self.config.processor),
+        )
         return {
             cell_key(spec, name, "resonance-tuning", seed)
             for name in self.benchmarks
