@@ -135,14 +135,15 @@ def _cmd_compare(args) -> int:
 
     factory = _technique_factory(args)
     benchmarks = args.benchmarks or ["swim", "parser", "fma3d"]
-    with BenchmarkRunner(SweepConfig(n_cycles=args.cycles)) as runner:
+    with BenchmarkRunner(
+        SweepConfig(n_cycles=args.cycles), trace_store=args.trace_store
+    ) as runner:
         summary = runner.sweep(
             factory,
             benchmarks=benchmarks,
             resilience=ResilienceConfig(
                 workers=args.workers,
                 checkpoint_path=args.checkpoint,
-                trace_store_path=args.trace_store,
             ),
         )
     print(f"{'benchmark':10s} {'base viol':>10s} {'tech viol':>10s}"
@@ -193,7 +194,9 @@ def _cmd_experiment(args) -> int:
     log(f"host: cpu_count {os.cpu_count()}, Python"
         f" {platform.python_version()}, NumPy {numpy.__version__}")
     results = {}
-    with Session(resilience_from_args(args)) as session:
+    with Session(
+        resilience_from_args(args), trace_store=args.trace_store
+    ) as session:
         for name in names:
             started = time.perf_counter()
             result = results[name] = run_experiment(

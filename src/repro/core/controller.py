@@ -25,17 +25,6 @@ class NoiseController(abc.ABC):
     #: short identifier used in result tables
     name: str = "controller"
 
-    #: Declares that this controller closes no loop around the supply:
-    #: ``directives(cycle)`` is a pure function of the cycle index, and
-    #: nothing fed to ``observe`` (nor the order it is fed in) influences
-    #: later directives, ``response_cycle_fractions`` or
-    #: ``overhead_energy_joules``.  The simulation uses this to take the
-    #: vectorized kernel fast path (``repro.core.kernel``), which runs
-    #: the whole processor trace first and delivers ``observe`` calls
-    #: after the supply has been advanced in bulk.  Controllers that
-    #: react to what they observe must leave this False.
-    feedback_free: bool = False
-
     @abc.abstractmethod
     def directives(self, cycle: int) -> ControlDirectives:
         """Directives to apply to the processor in ``cycle``."""
@@ -74,7 +63,6 @@ class NullController(NoiseController):
     """The base processor: no noise control at all."""
 
     name = "base"
-    feedback_free = True
 
     def directives(self, cycle: int) -> ControlDirectives:
         return NO_CONTROL

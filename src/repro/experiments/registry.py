@@ -250,8 +250,6 @@ def resilience_from_args(args) -> Optional[ResilienceConfig]:
         overrides["heartbeat_stale_s"] = args.heartbeat_stale_s
     if getattr(args, "drain_deadline_s", None) is not None:
         overrides["drain_deadline_s"] = args.drain_deadline_s
-    if getattr(args, "trace_store", None) is not None:
-        overrides["trace_store_path"] = args.trace_store
     if not overrides:
         return None
     return ResilienceConfig(**overrides)

@@ -1,12 +1,6 @@
 """Simulation harness: the cycle loop, metrics and batch sweeps."""
 
-from repro.sim.backends import (
-    ProcessPoolBackend,
-    SequentialBackend,
-    SweepBackend,
-    SweepJob,
-    select_backend,
-)
+from repro.sim.backends import SweepJob
 from repro.sim.checkpoint import load_checkpoint
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.runner import (
@@ -25,16 +19,12 @@ __all__ = [
     "SimulationResult",
     "BenchmarkRunner",
     "FailureReport",
-    "ProcessPoolBackend",
     "ResilienceConfig",
-    "SequentialBackend",
     "Session",
-    "SweepBackend",
     "SweepConfig",
     "SweepJob",
     "TechniqueSummary",
     "load_checkpoint",
-    "select_backend",
     "summarize",
     "Simulation",
 ]

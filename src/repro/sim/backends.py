@@ -1,34 +1,27 @@
-"""Sweep execution backends, and the process pool the parallel one runs on.
+"""Sweep execution: one cell queue, run in-process or on the process pool.
 
 :meth:`repro.sim.runner.BenchmarkRunner.sweep` plans a sweep -- the
 (benchmark, seed) grid, checkpoint state, retry budget -- and hands the
-pending work to a backend as a :class:`SweepJob`.  A backend's only
-contract is :meth:`SweepBackend.execute`: run every pending cell (or
-park it as a :class:`~repro.sim.runner.FailureReport`), honouring the
-job's drain flag, circuit breaker, checkpointing and incident log.  Both
-backends must be *interchangeable*: the same sweep produces byte-
-identical aggregates, failures, and checkpoint files on either backend,
-and a checkpoint written by one backend resumes on the other.
+pending work to :func:`run_pending` as a :class:`SweepJob`.
+:func:`run_pending` reports the cells the session already holds, then
+drains one :class:`_CellQueue`: in-process at one worker, on the
+session's process pool above it (a supervised local
+``ProcessPoolExecutor``: heartbeats, stale-kill, pool rebuild).  Both
+branches record every finished cell through :meth:`_CellQueue.record`,
+the one home of the per-benchmark circuit breaker, so a sweep produces
+byte-identical aggregates, failures and checkpoint files at any worker
+count, and a checkpoint written at one worker count resumes at another.
 
-Two backends exist:
-
-* :class:`SequentialBackend` -- cells run in-process, in grid order;
-* :class:`ProcessPoolBackend` -- cells fan out to a supervised local
-  ``ProcessPoolExecutor`` (heartbeats, stale-kill, pool rebuild).
-
-``ResilienceConfig.workers`` alone selects between them (see
-:func:`select_backend`).
-
-Both run what the sweep's spec names: the one pickle of its
+Every attempt runs what the sweep's spec names: the one pickle of its
 ``SweepConfig``, supply transform and probe controller
-(:func:`~repro.sim.checkpoint.sweep_spec`).  Every attempt runs a fresh
-copy of the probe restored from it, in-process or in a worker; a worker
-receives those bytes in place of the runner and the factory.
+(:func:`~repro.sim.checkpoint.sweep_spec`), from which it restores a
+fresh copy of the probe, in-process or in a worker; a worker receives
+those bytes in place of the runner and the factory.
 
 Everything about the pool lives here: :class:`WorkerPool` (the executor,
 the heartbeat channel and their lifecycle), the entry points its worker
 processes run (:func:`_worker_init`, :func:`_worker_run_cell`) and the
-supervisor inside :meth:`ProcessPoolBackend.execute`.  Each
+supervisor (:func:`_run_on_pool`).  Each
 :class:`~repro.sim.runner.Session` owns one :class:`WorkerPool` and reuses
 it across the command's sweeps.  Workers keep no results between cells:
 a cell's base result travels with the cell when the session holds it, and
@@ -38,7 +31,6 @@ each (config, benchmark, seed) base runs once per session.
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import functools
 import multiprocessing
@@ -67,18 +59,11 @@ from repro.obs import trace as obs_trace
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.metrics import RelativeMetrics
 
-__all__ = [
-    "SweepBackend",
-    "SweepJob",
-    "SequentialBackend",
-    "ProcessPoolBackend",
-    "WorkerPool",
-    "select_backend",
-]
+__all__ = ["SweepJob", "WorkerPool", "run_pending"]
 
 Cell = Tuple[str, Optional[int]]
 
-#: How often the parallel supervisor wakes to check heartbeats and drain
+#: How often the pool supervisor wakes to check heartbeats and drain
 #: requests while no future has completed, in seconds.
 _SUPERVISOR_POLL_S = 0.2
 
@@ -90,14 +75,11 @@ _MAX_WORKER_RESTARTS = 2
 
 @dataclass
 class SweepJob:
-    """Everything one sweep execution needs, bundled for a backend.
+    """Everything one sweep execution needs, bundled for :func:`run_pending`.
 
     The mutable state (``results``, ``failure_map``, ``checkpoint``,
     ``timings``) belongs to the caller -- :meth:`BenchmarkRunner.sweep`
-    aggregates from it after ``execute`` returns -- so backends write
-    results through the :meth:`record_success` / :meth:`record_failure`
-    helpers, which also keep the checkpoint and progress callback
-    consistent across backends.
+    aggregates from it after :func:`run_pending` returns.
     """
 
     runner: "object"  # BenchmarkRunner (untyped to avoid a module cycle)
@@ -114,44 +96,26 @@ class SweepJob:
     failure_map: Dict[Cell, "object"]
     timings: Dict[str, float]
     drain: "object"  # the sweep's drain flag: is_set(), signum, signal_name
-    #: the session's process pool (used by the pool backend only)
+    #: the session's process pool (used above one worker only)
     pool: "WorkerPool"
-    #: root of the sweep's trace store, shipped to pool workers; None
+    #: root of the session's trace store, shipped to pool workers; None
     #: when record/replay is off
     trace_store_root: Optional[str] = None
     incidents: List["object"] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    # Shared result/failure/drain bookkeeping
-    # ------------------------------------------------------------------
     def keep(self, cell: Cell, metrics: RelativeMetrics) -> None:
         """Hold a completed cell in the results and the session's cells."""
         self.results[cell] = metrics
         self.checkpoint.record(cell, metrics)
 
-    def record_success(self, cell: Cell, metrics: RelativeMetrics) -> None:
-        """Store a completed cell: results, checkpoint flush, progress."""
-        self.keep(cell, metrics)
-        t_io = time.perf_counter()
-        self.checkpoint.flush()
-        self.timings["checkpoint_io"] += time.perf_counter() - t_io
-        if self.progress is not None:
-            self.progress(cell[0], metrics)
-
-    def record_failure(self, cell: Cell, failure) -> None:
-        self.failure_map[cell] = failure
-
-    def pending_after(self) -> List[Cell]:
-        """Cells still unaccounted for (used by drain summaries)."""
-        return [
+    def drain_now(self) -> SweepInterrupted:
+        """Flush the checkpoint, write the shutdown summary, and return
+        the :class:`SweepInterrupted` for the caller to raise."""
+        completed = len(self.results)
+        pending = [
             c for c in self.grid
             if c not in self.results and c not in self.failure_map
         ]
-
-    def drain_now(self) -> SweepInterrupted:
-        """Flush the checkpoint, write the shutdown summary, and return
-        the :class:`SweepInterrupted` for the backend to raise."""
-        completed, pending = len(self.results), self.pending_after()
         signal_name = self.drain.signal_name
         tracer = obs_trace.active_tracer()
         if tracer is not None:
@@ -214,15 +178,16 @@ def _worker_lost_report(
 
 
 class _CellQueue:
-    """Circuit-breaker-aware dispatch queue shared by fan-out backends.
+    """A sweep's pending cells in dispatch order, and its circuit breaker.
 
-    Mirrors the sequential circuit-breaker rule exactly: the first
-    *pending* cell of each benchmark (grid order) is its probe; the
-    benchmark's remaining cells are held until the probe resolves, then
-    released (probe completed, or lost its worker) or parked as
-    ``CircuitOpen`` failures (probe exhausted its retry budget).  The
-    rule depends only on grid order, so every backend parks the
-    identical set of cells.
+    The first *pending* cell of each benchmark (grid order) is its probe;
+    the benchmark's other cells are held until :meth:`record` takes the
+    probe, then put at the front of the queue in grid order (the probe
+    completed, or was abandoned for losing its worker) or parked as
+    ``CircuitOpen`` failures (the probe exhausted its retry budget).
+    Released cells go to the front, so one worker runs the grid in
+    order; the rule depends only on grid order, so every worker count
+    parks the identical set of cells.
     """
 
     def __init__(self, job: SweepJob):
@@ -230,141 +195,112 @@ class _CellQueue:
         self.queue: deque = deque()
         self.held: Dict[str, List[Cell]] = {}
         self.probes: Dict[Cell, str] = {}
-        seen: set = set()
         for cell in job.pending:
             name = cell[0]
-            if name in seen:
-                self.held.setdefault(name, []).append(cell)
+            if name in self.held:
+                self.held[name].append(cell)
             else:
-                seen.add(name)
+                self.held[name] = []
                 self.probes[cell] = name
                 self.queue.append(cell)
 
-    def release_probe(self, cell: Cell, run_failed: bool) -> None:
-        """Unblock (or park) the cells held behind a probe."""
+    def record(self, cell: Cell, metrics, failure) -> None:
+        """Record a finished cell and, for a probe, resolve its breaker.
+
+        A completed cell joins the results and the checkpoint, which is
+        flushed, and is reported to ``progress``; a failed one joins the
+        failure map.
+        """
+        job = self.job
+        if failure is None:
+            job.keep(cell, metrics)
+            t_io = time.perf_counter()
+            job.checkpoint.flush()
+            job.timings["checkpoint_io"] += time.perf_counter() - t_io
+            if job.progress is not None:
+                job.progress(cell[0], metrics)
+        else:
+            job.failure_map[cell] = failure
         name = self.probes.pop(cell, None)
         if name is None:
             return
+        followers = self.held.pop(name)
+        # Losing a worker says nothing about the benchmark: only a probe
+        # that failed its own attempts trips the breaker.
+        if failure is None or failure.error_type == WorkerLostError.__name__:
+            self.queue.extendleft(reversed(followers))
+            return
         tracer = obs_trace.active_tracer()
-        if run_failed and tracer is not None:
+        if tracer is not None:
             tracer.instant(
                 "circuit_breaker_trip",
                 cat=obs_trace.CAT_SUPERVISION,
-                args={"benchmark": name, "technique": self.job.technique},
+                args={"benchmark": name, "technique": job.technique},
             )
-        for follower in self.held.pop(name, []):
-            if run_failed:
-                self.job.record_failure(
-                    follower,
-                    _circuit_open_report(
-                        name, self.job.technique, follower[1]
-                    ),
-                )
-            else:
-                self.queue.append(follower)
-
-    def release_all_held(self) -> None:
-        """Belt-and-braces: requeue held cells whose probe vanished."""
-        for name in list(self.held):
-            self.queue.extend(self.held.pop(name))
+        for follower in followers:
+            job.failure_map[follower] = _circuit_open_report(
+                name, job.technique, follower[1]
+            )
 
 
-class SweepBackend(abc.ABC):
-    """One way of executing a sweep's pending cells.
+def run_pending(job: SweepJob, workers: int) -> None:
+    """Run every pending cell of ``job``, or park it as a failure.
 
-    ``name`` labels the backend in traces and metrics; ``workers`` is
-    the effective degree of parallelism (1 for sequential), recorded in
-    the sweep's ``timings``.
+    Reports the cells the session already holds to ``progress`` first, in
+    grid order, then drains one :class:`_CellQueue`: in-process at one
+    worker, on the session's pool (:func:`_run_on_pool`) above it.
+    Honours ``job.drain`` (raises ``job.drain_now()``), records
+    supervision events on ``job.incidents``, and leaves
+    ``job.results``/``job.failure_map`` covering the grid.
     """
-
-    name: str = "?"
-    workers: int = 1
-
-    @abc.abstractmethod
-    def execute(self, job: SweepJob) -> None:
-        """Run every pending cell of ``job`` (or park it as a failure).
-
-        Must honour ``job.drain`` (raise ``job.drain_now()`` on a drain
-        request), record supervision events on ``job.incidents``, and
-        leave ``job.results``/``job.failure_map`` covering the grid.
-        """
-
-
-class SequentialBackend(SweepBackend):
-    """Run pending cells in-process, in grid order."""
-
-    name = "sequential"
-    workers = 1
-
-    def execute(self, job: SweepJob) -> None:
-        tracer = obs_trace.active_tracer()
-        resilience = job.resilience
-        if (
-            resilience.timeout_s is not None
-            and threading.current_thread() is not threading.main_thread()
-        ):
-            # The per-cell bound is SIGALRM, which only the main thread
-            # can take; checked here, once, because a failure inside the
-            # cell would only turn into retries and a FaultError.
-            raise HarnessError(
-                f"timeout_s={resilience.timeout_s:g} needs the main thread:"
-                f" a sequential sweep enforces it with SIGALRM; run the"
-                f" sweep on the main thread or drop timeout_s"
+    resilience = job.resilience
+    in_process = workers <= 1
+    if (
+        in_process
+        and resilience.timeout_s is not None
+        and threading.current_thread() is not threading.main_thread()
+    ):
+        # The per-cell bound is SIGALRM, which only the main thread can
+        # take; checked here, once, because a failure inside the cell
+        # would only turn into retries and a FaultError.
+        raise HarnessError(
+            f"timeout_s={resilience.timeout_s:g} needs the main thread:"
+            f" an in-process sweep enforces it with SIGALRM; run the"
+            f" sweep on the main thread or drop timeout_s"
+        )
+    if job.progress is not None:
+        for cell in job.grid:
+            if cell in job.results:
+                job.progress(cell[0], job.results[cell])
+    cells = _CellQueue(job)
+    if not in_process:
+        _run_on_pool(job, cells, workers)
+        return
+    # Base runs that failed in the warm-up, by cell: each is that cell's
+    # first attempt, so it is not run again at the same seed.
+    warmup_errors: Dict[Cell, Exception] = {}
+    if len(job.pending) > 1:
+        # Warm the session's base runs, one cell at a time, before the
+        # first cell, so cell times hold the technique runs; a failed
+        # prefetch only costs the warm-up.
+        try:
+            job.runner.prefetch_base_batch(
+                job.pending,
+                timeout_s=resilience.timeout_s,
+                should_stop=job.drain.is_set,
+                errors=warmup_errors,
             )
-        factory = functools.partial(_fresh_controller, job.spec_blob)
-        open_benchmarks: set = set()
-        probed: set = set()
-        # Base runs that failed in the warm-up, by cell: each is that
-        # cell's first attempt, so it is not run again at the same seed.
-        warmup_errors: Dict[Cell, Exception] = {}
-        if len(job.pending) > 1:
-            # Warm the session's base runs, one cell at a time, before
-            # the first cell, so cell times hold the technique runs; a
-            # failed prefetch only costs the warm-up.
-            try:
-                job.runner.prefetch_base_batch(
-                    job.pending,
-                    timeout_s=resilience.timeout_s,
-                    should_stop=job.drain.is_set,
-                    errors=warmup_errors,
-                    resilience=resilience,
-                )
-            except Exception:
-                pass
-        for name, seed in job.grid:
-            cell = (name, seed)
-            if cell in job.results:  # resumed from the checkpoint
-                if job.progress is not None:
-                    job.progress(name, job.results[cell])
-                continue
-            if job.drain.is_set():
-                raise job.drain_now()
-            if name in open_benchmarks:
-                job.record_failure(
-                    cell, _circuit_open_report(name, job.technique, seed)
-                )
-                continue
-            is_probe = name not in probed
-            probed.add(name)
-            metrics, failure = job.runner.run_cell(
-                name, job.technique, factory, resilience, base_seed=seed,
-                warmup_error=warmup_errors.get(cell),
-            )
-            if failure is not None:
-                job.record_failure(cell, failure)
-                if is_probe:
-                    open_benchmarks.add(name)
-                    if tracer is not None:
-                        tracer.instant(
-                            "circuit_breaker_trip",
-                            cat=obs_trace.CAT_SUPERVISION,
-                            args={
-                                "benchmark": name,
-                                "technique": job.technique,
-                            },
-                        )
-                continue
-            job.record_success(cell, metrics)
+        except Exception:
+            pass
+    factory = functools.partial(_fresh_controller, job.spec_blob)
+    while cells.queue:
+        if job.drain.is_set():
+            raise job.drain_now()
+        cell = cells.queue.popleft()
+        cells.record(cell, *job.runner.run_cell(
+            cell[0], job.technique, factory, resilience, base_seed=cell[1],
+            warmup_error=warmup_errors.get(cell),
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -420,8 +356,8 @@ def _worker_run_cell(
     parent or with sibling workers, and every attempt runs a fresh copy
     of the probe restored from it.  ``base`` is the cell's base result
     when the parent's session holds it.  The cell runs through the same
-    :meth:`~repro.sim.runner.BenchmarkRunner.run_cell` as the sequential
-    path -- on the worker's main thread, so the SIGALRM timeout applies
+    :meth:`~repro.sim.runner.BenchmarkRunner.run_cell` as an in-process
+    sweep -- on the worker's main thread, so the SIGALRM timeout applies
     and a timed-out cell dies in place instead of leaking a live thread.
 
     The worker stamps a heartbeat at cell start, at every retry attempt,
@@ -504,10 +440,10 @@ def _merge_worker_telemetry(telemetry: Optional[dict]) -> None:
 class WorkerPool:
     """One session's worker processes: the executor and heartbeat channel.
 
-    Empty until the first parallel sweep; :meth:`ensure` then starts the
-    executor and keeps it for later sweeps of the same shape (worker
-    count, heartbeat supervision, observability spec), so a command's
-    sweeps do not pay for process start-up more than once.
+    Empty until the first sweep on more than one worker; :meth:`ensure`
+    then starts the executor and keeps it for later sweeps of the same
+    shape (worker count, heartbeat supervision, observability spec), so a
+    command's sweeps do not pay for process start-up more than once.
     :meth:`shutdown` releases the executor but leaves the pool usable (the
     supervisor rebuilds through it); :meth:`close` releases everything for
     good.
@@ -597,13 +533,12 @@ class WorkerPool:
         return stale
 
 
-class ProcessPoolBackend(SweepBackend):
-    """Run pending cells on a *supervised* local process pool.
+def _run_on_pool(job: SweepJob, cells: _CellQueue, workers: int) -> None:
+    """Drain ``cells`` on the session's *supervised* process pool.
 
-    The parent writes the checkpoint as cells complete (completion
-    order, but cell-keyed, so the final file is byte-identical to a
-    sequential run's) and reports ``progress`` in completion order;
-    cached cells are reported first, in grid order.
+    The parent records cells as they complete (completion order, but
+    cell-keyed, so the final checkpoint is byte-identical to an
+    in-process run's) and reports ``progress`` in completion order.
 
     Supervision: cells are dispatched incrementally (a bounded window
     rather than all up front).  A dead worker (``BrokenProcessPool`` --
@@ -620,201 +555,165 @@ class ProcessPoolBackend(SweepBackend):
     running, flushes the checkpoint and raises
     :class:`~repro.errors.SweepInterrupted`.
     """
+    runner = job.runner
+    pool = job.pool
+    resilience = job.resilience
+    tracer = obs_trace.active_tracer()
+    registry = obs_metrics.active_registry()
+    heartbeat = resilience.heartbeat_stale_s is not None
+    executor = pool.ensure(workers, heartbeat=heartbeat)
+    queue = cells.queue
 
-    name = "pool"
+    inflight: Dict[object, Cell] = {}
+    lost_cells: List[Cell] = []
+    lost_detail = ""
+    lost_counts: Dict[Cell, int] = {}
+    # Each rebuild loses at least one in-flight cell, and each cell is
+    # parked after _MAX_WORKER_RESTARTS losses, so this hard cap can only
+    # bind if supervision itself misbehaves.
+    rebuilds_left = (_MAX_WORKER_RESTARTS + 1) * max(1, len(job.pending))
+    pool_broken = False
 
-    def __init__(self, workers: int):
-        self.workers = workers
+    dispatch_ctx = obs_context.current_context()
 
-    def execute(self, job: SweepJob) -> None:
-        runner = job.runner
-        pool = job.pool
-        resilience = job.resilience
-        workers = self.workers
-        tracer = obs_trace.active_tracer()
-        registry = obs_metrics.active_registry()
-        if job.progress is not None:
-            for cell in job.grid:
-                if cell in job.results:
-                    job.progress(cell[0], job.results[cell])
-        heartbeat = resilience.heartbeat_stale_s is not None
-        executor = pool.ensure(workers, heartbeat=heartbeat)
-
-        cell_queue = _CellQueue(job)
-        queue = cell_queue.queue
-
-        inflight: Dict[object, Cell] = {}
-        lost_cells: List[Cell] = []
-        lost_detail = ""
-        lost_counts: Dict[Cell, int] = {}
-        # Each rebuild loses at least one in-flight cell, and each cell
-        # is parked after _MAX_WORKER_RESTARTS losses, so this hard cap
-        # can only bind if supervision itself misbehaves.
-        rebuilds_left = (_MAX_WORKER_RESTARTS + 1) * max(
-            1, len(job.pending)
-        )
-        pool_broken = False
-
-        dispatch_ctx = obs_context.current_context()
-
-        def submit(cell):
-            name, seed = cell
-            base = runner.session.bases.get(runner.base_key(name, seed))
-            if dispatch_ctx is not None and tracer is not None:
-                # Open a flow arrow to the worker's cell span; both sides
-                # derive the same deterministic cell span id.
-                cell_ctx = dispatch_ctx.child(
-                    f"cell|{name}|{job.technique}|{seed}"
-                )
-                tracer.flow_start(cell_ctx.span_id)
-            future = executor.submit(
-                _worker_run_cell,
-                job.spec_blob,
-                name,
-                job.technique,
-                seed,
-                resilience.timeout_s,
-                resilience.max_retries,
-                trace_store_root=job.trace_store_root,
-                base=base,
-                ctx=None if dispatch_ctx is None else dispatch_ctx.to_dict(),
+    def submit(cell):
+        name, seed = cell
+        base = runner.session.bases.get(runner.base_key(name, seed))
+        if dispatch_ctx is not None and tracer is not None:
+            # Open a flow arrow to the worker's cell span; both sides
+            # derive the same deterministic cell span id.
+            cell_ctx = dispatch_ctx.child(
+                f"cell|{name}|{job.technique}|{seed}"
             )
-            inflight[future] = cell
+            tracer.flow_start(cell_ctx.span_id)
+        future = executor.submit(
+            _worker_run_cell,
+            job.spec_blob,
+            name,
+            job.technique,
+            seed,
+            resilience.timeout_s,
+            resilience.max_retries,
+            trace_store_root=job.trace_store_root,
+            base=base,
+            ctx=None if dispatch_ctx is None else dispatch_ctx.to_dict(),
+        )
+        inflight[future] = cell
 
-        def collect(cell, outcome):
-            """Merge a finished cell's telemetry and hold its base run;
-            returns ``(metrics, failure)``."""
-            metrics, failure, telemetry, computed = outcome
-            _merge_worker_telemetry(telemetry)
-            if computed is not None:
-                runner.session.bases.setdefault(
-                    runner.base_key(*cell), computed
-                )
-            return metrics, failure
+    def collect(cell, outcome):
+        """Merge a finished cell's telemetry and hold its base run;
+        returns ``(metrics, failure)``."""
+        metrics, failure, telemetry, computed = outcome
+        _merge_worker_telemetry(telemetry)
+        if computed is not None:
+            runner.session.bases.setdefault(runner.base_key(*cell), computed)
+        return metrics, failure
 
-        def record_result(cell, metrics, failure):
-            if failure is not None:
-                job.record_failure(cell, failure)
-                cell_queue.release_probe(cell, run_failed=True)
-                return
-            job.record_success(cell, metrics)
-            cell_queue.release_probe(cell, run_failed=False)
+    def abandon_cell(cell, losses, detail):
+        cells.record(cell, None, _worker_lost_report(
+            cell[0], job.technique, cell[1], losses, detail
+        ))
 
-        def abandon_cell(cell, losses, detail):
-            job.record_failure(
-                cell,
+    def handle_lost_cells():
+        """Requeue (or park) cells whose worker died; rebuild the pool."""
+        nonlocal executor, pool_broken, rebuilds_left, lost_detail
+        lost, detail = list(lost_cells), lost_detail
+        lost_cells.clear()
+        lost_detail = ""
+        for cell in lost:
+            losses = lost_counts.get(cell, 0) + 1
+            lost_counts[cell] = losses
+            job.incidents.append(
                 _worker_lost_report(
                     cell[0], job.technique, cell[1], losses, detail
-                ),
+                )
             )
-            cell_queue.release_probe(cell, run_failed=False)
+            if losses > _MAX_WORKER_RESTARTS:
+                abandon_cell(
+                    cell,
+                    losses,
+                    f"abandoned after losing its worker {losses} time(s)"
+                    f" (budget {_MAX_WORKER_RESTARTS});"
+                    f" last incident: {detail}",
+                )
+            else:
+                queue.appendleft(cell)
+        if registry is not None:
+            registry.counter(
+                "runner_worker_restarts_total",
+                help="pool rebuilds after a lost or hung worker",
+            ).inc()
+        if tracer is not None:
+            tracer.instant(
+                "pool_rebuild",
+                cat=obs_trace.CAT_SUPERVISION,
+                args={
+                    "lost_cells": len(lost),
+                    "detail": detail,
+                    "rebuilds_left": rebuilds_left - 1,
+                },
+            )
+        rebuilds_left -= 1
+        pool.shutdown()
+        pool_broken = False
+        if rebuilds_left <= 0:
+            # Abandoning a probe releases its held cells into the queue;
+            # keep draining until nothing is left anywhere.
+            while queue:
+                cell = queue.popleft()
+                abandon_cell(
+                    cell, lost_counts.get(cell, 0),
+                    "worker-restart budget exhausted for the whole sweep",
+                )
+        executor = pool.ensure(workers, heartbeat=heartbeat)
 
-        def handle_lost_cells():
-            """Requeue (or park) cells whose worker died; rebuild the
-            pool."""
-            nonlocal executor, pool_broken, rebuilds_left, lost_detail
-            lost, detail = list(lost_cells), lost_detail
-            lost_cells.clear()
-            lost_detail = ""
-            for cell in lost:
-                losses = lost_counts.get(cell, 0) + 1
-                lost_counts[cell] = losses
-                job.incidents.append(
-                    _worker_lost_report(
-                        cell[0], job.technique, cell[1], losses, detail
-                    )
-                )
-                if losses > _MAX_WORKER_RESTARTS:
-                    abandon_cell(
-                        cell,
-                        losses,
-                        f"abandoned after losing its worker {losses}"
-                        f" time(s)"
-                        f" (budget {_MAX_WORKER_RESTARTS});"
-                        f" last incident: {detail}",
-                    )
-                else:
-                    queue.appendleft(cell)
-            if registry is not None:
-                registry.counter(
-                    "runner_worker_restarts_total",
-                    help="pool rebuilds after a lost or hung worker",
-                ).inc()
-            if tracer is not None:
-                tracer.instant(
-                    "pool_rebuild",
-                    cat=obs_trace.CAT_SUPERVISION,
-                    args={
-                        "lost_cells": len(lost),
-                        "detail": detail,
-                        "rebuilds_left": rebuilds_left - 1,
-                    },
-                )
-            rebuilds_left -= 1
-            pool.shutdown()
-            pool_broken = False
-            if rebuilds_left <= 0:
-                # Abandoning a probe releases its held cells into the
-                # queue; keep draining until nothing is left anywhere.
-                while queue:
+    def drain_and_raise():
+        deadline = time.monotonic() + resilience.drain_deadline_s
+        while inflight and time.monotonic() < deadline:
+            done, _ = futures_wait(
+                set(inflight),
+                timeout=_SUPERVISOR_POLL_S,
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                cell = inflight.pop(future)
+                try:
+                    outcome = future.result()
+                except BaseException:
+                    continue  # lost to the drain; --resume recomputes
+                metrics, failure = collect(cell, outcome)
+                if failure is None:
+                    job.keep(cell, metrics)
+        for future in inflight:
+            future.cancel()
+        if inflight:  # still running past the deadline: kill the pool
+            pool.kill_workers()
+        pool.shutdown()
+        raise job.drain_now()
+
+    try:
+        # Every held cell waits on a probe that is queued, in flight or
+        # lost (and handled below once nothing is in flight), so an empty
+        # queue with nothing in flight means every cell is recorded.
+        while queue or inflight:
+            if job.drain.is_set():
+                drain_and_raise()
+            if not pool_broken:
+                while queue and len(inflight) < 2 * workers:
                     cell = queue.popleft()
-                    abandon_cell(
-                        cell, lost_counts.get(cell, 0),
-                        "worker-restart budget exhausted for the whole"
-                        " sweep",
-                    )
-            executor = pool.ensure(workers, heartbeat=heartbeat)
-
-        def drain_and_raise():
-            deadline = time.monotonic() + resilience.drain_deadline_s
-            while inflight and time.monotonic() < deadline:
-                done, _ = futures_wait(
-                    set(inflight),
-                    timeout=_SUPERVISOR_POLL_S,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    cell = inflight.pop(future)
                     try:
-                        outcome = future.result()
-                    except BaseException:
-                        continue  # lost to the drain; --resume recomputes
-                    metrics, failure = collect(cell, outcome)
-                    if failure is None:
-                        job.keep(cell, metrics)
-            for future in inflight:
-                future.cancel()
-            if inflight:  # still running past the deadline: kill the pool
-                pool.kill_workers()
-            pool.shutdown()
-            raise job.drain_now()
-
-        try:
-            while queue or inflight or any(cell_queue.held.values()):
-                if job.drain.is_set():
-                    drain_and_raise()
-                if not pool_broken:
-                    while queue and len(inflight) < 2 * workers:
-                        cell = queue.popleft()
-                        try:
-                            submit(cell)
-                        except BrokenProcessPool as error:
-                            # The pool broke between completions;
-                            # recover through the same lost-cell path.
-                            pool_broken = True
-                            lost_cells.append(cell)
-                            lost_detail = (
-                                f"worker pool broke at dispatch"
-                                f" ({type(error).__name__}: {error})"
-                            )
-                            break
-                if not inflight:
-                    # Held cells with no live probe would deadlock; the
-                    # bookkeeping above always resolves probes, so this
-                    # is pure belt-and-braces.
-                    if not queue:
-                        cell_queue.release_all_held()
-                    continue
+                        submit(cell)
+                    except BrokenProcessPool as error:
+                        # The pool broke between completions; recover
+                        # through the same lost-cell path.
+                        pool_broken = True
+                        lost_cells.append(cell)
+                        lost_detail = (
+                            f"worker pool broke at dispatch"
+                            f" ({type(error).__name__}: {error})"
+                        )
+                        break
+            if inflight:
                 done, _ = futures_wait(
                     set(inflight),
                     timeout=_SUPERVISOR_POLL_S,
@@ -851,28 +750,15 @@ class ProcessPoolBackend(SweepBackend):
                             f" ({type(error).__name__}: {error})"
                         )
                         continue
-                    record_result(cell, *collect(cell, outcome))
-                if pool_broken and not inflight:
-                    handle_lost_cells()
-        except SweepInterrupted:
-            raise
-        except BaseException:
-            # A kill (or a progress-raised abort) must not strand queued
-            # work: unstarted cells are cancelled, in-flight results
-            # discarded.  The checkpoint holds everything completed so
-            # far.
-            for future in inflight:
-                future.cancel()
-            raise
-
-
-def select_backend(resilience, n_pending: int) -> SweepBackend:
-    """The backend this sweep runs on, chosen by ``resilience.workers``.
-
-    More than one worker with more than one pending cell fans out to the
-    process pool; anything else runs sequentially.
-    """
-    workers = min(resilience.workers, n_pending)
-    if workers <= 1:
-        return SequentialBackend()
-    return ProcessPoolBackend(workers)
+                    cells.record(cell, *collect(cell, outcome))
+            if pool_broken and not inflight:
+                handle_lost_cells()
+    except SweepInterrupted:
+        raise
+    except BaseException:
+        # A kill (or a progress-raised abort) must not strand queued
+        # work: unstarted cells are cancelled, in-flight results
+        # discarded.  The checkpoint holds everything completed so far.
+        for future in inflight:
+            future.cancel()
+        raise

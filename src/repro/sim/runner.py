@@ -15,24 +15,25 @@ exhaust their retry budget become structured :class:`FailureReport`
 entries on the :class:`TechniqueSummary` instead of aborting the whole
 sweep.
 
-Sweeps are also *parallel*: ``ResilienceConfig(workers=N)`` dispatches the
-(benchmark, seed) cell grid to a process pool (:mod:`repro.sim.backends`,
-which owns the pool, its workers and their supervision).  A sweep is one
-pickle of its :class:`SweepConfig`, supply transform and a probe
-controller (:func:`~repro.sim.checkpoint.sweep_spec`): its digest keys the
-cells, each worker rebuilds a runner from it for every cell, and every
-attempt on either backend runs a fresh copy of the probe restored from
-it.  The only simulator output that crosses the process boundary is a
-cell's base result, which travels with the cell when the session holds it
-and comes back when the worker computed it.  Cells are deterministic and
-independent (retry attempt ``k`` always reseeds to ``seed + 104729 * k``),
-so the parallel backend produces aggregates, checkpoints and failure
-reports bit-identical to the sequential one: checkpoints are written from
-the parent in completion order but keyed by the same cell keys, and rows
-are always aggregated in grid order.
+Sweeps are also *parallel*: a sweep's pending cells form one queue
+(:func:`repro.sim.backends.run_pending`), drained in-process at one worker
+and on the session's process pool at ``ResilienceConfig(workers=N)`` for
+``N > 1`` (:mod:`repro.sim.backends` owns the pool, its workers and their
+supervision).  A sweep is one pickle of its :class:`SweepConfig`, supply
+transform and a probe controller (:func:`~repro.sim.checkpoint.sweep_spec`):
+its digest keys the cells, each worker rebuilds a runner from it for
+every cell, and every attempt runs a fresh copy of the probe restored
+from it.  The only simulator output that crosses the process boundary is
+a cell's base result, which travels with the cell when the session holds
+it and comes back when the worker computed it.  Cells are deterministic
+and independent (retry attempt ``k`` always reseeds to ``seed + 104729 *
+k``), so every worker count produces bit-identical aggregates,
+checkpoints and failure reports: checkpoints are written from the parent
+in completion order but keyed by the same cell keys, and rows are always
+aggregated in grid order.
 
 Everything a command's sweeps share -- finished cells, base runs, the
-checkpoint, the worker pool and the trace stores -- lives on one
+checkpoint, the worker pool and the trace store -- lives on one
 :class:`Session`; a :class:`BenchmarkRunner` is a view of a session at one
 :class:`SweepConfig` and supply transform, and holds no state of its own.
 """
@@ -59,7 +60,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.power.supply import PowerSupply
-from repro.sim.backends import SweepJob, WorkerPool, select_backend
+from repro.sim.backends import SweepJob, WorkerPool, run_pending
 from repro.sim.checkpoint import SweepCheckpoint, sweep_spec
 from repro.sim.metrics import RelativeMetrics, SimulationResult
 from repro.sim.simulation import Simulation
@@ -114,7 +115,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Fault tolerance and execution backend for a sweep."""
+    """Fault tolerance and worker count for a sweep."""
 
     #: wall-clock budget per (benchmark, technique, seed) cell; None = none
     timeout_s: Optional[float] = None
@@ -126,7 +127,7 @@ class ResilienceConfig:
     #: load the checkpoint and skip already-completed cells
     resume: bool = False
     #: worker processes executing sweep cells: more than one fans out to
-    #: the local process pool; 0 and 1 run in-process (sequential)
+    #: the local process pool; 0 and 1 run in-process
     workers: int = 1
     #: a parallel worker whose current cell has not progressed for this
     #: many seconds is presumed hung, killed, and its cell requeued;
@@ -135,11 +136,6 @@ class ResilienceConfig:
     #: after SIGTERM/SIGINT, how long the parallel drain waits for
     #: in-flight cells before killing the pool and exiting resumable
     drain_deadline_s: float = 10.0
-    #: directory of the content-addressed trace record/replay store
-    #: (:mod:`repro.trace`): base-schedule cells record their current
-    #: trace on the first run of a front end and replay it (bit-exactly)
-    #: afterwards; None disables record/replay entirely
-    trace_store_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Validation happens at construction -- with ResilienceConfigError
@@ -164,7 +160,7 @@ class ResilienceConfig:
         if self.workers < 0:
             reject(
                 f"workers must be non-negative, got {self.workers!r}"
-                f" (0 or 1 = sequential, N = fan out)"
+                f" (0 or 1 = in-process, N = fan out)"
             )
         if self.heartbeat_stale_s is not None and self.heartbeat_stale_s <= 0:
             reject(
@@ -176,8 +172,6 @@ class ResilienceConfig:
                 f"drain_deadline_s must be positive,"
                 f" got {self.drain_deadline_s!r}"
             )
-        if self.trace_store_path is not None and not str(self.trace_store_path):
-            reject("trace_store_path must be a non-empty path when set")
 
 
 @dataclass(frozen=True)
@@ -273,9 +267,8 @@ def _call_with_timeout(fn: Callable[[], object], timeout_s: Optional[float]):
     The bound is an interval timer, which preempts the cell without
     spawning -- or leaking -- any thread, and which only a process's main
     thread can take.  Cells get there: pool workers run them on their
-    main thread, and the sequential backend refuses a ``timeout_s``
-    sweep anywhere else before its first cell.  Without a timeout, runs
-    inline.
+    main thread, and an in-process sweep refuses a ``timeout_s`` anywhere
+    else before its first cell.  Without a timeout, runs inline.
     """
     if timeout_s is None:
         return fn()
@@ -364,21 +357,23 @@ class Session:
 
     * ``resilience`` -- the command's :class:`ResilienceConfig`, which a
       sweep's own ``resilience=`` argument overrides for that sweep;
+    * ``trace_store`` -- the :class:`~repro.trace.TraceStore` every cell
+      records to and replays from, or None (record/replay is off); a path
+      given to the constructor becomes a store on that directory;
     * ``cells`` -- finished cells as metrics records, keyed by their
       content key (:func:`~repro.sim.checkpoint.cell_key`).  It is the memo
       every sweep is served from, with or without ``resume``, and the
       checkpoint: a flush writes all of it;
     * ``bases`` -- base runs keyed by ``(benchmark, seed, SweepConfig,
       supply transform)``, the transform compared by identity;
-    * ``pool`` -- one :class:`~repro.sim.backends.WorkerPool`;
-    * the trace stores (:meth:`trace_store`), one per directory.
+    * ``pool`` -- one :class:`~repro.sim.backends.WorkerPool`.
 
     Building a session starts nothing: the pool and its heartbeat channel
-    wait for the first parallel sweep, stores touch no file before a cell
-    runs, and a checkpoint file is read only when a sweep resumes it, once
-    per path.  :meth:`close` (or use as a context manager) releases the
-    pool.  A session belongs to one command and is never process-wide:
-    two sessions share nothing.
+    wait for the first parallel sweep, the store touches no file before a
+    cell runs, and a checkpoint file is read only when a sweep resumes it,
+    once per path.  :meth:`close` (or use as a context manager) releases
+    the pool.  A session belongs to one command and is never
+    process-wide: two sessions share nothing.
     """
 
     def __init__(
@@ -391,16 +386,14 @@ class Session:
         self.bases: Dict[tuple, SimulationResult] = {}
         self.pool = WorkerPool()
         self._resumed: set = set()
-        #: a store given here wins over every ``trace_store_path``
-        self._trace_store_path: Optional[str] = None
-        self._trace_stores: Dict[str, object] = {}
         if trace_store is not None:
-            root = getattr(trace_store, "root", None)
-            if root is not None:
-                self._trace_store_path = root
-                self._trace_stores[root] = trace_store
-            else:
-                self._trace_store_path = str(trace_store)
+            # Function-level import: repro.trace.replay imports the
+            # simulation module, which sits beside this one.
+            from repro.trace import TraceStore
+
+            if not isinstance(trace_store, TraceStore):
+                trace_store = TraceStore(trace_store)
+        self.trace_store = trace_store
 
     def runner(
         self,
@@ -411,29 +404,6 @@ class Session:
         runner = BenchmarkRunner(config, supply_transform=supply_transform)
         runner.session = self  # in place of the private one it was built with
         return runner
-
-    def trace_store(self, resilience: Optional[ResilienceConfig] = None):
-        """The :class:`~repro.trace.TraceStore` cells use, or None.
-
-        A store given to the constructor wins; otherwise the
-        ``trace_store_path`` of ``resilience`` (default: the session's)
-        names it.  One store object per directory, so hit and miss counts
-        accumulate across the session.
-        """
-        path = self._trace_store_path
-        if path is None:
-            path = (resilience or self.resilience).trace_store_path
-        if path is None:
-            return None
-        store = self._trace_stores.get(path)
-        if store is None:
-            # Function-level import: repro.trace.replay imports the
-            # simulation module, which sits beside this one.
-            from repro.trace import TraceStore
-
-            store = TraceStore(path)
-            self._trace_stores[path] = store
-        return store
 
     def checkpoint(
         self,
@@ -488,7 +458,7 @@ class BenchmarkRunner:
 
     A runner is a :class:`Session` seen at one :class:`SweepConfig` and
     supply transform.  It holds no state of its own: finished cells, base
-    runs, the checkpoint, the worker pool and the trace stores belong to
+    runs, the checkpoint, the worker pool and the trace store belong to
     the session, so every runner of one session is served what any of
     them computed.
 
@@ -505,11 +475,10 @@ class BenchmarkRunner:
         Every sweep pickles it, so build it as a module-level callable or
         a ``functools.partial`` over one.
     trace_store:
-        Optional trace record/replay store -- a directory path or a
-        :class:`repro.trace.TraceStore` -- for cells whose controller
-        schedule is replayable (see :func:`repro.trace.replay.schedule_token`).
-        When None, the ``trace_store_path`` of the resilience in force
-        applies.
+        Optional trace record/replay store of the runner's private
+        session -- a directory path or a :class:`repro.trace.TraceStore`
+        -- for cells whose controller schedule is replayable (see
+        :func:`repro.trace.replay.schedule_token`).
 
     The constructor builds a private session, so a new runner starts cold;
     :meth:`Session.runner` gives a runner over a shared one.
@@ -594,9 +563,9 @@ class BenchmarkRunner:
         trace: workload profile, effective trace seed, instruction
         budget, processor config, cycle counts, the controller's
         directive-schedule token and the supply-overlay token.  Supply
-        parameters are deliberately absent -- currents are
-        supply-independent for replayable (feedback-free) schedules, so
-        one record serves every RLC/detector/response variant.
+        parameters are deliberately absent -- the base processor's
+        currents are supply-independent, so one record serves every
+        RLC/detector/response variant.
         """
         from repro.trace import TraceKey, overlay_token
         from repro.trace.replay import schedule_token
@@ -627,7 +596,6 @@ class BenchmarkRunner:
         controller: NoiseController,
         seed: Optional[int] = None,
         record: bool = False,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
         """Run one cell: replay a recorded trace when possible, else
         simulate fully (recording the trace on a store miss).
@@ -639,7 +607,7 @@ class BenchmarkRunner:
         replayable (see :class:`~repro.trace.store.TraceCapture`),
         re-records it.
         """
-        store = self.session.trace_store(resilience)
+        store = self.session.trace_store
         if store is not None:
             key = self._trace_key(benchmark, controller, seed)
         else:
@@ -685,19 +653,12 @@ class BenchmarkRunner:
         self,
         benchmark: str,
         seed: Optional[int] = None,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
-        """Run (or fetch the session's) uncontrolled base configuration.
-
-        ``resilience`` (default: the session's) names the trace store, as
-        for every run of the runner.
-        """
+        """Run (or fetch the session's) uncontrolled base configuration."""
         key = self.base_key(benchmark, seed)
         base = self.session.bases.get(key)
         if base is None:
-            base = self._run_simulation(
-                benchmark, NullController(), seed=seed, resilience=resilience
-            )
+            base = self._run_simulation(benchmark, NullController(), seed=seed)
             self.session.bases[key] = base
         return base
 
@@ -707,7 +668,6 @@ class BenchmarkRunner:
         timeout_s: Optional[float] = None,
         should_stop: Optional[Callable[[], bool]] = None,
         errors: Optional[Dict[Tuple[str, Optional[int]], Exception]] = None,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> int:
         """Warm the session's base runs for a sweep's ``(benchmark, seed)`` cells.
 
@@ -723,7 +683,7 @@ class BenchmarkRunner:
         treats it as that cell's first attempt.  Returns the number of
         cells newly held.
         """
-        store = self.session.trace_store(resilience)
+        store = self.session.trace_store
         cached = 0
         for benchmark, seed in cells:
             if should_stop is not None and should_stop():
@@ -736,7 +696,7 @@ class BenchmarkRunner:
                     continue
             try:
                 _call_with_timeout(
-                    lambda: self.run_base(benchmark, seed, resilience),
+                    lambda: self.run_base(benchmark, seed),
                     timeout_s,
                 )
             except Exception as error:
@@ -751,24 +711,18 @@ class BenchmarkRunner:
         benchmark: str,
         factory: ControllerFactory,
         seed: Optional[int] = None,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> SimulationResult:
         controller = factory(self.config.supply, self.config.processor)
-        return self._run_simulation(
-            benchmark, controller, seed=seed, resilience=resilience
-        )
+        return self._run_simulation(benchmark, controller, seed=seed)
 
     def compare(
         self,
         benchmark: str,
         factory: ControllerFactory,
         seed: Optional[int] = None,
-        resilience: Optional[ResilienceConfig] = None,
     ) -> RelativeMetrics:
-        base = self.run_base(benchmark, seed=seed, resilience=resilience)
-        result = self.run_technique(
-            benchmark, factory, seed=seed, resilience=resilience
-        )
+        base = self.run_base(benchmark, seed=seed)
+        result = self.run_technique(benchmark, factory, seed=seed)
         return result.relative_to(base)
 
     # ------------------------------------------------------------------
@@ -792,10 +746,10 @@ class BenchmarkRunner:
         ``warmup_error`` (the cell's base run already failed in
         :meth:`prefetch_base_batch`) is the first attempt's outcome, so
         that base run is not repeated at the same seed.  ``on_attempt``
-        fires at the start of each attempt (the parallel backend's
-        heartbeat).  Interrupts (KeyboardInterrupt / SystemExit) always
-        propagate so a killed sweep stops at a checkpointed boundary
-        instead of "retrying" the kill.
+        fires at the start of each attempt (a pool worker's heartbeat).
+        Interrupts (KeyboardInterrupt / SystemExit) always propagate so a
+        killed sweep stops at a checkpointed boundary instead of
+        "retrying" the kill.
         """
         last_error: Optional[BaseException] = None
         seed = base_seed
@@ -809,7 +763,7 @@ class BenchmarkRunner:
                 # The cell context is derived, not random, so the
                 # dispatching side (the pool submit) computes the same
                 # span id for its flow arrow, and fixed-seed runs produce
-                # identical linkage on every backend.
+                # identical linkage at every worker count.
                 cell_ctx = None
                 remote = obs_context.context_is_remote()
                 parent_ctx = obs_context.current_context()
@@ -867,10 +821,7 @@ class BenchmarkRunner:
                     if attempt == 0 and warmup_error is not None:
                         raise warmup_error
                     metrics = _call_with_timeout(
-                        lambda: self.compare(
-                            benchmark, factory, seed=seed,
-                            resilience=resilience,
-                        ),
+                        lambda: self.compare(benchmark, factory, seed=seed),
                         resilience.timeout_s,
                     )
                     span_args["attempts"] = attempt + 1
@@ -927,14 +878,16 @@ class BenchmarkRunner:
         (default ``(None,)``, today's single-run behaviour), with each
         (benchmark, seed) pair checkpointed as its own cell.
 
-        ``workers > 1`` executes pending cells on a process pool.  The
-        summary (rows, failure order, aggregates) is bit-identical to a
-        sequential sweep -- rows are assembled in grid order regardless of
-        completion order -- and the final checkpoint file is byte-identical
-        (cells are keyed, and the JSON is written with sorted keys).  Only
-        the ``progress`` callback order differs: sequential sweeps report
-        cells in grid order, parallel sweeps in completion order (cached
-        cells first).
+        The pending cells form one queue
+        (:func:`~repro.sim.backends.run_pending`), run in-process at one
+        worker and on the session's process pool at ``workers > 1``.  The
+        summary (rows, failure order, aggregates) is bit-identical at
+        every worker count -- rows are assembled in grid order regardless
+        of completion order -- and so is the final checkpoint file (cells
+        are keyed, and the JSON is written with sorted keys).
+        ``progress`` hears the cells the session already held first, in
+        grid order, then each cell as it completes: in grid order at one
+        worker, in completion order on the pool.
 
         The returned summary carries a ``timings`` attribute with the
         per-phase wall-clock breakdown and an ``incidents`` attribute with
@@ -993,8 +946,7 @@ class BenchmarkRunner:
                         results[cell] = metrics
                     else:
                         pending.append(cell)
-                backend = select_backend(resilience, len(pending))
-                workers = backend.workers
+                workers = max(1, min(resilience.workers, len(pending)))
             if tracer is not None:
                 # Every sweep roots its own trace from what it computes,
                 # so fixed-seed runs get byte-identical ids.
@@ -1005,7 +957,6 @@ class BenchmarkRunner:
                 sweep_stack.enter_context(obs_context.use_context(sweep_ctx))
             sweep_args.update({
                 "technique": technique,
-                "backend": backend.name,
                 "workers": workers,
                 "cells_total": len(grid),
                 "cells_cached": len(grid) - len(pending),
@@ -1020,7 +971,7 @@ class BenchmarkRunner:
 
             incidents: List[FailureReport] = []
             drain = _DrainFlag()
-            trace_store = self.session.trace_store(resilience)
+            trace_store = self.session.trace_store
             trace_stats_before = (
                 dict(trace_store.stats) if trace_store is not None else None
             )
@@ -1045,7 +996,7 @@ class BenchmarkRunner:
                     ),
                     incidents=incidents,
                 )
-                backend.execute(job)
+                run_pending(job, workers)
             timings["execute"] = time.perf_counter() - t_execute
             if trace_store is not None:
                 # Hit/miss deltas live in ``timings`` (diagnostics outside
@@ -1106,7 +1057,7 @@ class BenchmarkRunner:
             timings["total"] = time.perf_counter() - t_total
             # Diagnostic attributes, deliberately outside the dataclass
             # fields (see TechniqueSummary): summaries stay comparable
-            # across backends and across supervision incidents.
+            # across worker counts and across supervision incidents.
             object.__setattr__(summary, "timings", timings)
             object.__setattr__(summary, "incidents", tuple(incidents))
             if registry is not None:

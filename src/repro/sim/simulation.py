@@ -111,7 +111,7 @@ class Simulation:
 
     # ------------------------------------------------------------------
     # Scalar cycle loop (reference semantics; always available via
-    # REPRO_KERNEL=0 and for every feedback controller)
+    # REPRO_KERNEL=0 and for every controller but the base processor's)
     # ------------------------------------------------------------------
     def _scalar_cycle_loop(self, n_cycles: int) -> dict:
         processor = self.processor
@@ -147,19 +147,20 @@ class Simulation:
     # ------------------------------------------------------------------
     # Kernel fast path (repro.core.kernel): run the processor trace
     # first, then advance the supply in bulk -- bit-identical to the
-    # scalar loop for feedback-free controllers.
+    # scalar loop for the base processor.
     # ------------------------------------------------------------------
     def kernel_eligible(self) -> bool:
         """Can this run take the vectorized kernel fast path?
 
-        Requires the kernel to be enabled (``REPRO_KERNEL``), a
-        controller that declares :attr:`NoiseController.feedback_free`,
-        and a plain :class:`PowerSupply` (subclasses may override
-        ``step`` and must get the scalar loop).
+        Requires the kernel to be enabled (``REPRO_KERNEL``), the base
+        processor's :class:`NullController` (its directives do not depend
+        on the supply and its ``observe`` is a no-op, so the processor
+        trace can run first), and a plain :class:`PowerSupply`
+        (subclasses may override ``step`` and must get the scalar loop).
         """
         return (
             core_kernel.kernel_enabled()
-            and getattr(self.controller, "feedback_free", False)
+            and type(self.controller) is NullController
             and type(self.supply) is PowerSupply
         )
 
@@ -168,30 +169,22 @@ class Simulation:
 
         The processor is still stepped cycle by cycle (its pipeline is
         inherently serial), but the supply and controller are out of the
-        loop entirely.  Returns the staged currents, the per-cycle stats
-        (only when the controller wants ``observe`` calls) and the
+        loop entirely.  Returns the staged currents and the
         warmup-boundary snapshot with its supply fields still pending.
         """
-        controller = self.controller
         warmup = self.warmup_cycles
-        directives_of = controller.directives
+        directives_of = self.controller.directives
         step = self.processor.step
         currents: list = []
         stage_current = currents.append
-        # NullController.observe is a stateless no-op; skipping it (and
-        # the per-cycle stats retention) is free.
-        stats_log = None if type(controller) is NullController else []
         snapshot = self._snapshot()
         for cycle in range(warmup + n_cycles):
             if cycle == warmup:
                 snapshot = self._snapshot()
-            stats = step(directives_of(cycle))
-            stage_current(stats.current_amps)
-            if stats_log is not None:
-                stats_log.append(stats)
+            stage_current(step(directives_of(cycle)).current_amps)
         if self.capture is not None:
             self.capture.currents.extend(currents)
-        return currents, stats_log, snapshot
+        return currents, snapshot
 
     def _kernel_advance_supply(self, stage) -> dict:
         """Stage 2: bulk supply advance, split at the warmup boundary.
@@ -201,37 +194,29 @@ class Simulation:
         boundary snapshot picks up the supply counters as of that reset,
         and only then does the measured region run.
         """
-        currents, _, _ = stage
-        warm_volts = core_kernel.run_supply(
-            self.supply, currents[:self.warmup_cycles]
-        )
+        currents, _ = stage
+        core_kernel.run_supply(self.supply, currents[:self.warmup_cycles])
         snapshot = self._kernel_boundary(stage)
         measured_volts = core_kernel.run_supply(
             self.supply, currents[self.warmup_cycles:]
         )
-        self._kernel_deliver(stage, warm_volts, measured_volts)
+        self._kernel_record(stage, measured_volts)
         return snapshot
 
     def _kernel_boundary(self, stage) -> dict:
         """Warmup-boundary bookkeeping once the warmup prefix has run."""
-        _, _, snapshot = stage
+        _, snapshot = stage
         supply = self.supply
         supply.reset_violation_tracking()
         snapshot["violation_cycles"] = supply.violation_cycles
         snapshot["violation_events"] = supply.violation_events
         return snapshot
 
-    def _kernel_deliver(self, stage, warm_volts, measured_volts) -> None:
-        """Late ``observe`` delivery and trace recording for a kernel run."""
-        currents, stats_log, _ = stage
-        warmup = self.warmup_cycles
-        if stats_log is not None:
-            observe = self.controller.observe
-            voltages = warm_volts.tolist() + measured_volts.tolist()
-            for cycle, (amps, stats) in enumerate(zip(currents, stats_log)):
-                observe(cycle, amps, voltages[cycle], stats)
+    def _kernel_record(self, stage, measured_volts) -> None:
+        """Keep a kernel run's measured trace when ``record`` is set."""
         if self.record:
-            self.currents.extend(currents[warmup:])
+            currents, _ = stage
+            self.currents.extend(currents[self.warmup_cycles:])
             self.voltages.extend(measured_volts.tolist())
 
     def _assemble_result(self, snapshot: dict, n_cycles: int) -> SimulationResult:
@@ -368,8 +353,8 @@ def run_batch(
 
     ``guard`` optionally wraps each lane's trace-collection stage (the
     dominant cost), for example to enforce a per-lane timeout.  Lanes
-    whose controller closes a feedback loop (or with the kernel
-    disabled) fall back to their own ``run``.
+    the kernel cannot take (a controller other than the base processor's,
+    or the kernel disabled) fall back to their own ``run``.
     """
     outcomes: List[Union[SimulationResult, BaseException, None]]
     outcomes = [None] * len(simulations)
@@ -415,19 +400,19 @@ def run_batch(
                 outcomes[lane] = warm
                 continue
             snapshot = sim._kernel_boundary(stage)
-            survivors.append((lane, sim, stage, warm, snapshot))
+            survivors.append((lane, sim, stage, snapshot))
         measured_volts = core_kernel.run_supply_batch(
-            [sim.supply for _, sim, _, _, _ in survivors],
-            [stage[0][warmup:] for _, _, stage, _, _ in survivors],
+            [sim.supply for _, sim, _, _ in survivors],
+            [stage[0][warmup:] for _, _, stage, _ in survivors],
         )
-        for (lane, sim, stage, warm, snapshot), measured in zip(
+        for (lane, sim, stage, snapshot), measured in zip(
             survivors, measured_volts
         ):
             if isinstance(measured, BaseException):
                 outcomes[lane] = measured
                 continue
             try:
-                sim._kernel_deliver(stage, warm, measured)
+                sim._kernel_record(stage, measured)
                 outcomes[lane] = sim._assemble_result(snapshot, n_cycles)
             except Exception as exc:  # pragma: no cover - defensive
                 outcomes[lane] = exc

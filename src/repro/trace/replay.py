@@ -4,15 +4,13 @@
 whose "processor" is a stub that deals out the recorded per-cycle currents
 and re-derives the energy accounting, skipping the uarch pipeline (the
 dominant cost of a run) entirely.  Everything downstream -- the supply
-recurrence, violation tracking, detector/controller observation, metrics
-harvesting -- is the *real* simulation code, including the vectorized
-kernel fast path, so a replayed result is bit-identical to a full run of
-the same front end.
+recurrence, violation tracking, metrics harvesting -- is the *real*
+simulation code, including the vectorized kernel fast path, so a replayed
+result is bit-identical to a full run of the same front end.
 
-Replay is only sound for controllers whose directive schedule is a pure
-function of the cycle index (:attr:`NoiseController.feedback_free`): the
-recorded trace embeds the schedule's effect on the processor, so a
-controller that reacts to what it observes would need the pipeline in the
+Only the base processor (:class:`NullController`) replays: the recorded
+trace embeds the controller's effect on the processor, and every other
+controller reacts to what it observes, which needs the pipeline in the
 loop.  :func:`schedule_token` is the gate -- ``None`` means "this
 controller cannot replay", anything else names the schedule inside the
 store key.
@@ -34,23 +32,12 @@ __all__ = ["ReplayFrontEnd", "ReplaySimulation", "schedule_token"]
 def schedule_token(controller: Optional[NoiseController]) -> Optional[str]:
     """Name the controller's directive schedule, or ``None`` if unreplayable.
 
-    ``NullController`` (every base cell) is the ``"null"`` schedule.  Other
-    feedback-free controllers may opt in by exposing a non-empty string
-    attribute ``directive_schedule_token`` that changes whenever their
-    directive schedule changes; declaring one also promises that
-    ``observe`` tolerates ``stats=None`` (the pipeline is skipped, so
-    there are no per-cycle stats to deliver) without altering any
-    reported statistic -- which :attr:`NoiseController.feedback_free`
-    already requires.  Controllers that close a feedback loop return
-    ``None`` and always run the full simulation.
+    ``NullController`` (every base cell) is the ``"null"`` schedule.  Every
+    other controller closes a feedback loop around the supply: it returns
+    ``None`` and always runs the full simulation.
     """
     if controller is None or type(controller) is NullController:
         return "null"
-    if not getattr(controller, "feedback_free", False):
-        return None
-    token = getattr(controller, "directive_schedule_token", None)
-    if isinstance(token, str) and token:
-        return f"declared:{token}"
     return None
 
 
@@ -95,7 +82,7 @@ class ReplayFrontEnd:
 
 
 class ReplaySimulation(Simulation):
-    """Feed a recorded trace to the supply/controller stages, bit-exactly.
+    """Feed a recorded trace of the base processor through the supply.
 
     The kernel-vectorized path and the scalar loop are both supported:
     a plain :class:`PowerSupply` under an enabled kernel takes
@@ -127,8 +114,7 @@ class ReplaySimulation(Simulation):
         if schedule_token(self.controller) is None:
             raise TraceStoreError(
                 f"controller {self.controller.name!r} closes a feedback "
-                f"loop (or declares no schedule token); it cannot replay "
-                f"a recorded trace"
+                f"loop; it cannot replay a recorded trace"
             )
 
     def run(self, n_cycles: int):
@@ -141,37 +127,26 @@ class ReplaySimulation(Simulation):
 
     # -- kernel fast path: the collect stage reads the payload instead of
     # stepping the pipeline; _kernel_advance_supply/_kernel_boundary/
-    # _kernel_deliver/_assemble_result are inherited unchanged.
+    # _kernel_record/_assemble_result are inherited unchanged.
     def _kernel_collect(self, n_cycles: int):
         front_end = self.processor
-        controller = self.controller
         currents = self._payload.currents
         front_end.advance_to_boundary()
         snapshot = self._snapshot()
         front_end.advance_to_end()
-        if type(controller) is NullController:
-            stats_log = None
-        else:
-            # Feedback-free declarers get their observe calls (late, as
-            # the kernel path always delivers them) with stats=None.
-            stats_log = [None] * len(currents)
-        if stats_log is not None or self.record:
-            # observe and the recorded trace see plain floats, as in a
-            # full run; run_supply takes the array as it is.
+        if self.record:
+            # The recorded trace sees plain floats, as in a full run;
+            # run_supply takes the array as it is.
             currents = currents.tolist()
-        return currents, stats_log, snapshot
+        return currents, snapshot
 
     # -- scalar path: REPRO_KERNEL=0 or an overlay-wrapped supply.
     def _scalar_cycle_loop(self, n_cycles: int) -> dict:
         front_end = self.processor
         supply = self.supply
-        controller = self.controller
         currents = self._payload.currents.tolist()
         record = self.record
         warmup = self.warmup_cycles
-        observe = (
-            None if type(controller) is NullController else controller.observe
-        )
         snapshot = self._snapshot()
         for cycle in range(warmup + n_cycles):
             if cycle == warmup:
@@ -184,8 +159,6 @@ class ReplaySimulation(Simulation):
                 snapshot = self._snapshot()
             amps = currents[cycle]
             voltage = supply.step(amps)
-            if observe is not None:
-                observe(cycle, amps, voltage, None)
             if record and cycle >= warmup:
                 self.currents.append(amps)
                 self.voltages.append(voltage)

@@ -1,15 +1,18 @@
 """Content-addressed per-cycle current-trace store (ROADMAP item 2).
 
 The design-space sweeps explore detector thresholds, response policies and
-supply RLC variants -- but for a feedback-free controller the per-cycle
-current trace is a pure function of the *front end*: workload profile,
-seed, instruction budget, processor config, cycle counts and any supply
-overlay that perturbs what the processor sees.  This module captures that
-trace once per front-end key and lets later cells replay it, following the
-record / guard / fallback speculation idiom: record on the first (training)
-run, guard on a digest of the front-end-relevant config at reuse, and fall
-back to full simulation on any mismatch -- a guard miss costs time, never
-correctness.
+supply RLC variants -- but for the base processor (no noise control) the
+per-cycle current trace is a pure function of the *front end*: workload
+profile, seed, instruction budget, processor config, cycle counts and any
+supply overlay that perturbs what the processor sees.  This module
+captures that trace once per front-end key and lets later cells replay
+it, following the record / guard / fallback speculation idiom: record on
+the first (training) run, guard on a digest of the front-end-relevant
+config at reuse, and fall back to full simulation on any mismatch -- a
+guard miss costs time, never correctness.
+
+A command's :class:`~repro.sim.runner.Session` holds one store, or none
+(record/replay off); pool workers open their own store on its root.
 
 Layout of a store rooted at ``root/``::
 
@@ -147,13 +150,13 @@ def overlay_token(supply_transform) -> Optional[str]:
 class TraceKey:
     """Digest-able description of everything that shapes the current trace.
 
-    Supply parameters are deliberately absent: for a feedback-free
-    controller the processor never observes the supply, so one recorded
-    trace serves every supply/RLC/detector/response variant of the same
-    front end -- that reuse across the design-space axes is the entire
-    speedup.  The controller participates only through ``schedule``, a
-    token describing its directive schedule (see
-    :func:`repro.trace.replay.schedule_token`).
+    Supply parameters are deliberately absent: without noise control the
+    processor never observes the supply, so one recorded trace serves
+    every supply/RLC/detector/response variant of the same front end --
+    that reuse across the design-space axes is the entire speedup.  The
+    controller participates only through ``schedule``, a token describing
+    its directive schedule (see :func:`repro.trace.replay.schedule_token`;
+    only the base processor's ``"null"`` replays).
     """
 
     benchmark: str

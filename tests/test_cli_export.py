@@ -101,6 +101,20 @@ class TestCLI:
         assert "slowdown" in out
         assert "gzip" in out
 
+    def test_compare_trace_store_replays_warm(self, tmp_path, capsys):
+        store = str(tmp_path / "ts")
+        argv = [
+            "compare", "tuning", "gzip", "--cycles", "1000",
+            "--trace-store", store,
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        recorded = sorted((tmp_path / "ts" / "index").iterdir())
+        assert recorded
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert sorted((tmp_path / "ts" / "index").iterdir()) == recorded
+
     def test_compare_damping(self, capsys):
         assert main([
             "compare", "damping", "gzip",

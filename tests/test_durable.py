@@ -205,13 +205,10 @@ class TestCheckpointCounters:
         self, tmp_path, registry
     ):
         ck = tmp_path / "ck.json"
-        BenchmarkRunner(SMALL).sweep(
+        BenchmarkRunner(SMALL, trace_store=str(tmp_path / "store")).sweep(
             tuning_factory,
             benchmarks=("gzip",),
-            resilience=ResilienceConfig(
-                checkpoint_path=str(ck),
-                trace_store_path=str(tmp_path / "store"),
-            ),
+            resilience=ResilienceConfig(checkpoint_path=str(ck)),
         )
         assert os.listdir(tmp_path / "store" / "index")  # not counted
         sidecar = tmp_path / "ck.json.summary.json"
@@ -243,12 +240,11 @@ class TestWriteFaultsOutsideTheCheckpoint:
         clean = BenchmarkRunner(SMALL).sweep(
             tuning_factory, benchmarks=BENCHMARKS
         )
-        resilience = ResilienceConfig(trace_store_path=str(tmp_path / "store"))
+        store_dir = str(tmp_path / "store")
         with pytest.warns(RuntimeWarning, match="trace store write failed"):
             with inject_fsync_faults(every=1) as hits:
-                faulted = BenchmarkRunner(SMALL).sweep(
+                faulted = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
                     tuning_factory, benchmarks=BENCHMARKS,
-                    resilience=resilience,
                 )
         assert hits["faults"] > 0
         assert fingerprint(faulted) == fingerprint(clean)

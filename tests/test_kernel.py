@@ -311,7 +311,6 @@ class TestSimulationFastPath:
         controller = ResonanceTuningController(
             TABLE1_SUPPLY, TABLE1_PROCESSOR, TABLE1_TUNING
         )
-        assert not controller.feedback_free
         sim = _build_simulation("gzip", controller)
         assert not sim.kernel_eligible()
 
@@ -335,30 +334,6 @@ class TestSimulationFastPath:
             benchmark="gzip", warmup_cycles=10,
         )
         assert not sim.kernel_eligible()
-
-    def test_feedback_free_observer_gets_late_observes(self, monkeypatch):
-        """A feedback-free (non-Null) controller sees every observe call
-        with the same arguments the scalar loop delivers."""
-
-        class RecordingController(NullController):
-            feedback_free = True
-            name = "recording"
-
-            def __init__(self):
-                self.seen = []
-
-            def observe(self, cycle, current_amps, voltage_volts, stats=None):
-                self.seen.append((cycle, current_amps, voltage_volts))
-
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        scalar_controller = RecordingController()
-        _build_simulation("gzip", scalar_controller).run(400)
-        monkeypatch.setenv(KERNEL_ENV, "1")
-        kernel_controller = RecordingController()
-        sim = _build_simulation("gzip", kernel_controller)
-        assert sim.kernel_eligible()
-        sim.run(400)
-        assert kernel_controller.seen == scalar_controller.seen
 
 
 class TestRunBatch:

@@ -85,13 +85,12 @@ def run_differential(config, factory, benchmarks, supply_transform=None,
         config, supply_transform=supply_transform
     ).sweep(factory, benchmarks=benchmarks)
     with tempfile.TemporaryDirectory() as store_dir:
-        resilience = ResilienceConfig(trace_store_path=store_dir)
         cold = BenchmarkRunner(
-            config, supply_transform=supply_transform
-        ).sweep(factory, benchmarks=benchmarks, resilience=resilience)
+            config, supply_transform=supply_transform, trace_store=store_dir
+        ).sweep(factory, benchmarks=benchmarks)
         warm = BenchmarkRunner(
-            config, supply_transform=supply_transform
-        ).sweep(factory, benchmarks=benchmarks, resilience=resilience)
+            config, supply_transform=supply_transform, trace_store=store_dir
+        ).sweep(factory, benchmarks=benchmarks)
     assert fingerprint(cold) == fingerprint(plain)
     assert fingerprint(warm) == fingerprint(plain)
     assert warm == plain
@@ -259,7 +258,7 @@ class TestRunnerReplayDifferential:
                 SMALL, supply_transform=lambda s, b: s, trace_store=store_dir
             )
             stored = runner.run_base("gzip")
-            stats = runner.session.trace_store().stats
+            stats = runner.session.trace_store.stats
             assert stats["records"] == 0
             assert stats["hits"] == 0
         assert stored == plain
@@ -285,28 +284,24 @@ class TestCrossBackendReplay:
         plain = BenchmarkRunner(SMALL).sweep(
             tuning_factory, benchmarks=self.BENCHMARKS
         )
-        sequential = BenchmarkRunner(SMALL).sweep(
+        sequential = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
             tuning_factory, benchmarks=self.BENCHMARKS,
-            resilience=ResilienceConfig(trace_store_path=store_dir),
         )
-        with BenchmarkRunner(SMALL) as pool_runner:
+        with BenchmarkRunner(SMALL, trace_store=store_dir) as pool_runner:
             pooled = pool_runner.sweep(
                 tuning_factory, benchmarks=self.BENCHMARKS,
-                resilience=ResilienceConfig(
-                    workers=2, trace_store_path=store_dir
-                ),
+                resilience=ResilienceConfig(workers=2),
             )
         assert fingerprint(sequential) == fingerprint(plain)
         assert fingerprint(pooled) == fingerprint(plain)
 
     def test_cold_then_warm_summaries_identical(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        resilience = ResilienceConfig(trace_store_path=store_dir)
-        cold = BenchmarkRunner(SMALL).sweep(
-            tuning_factory, benchmarks=self.BENCHMARKS, resilience=resilience
+        cold = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
+            tuning_factory, benchmarks=self.BENCHMARKS
         )
-        warm = BenchmarkRunner(SMALL).sweep(
-            tuning_factory, benchmarks=self.BENCHMARKS, resilience=resilience
+        warm = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
+            tuning_factory, benchmarks=self.BENCHMARKS
         )
         assert warm == cold
         assert fingerprint(warm) == fingerprint(cold)

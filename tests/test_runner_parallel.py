@@ -208,6 +208,40 @@ class TestParallelEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Progress order: one queue at every worker count
+# ----------------------------------------------------------------------
+
+class TestProgressOrder:
+    SEEDS = (None, 7)
+
+    def reported(self, benchmarks, resilience):
+        """The benchmarks ``progress`` hears, in order."""
+        seen = []
+        with BenchmarkRunner(SMALL) as runner:
+            runner.sweep(
+                tuning_factory,
+                benchmarks=benchmarks,
+                seeds=self.SEEDS,
+                progress=lambda name, metrics: seen.append(name),
+                resilience=resilience,
+            )
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cached_cells_are_reported_first(self, tmp_path, workers):
+        path = str(tmp_path / "ck.json")
+        self.reported(("gzip",), ResilienceConfig(checkpoint_path=path))
+        seen = self.reported(("swim", "gzip"), ResilienceConfig(
+            checkpoint_path=path, resume=True, workers=workers
+        ))
+        assert seen == ["gzip", "gzip", "swim", "swim"]
+
+    def test_one_worker_runs_a_seed_grid_in_order(self):
+        seen = self.reported(("swim", "gzip"), ResilienceConfig())
+        assert seen == ["swim", "swim", "gzip", "gzip"]
+
+
+# ----------------------------------------------------------------------
 # Degraded modes
 # ----------------------------------------------------------------------
 

@@ -18,6 +18,7 @@ import threading
 import time
 
 import pytest
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.core import ResonanceTuningController
 from repro.errors import (
@@ -34,6 +35,7 @@ from repro.sim import (
     load_checkpoint,
 )
 from repro import durable
+from repro.sim.backends import WorkerPool
 from repro.sim.runner import _call_with_alarm
 
 
@@ -119,6 +121,52 @@ class TestHeartbeatSupervision:
         assert [row.benchmark for row in summary.per_benchmark] == ["gzip"]
         # every loss left an incident, not just the final abandonment
         assert len(summary.incidents) >= 3
+
+
+class BrokenExecutor:
+    """An executor whose pool broke while idle, before this sweep."""
+
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("a worker died between sweeps")
+
+
+class TestBrokenPool:
+    def test_pool_broken_before_dispatch_is_rebuilt(self, monkeypatch):
+        golden = BenchmarkRunner(SMALL).sweep(
+            tuning_factory, benchmarks=BENCHMARKS
+        )
+        ensure = WorkerPool.ensure
+        handed = []
+
+        def broken_once(pool, workers, heartbeat):
+            if handed:
+                return ensure(pool, workers, heartbeat)
+            handed.append(True)
+            return BrokenExecutor()
+
+        monkeypatch.setattr(WorkerPool, "ensure", broken_once)
+        outcome = {}
+
+        def sweep():
+            with BenchmarkRunner(SMALL) as runner:
+                outcome["summary"] = runner.sweep(
+                    tuning_factory,
+                    benchmarks=BENCHMARKS,
+                    resilience=ResilienceConfig(workers=2),
+                )
+
+        # A daemon thread: a supervisor that never rebuilds spins forever.
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive(), "the supervisor never rebuilt the pool"
+        summary = outcome["summary"]
+        assert fingerprint(summary) == fingerprint(golden)
+        assert [
+            (incident.benchmark, incident.error_type)
+            for incident in summary.incidents
+        ] == [("swim", "WorkerLostError")]
+        assert "broke at dispatch" in summary.incidents[0].message
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.errors import TraceStoreError
 from repro.faults import ResonantAttacker
 from repro.faults.chaos import flip_bit, truncate_file
 from repro.oracles import golden
-from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
+from repro.sim import BenchmarkRunner, SweepConfig
 from repro.trace import (
     STORE_VERSION,
     TraceCapture,
@@ -560,7 +560,7 @@ class TestRunnerFallback:
         corrupted_runner = BenchmarkRunner(SMALL, trace_store=store_dir)
         corrupted = corrupted_runner.run_base("gzip")
         assert corrupted == plain
-        fallback_store = corrupted_runner.session.trace_store()
+        fallback_store = corrupted_runner.session.trace_store
         assert fallback_store.stats["guard_failures"] == 1
         assert fallback_store.stats["fallbacks"] == 1
         # The re-simulation re-records the entry, healing the store.
@@ -570,18 +570,17 @@ class TestRunnerFallback:
 
     def test_sweep_surfaces_corruption_as_incident(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        resilience = ResilienceConfig(trace_store_path=store_dir)
         plain = BenchmarkRunner(SMALL).sweep(
             null_factory, benchmarks=("gzip",)
         )
-        cold = BenchmarkRunner(SMALL).sweep(
-            null_factory, benchmarks=("gzip",), resilience=resilience
+        cold = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
+            null_factory, benchmarks=("gzip",)
         )
         store = TraceStore(store_dir)
         _, object_path = _entry_paths(store)
         truncate_file(object_path, 0.3)
-        warm = BenchmarkRunner(SMALL).sweep(
-            null_factory, benchmarks=("gzip",), resilience=resilience
+        warm = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
+            null_factory, benchmarks=("gzip",)
         )
         assert self._fingerprint(warm) == self._fingerprint(cold)
         assert self._fingerprint(warm) == self._fingerprint(plain)
