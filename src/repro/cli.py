@@ -156,14 +156,36 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_obs_report(args) -> int:
-    from repro.obs import report as obs_report
+    """Print the terminal summary of a run's obs artifacts, then write the
+    HTML page, both from one digest.
 
-    argv = ["--trace", args.trace, "--out", args.out, "--top", str(args.top)]
-    if args.metrics:
-        argv += ["--metrics", args.metrics]
-    if args.profile:
-        argv += ["--profile", args.profile]
-    return obs_report.main(argv)
+    A run that never exported and recorded no span yet is a normal
+    mid-run state: it prints ``no spans recorded`` and writes no page.
+    """
+    from repro.obs.report import build_report, render_html, render_text
+
+    try:
+        report = build_report(
+            args.trace, metrics_path=args.metrics,
+            profile_path=args.profile, top=args.top,
+        )
+    except (OSError, ValueError) as error:
+        print(f"cannot read artifacts: {error}", file=sys.stderr)
+        return 2
+    if not report["exported"] and not report["event_count"]:
+        print(f"no spans recorded in {report['trace_path']!r}")
+        return 0
+    print(render_text(report))
+    directory = os.path.dirname(args.out)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(args.out, "w") as handle:
+        handle.write(render_html(report))
+    print(
+        f"wrote {args.out} ({report['event_count']} events,"
+        f" {len(report['pids'])} process(es))"
+    )
+    return 0
 
 
 def _cmd_experiment(args) -> int:
@@ -273,11 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_commands = obs_cmd.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_commands.add_parser(
         "report",
-        help="render a self-contained HTML ops report from trace/metrics/"
-             "profile artifacts",
+        help="print a terminal summary of trace/metrics/profile artifacts"
+             " and write them as a self-contained HTML ops report",
     )
     obs_report.add_argument("--trace", required=True, metavar="PATH",
-                            help="merged Chrome trace JSON (--trace-out)")
+                            help="merged Chrome trace JSON (--trace-out),"
+                                 " or the .shards directory of a run that"
+                                 " never exported")
     obs_report.add_argument("--metrics", metavar="PATH", default=None,
                             help="metrics JSON (--metrics-out)")
     obs_report.add_argument("--profile", metavar="PATH", default=None,

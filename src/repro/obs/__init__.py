@@ -36,7 +36,6 @@ ids, so one sweep's spans link across every process boundary.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 from typing import Dict, List, Optional
 
@@ -57,6 +56,7 @@ from repro.obs.profile import (
 from repro.obs.trace import (
     Tracer,
     active_tracer,
+    cleanup_shards,
     export_chrome_trace,
     set_active_tracer,
     shard_dir_for,
@@ -89,16 +89,6 @@ _metrics_out: Optional[str] = None
 _profile_out: Optional[str] = None
 
 
-def _clear_shards(shard_dir: str) -> None:
-    """Remove leftovers of a previous run so old events cannot leak in."""
-    if not os.path.isdir(shard_dir):
-        return
-    for entry in os.listdir(shard_dir):
-        if entry.endswith(".jsonl"):
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(shard_dir, entry))
-
-
 def configure(
     trace_out: Optional[str] = None,
     metrics_out: Optional[str] = None,
@@ -110,8 +100,9 @@ def configure(
     configure_logging(log_level)
     if trace_out is not None:
         _trace_out = trace_out
+        # Leftovers of a previous run must not leak into this trace.
         shard_dir = shard_dir_for(trace_out)
-        _clear_shards(shard_dir)
+        cleanup_shards(shard_dir)
         set_active_tracer(Tracer(shard_dir, process_label="sweep"))
     if metrics_out is not None:
         _metrics_out = metrics_out
@@ -119,7 +110,7 @@ def configure(
             set_active_registry(MetricsRegistry())
     if profile_out is not None:
         _profile_out = profile_out
-        profile.cleanup_shards(profile.shard_dir_for(profile_out))
+        cleanup_shards(shard_dir_for(profile_out))
         profiler = SamplingProfiler(process_label="sweep")
         set_active_profiler(profiler)
         profiler.start()
@@ -167,14 +158,14 @@ def finalize(metadata: Optional[Dict[str, object]] = None) -> List[str]:
     profiler = active_profiler()
     if profiler is not None and _profile_out is not None:
         profiler.stop()
-        shard_dir = profile.shard_dir_for(_profile_out)
+        shard_dir = shard_dir_for(_profile_out)
         processes = profile.merge_profiles(profiler, shard_dir)
         profile.write_speedscope(_profile_out, processes)
         written.append(_profile_out)
         collapsed_path = _profile_out + ".collapsed"
         profile.write_collapsed(collapsed_path, processes)
         written.append(collapsed_path)
-        profile.cleanup_shards(shard_dir)
+        cleanup_shards(shard_dir)
     reset()
     return written
 
@@ -215,7 +206,7 @@ def worker_spec() -> Optional[dict]:
     if active_registry() is not None:
         spec["metrics"] = True
     if active_profiler() is not None and _profile_out is not None:
-        spec["profile_shard_dir"] = profile.shard_dir_for(_profile_out)
+        spec["profile_shard_dir"] = shard_dir_for(_profile_out)
     return spec or None
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "SamplingProfiler",
     "active_profiler",
     "set_active_profiler",
-    "shard_dir_for",
     "merge_profiles",
     "write_speedscope",
     "write_collapsed",
@@ -46,11 +45,6 @@ _MAX_DEPTH = 64
 #: (label, (frame, ...)) -> sample count; frames are "func (file:line)"
 #: ordered root -> leaf.
 Samples = Dict[Tuple[str, Tuple[str, ...]], int]
-
-
-def shard_dir_for(profile_path: str) -> str:
-    """Directory holding the per-process profile shards."""
-    return profile_path + ".shards"
 
 
 def _format_frame(frame) -> str:
@@ -288,13 +282,3 @@ def write_collapsed(path: str, processes: List[dict]) -> None:
     with open(path, "w") as handle:
         for key in sorted(merged):
             handle.write(f"{key} {merged[key]}\n")
-
-
-def cleanup_shards(shard_dir: str) -> None:
-    if not os.path.isdir(shard_dir):
-        return
-    for entry in os.listdir(shard_dir):
-        with contextlib.suppress(OSError):
-            os.remove(os.path.join(shard_dir, entry))
-    with contextlib.suppress(OSError):
-        os.rmdir(shard_dir)

@@ -1,28 +1,33 @@
-"""Ops report: one self-contained HTML page from a run's obs artifacts.
+"""Ops report: a run's obs artifacts digested once, rendered twice.
 
-``python -m repro obs report`` folds the artifacts a
-sweep leaves behind -- the merged Chrome trace, the metrics JSON, and
-optionally a speedscope profile -- into a single static HTML file with no
-external assets: a phase waterfall, cell-latency histograms, the
-slowest-stack table, the incident/retry/quarantine timeline, and the
-trace-store hit rates.  It answers the operator questions ("where did
-the time go, what broke, what was hot") without opening Perfetto or
-speedscope, while linking the trace ids needed to go deeper there.
+``python -m repro obs report`` folds the artifacts a sweep leaves
+behind -- the Chrome trace, the metrics JSON, and optionally a
+speedscope profile -- into one plain-data digest (:func:`build_report`)
+and renders it twice: a terminal summary (:func:`render_text`: phase
+breakdown, slowest cells, retry hotspots, supervision events) and a
+single static HTML file with no external assets (:func:`render_html`: a
+phase waterfall, cell-latency histograms, the slowest-stack table, the
+incident/retry/quarantine timeline, and the trace-store hit rates).  It
+answers the operator questions ("where did the time go, what broke,
+what was hot") without opening Perfetto or speedscope, while linking the
+trace ids needed to go deeper there.
+
+The trace is the exported file or, for a run that never exported (a
+``.shards`` directory, or a ``--trace-out`` path whose process died
+first), the merge of its per-process shards.
 """
 
 from __future__ import annotations
 
-import argparse
 import html
 import json
 import os
-import sys
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.trace import load_trace_events
+from repro.obs.trace import load_trace, merge_shards, shard_dir_for
 
-__all__ = ["build_report", "render_html", "main"]
+__all__ = ["build_report", "render_text", "render_html"]
 
 #: Phase spans of one sweep, in waterfall order.
 PHASES = ("setup", "execute", "checkpoint_io", "aggregate")
@@ -92,6 +97,17 @@ def _phase_waterfall(events: List[dict]) -> List[dict]:
     return rows
 
 
+def _phase_totals(events: List[dict]) -> List[Tuple[str, float, int]]:
+    """Wall-clock per sweep phase as (phase, ms, spans), in PHASES order."""
+    totals = []
+    for phase in PHASES:
+        spans = _spans(events, cat="phase", name=phase)
+        if spans:
+            ms = sum(e.get("dur", 0.0) for e in spans) / 1000.0
+            totals.append((phase, ms, len(spans)))
+    return totals
+
+
 def _cell_histogram(events: List[dict], buckets: int = 12) -> dict:
     durations = sorted(
         e.get("dur", 0.0) / 1000.0 for e in _spans(events, cat="cell")
@@ -152,6 +168,17 @@ def _timeline(events: List[dict]) -> List[dict]:
     return items
 
 
+def _retry_hotspots(events: List[dict]) -> List[Tuple[Tuple[str, str], int]]:
+    """Retry counts per (benchmark, technique), most-retried first."""
+    counts: Counter = Counter()
+    for event in events:
+        if event.get("ph") == "i" and event.get("name") == "retry":
+            args = event.get("args", {})
+            cell = (args.get("benchmark", "?"), args.get("technique", "?"))
+            counts[cell] += 1
+    return counts.most_common()
+
+
 def _slowest_stacks(profile: Optional[dict], top: int = 15) -> List[dict]:
     """Heaviest sampled stacks across every profiled process."""
     if not profile:
@@ -208,8 +235,23 @@ def build_report(
     profile_path: Optional[str] = None,
     top: int = 10,
 ) -> dict:
-    """Digest the artifacts into the plain-data model the HTML renders."""
-    events = load_trace_events(trace_path)
+    """Digest the artifacts into the plain-data model both renderings read.
+
+    ``trace_path`` is an exported trace, or -- for a run that never
+    exported -- its ``.shards`` directory or its ``--trace-out`` path;
+    the digest's ``exported`` is False then and its ``trace_path`` names
+    the shard directory read.
+    """
+    source = trace_path
+    if not os.path.exists(trace_path) and os.path.isdir(
+        shard_dir_for(trace_path)
+    ):
+        source = shard_dir_for(trace_path)  # the run died before export
+    exported = not (os.path.isdir(source) or source.endswith(".shards"))
+    if exported:
+        events, metadata = load_trace(source)
+    else:
+        events, metadata = merge_shards(source), {}
     metrics = None
     if metrics_path and os.path.exists(metrics_path):
         with open(metrics_path) as handle:
@@ -224,25 +266,63 @@ def build_report(
         trace_id = event.get("args", {}).get("trace_id")
         if trace_id:
             traces[trace_id] += 1
-    metadata = {}
-    try:
-        with open(trace_path) as handle:
-            metadata = json.load(handle).get("otherData", {}) or {}
-    except (OSError, ValueError):
-        pass
     return {
-        "trace_path": trace_path,
+        "trace_path": source,
+        "exported": exported,
         "metadata": metadata,
         "event_count": len(events),
         "pids": pids,
         "trace_ids": traces.most_common(),
+        "phases": _phase_totals(events),
         "waterfall": _phase_waterfall(events),
         "histogram": _cell_histogram(events),
         "slowest_cells": _slowest_cells(events, top),
+        "retries": _retry_hotspots(events),
         "timeline": _timeline(events),
         "stacks": _slowest_stacks(profile, top),
         "store_rates": _store_rates(metrics),
     }
+
+
+# ----------------------------------------------------------------------
+# Terminal rendering
+# ----------------------------------------------------------------------
+
+def render_text(report: dict) -> str:
+    """The terminal summary: event and process counts, then the phase
+    breakdown, slowest cells, retry hotspots and supervision events."""
+    pids = report["pids"]
+    lines = [
+        f"events     : {report['event_count']}",
+        f"processes  : {len(pids)} (pids {', '.join(map(str, pids))})",
+    ]
+    if report["phases"]:
+        lines += ["", "phase breakdown"]
+        for phase, ms, count in report["phases"]:
+            lines.append(f"  {phase:14s} {ms:10.2f} ms  ({count} span(s))")
+    cells = report["slowest_cells"]
+    if cells:
+        lines += ["", f"slowest cells (top {len(cells)})"]
+        for cell in cells:
+            args = cell["args"]
+            seed = args.get("seed")
+            suffix = f" seed={seed}" if seed is not None else ""
+            lines.append(
+                f"  {cell['dur_ms']:10.2f} ms  {cell['name']}"
+                f"  [{args.get('technique', '?')}{suffix}"
+                f" attempts={args.get('attempts', '?')}"
+                f" outcome={args.get('outcome', '?')}]"
+            )
+    if report["retries"]:
+        lines += ["", "retry hotspots"]
+        for (benchmark, technique), count in report["retries"]:
+            lines.append(f"  {count:4d}  {benchmark} / {technique}")
+    supervision = Counter(item["kind"] for item in report["timeline"])
+    if supervision:
+        lines += ["", "supervision events"]
+        for name, count in sorted(supervision.items()):
+            lines.append(f"  {count:4d}  {name}")
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +334,7 @@ def _esc(value: object) -> str:
 
 
 def _bar(label: str, value: float, peak: float, text: str,
-         offset: float = 0.0, span: float = 1.0, warn: bool = False) -> str:
+         offset: float = 0.0, warn: bool = False) -> str:
     left = 100.0 * offset / peak if peak else 0.0
     width = max(100.0 * value / peak if peak else 0.0, 0.15)
     width = min(width, 100.0 - left)
@@ -392,44 +472,3 @@ def render_html(report: dict) -> str:
     add("</body></html>")
     return "".join(parts)
 
-
-# ----------------------------------------------------------------------
-# Entry point (python -m repro obs report)
-# ----------------------------------------------------------------------
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro obs report",
-        description="Render a self-contained HTML ops report from a"
-                    " sweep's observability artifacts.",
-    )
-    parser.add_argument("--trace", required=True,
-                        help="merged Chrome trace JSON (--trace-out)")
-    parser.add_argument("--metrics", default=None,
-                        help="metrics JSON (--metrics-out)")
-    parser.add_argument("--profile", default=None,
-                        help="speedscope profile JSON (--profile-out)")
-    parser.add_argument("--out", default="obs_report.html",
-                        help="output HTML path (default obs_report.html)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="rows in the slowest-cell/stack tables")
-    args = parser.parse_args(argv)
-    try:
-        report = build_report(
-            args.trace, metrics_path=args.metrics,
-            profile_path=args.profile, top=args.top,
-        )
-    except (OSError, ValueError) as error:
-        print(f"cannot read artifacts: {error}", file=sys.stderr)
-        return 2
-    document = render_html(report)
-    directory = os.path.dirname(args.out)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(args.out, "w") as handle:
-        handle.write(document)
-    print(
-        f"wrote {args.out} ({report['event_count']} events,"
-        f" {len(report['pids'])} process(es))"
-    )
-    return 0

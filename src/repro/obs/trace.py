@@ -25,16 +25,19 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import shutil
 import threading
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Tracer",
     "active_tracer",
     "set_active_tracer",
     "shard_dir_for",
+    "cleanup_shards",
     "export_chrome_trace",
+    "load_trace",
     "load_trace_events",
 ]
 
@@ -48,9 +51,14 @@ CAT_SUPERVISION = "supervision"
 CAT_FLOW = "flow"
 
 
-def shard_dir_for(trace_path: str) -> str:
-    """Directory holding the per-process JSONL shards of one trace."""
-    return trace_path + ".shards"
+def shard_dir_for(path: str) -> str:
+    """Directory holding the per-process shards of one trace or profile."""
+    return path + ".shards"
+
+
+def cleanup_shards(shard_dir: str) -> None:
+    """Remove a shard directory and its shards, if it exists."""
+    shutil.rmtree(shard_dir, ignore_errors=True)
 
 
 class Tracer:
@@ -221,12 +229,11 @@ def merge_shards(shard_dir: str) -> List[dict]:
 def export_chrome_trace(
     trace_path: str,
     metadata: Optional[Dict[str, object]] = None,
-    cleanup: bool = True,
 ) -> int:
     """Merge the shards of ``trace_path`` into the final Chrome JSON.
 
-    Returns the number of events exported.  With ``cleanup`` (default),
-    the shard directory is removed afterwards so reruns start clean.
+    Returns the number of events exported.  The shard directory is
+    removed afterwards so reruns start clean.
     """
     shard_dir = shard_dir_for(trace_path)
     events = merge_shards(shard_dir)
@@ -241,23 +248,26 @@ def export_chrome_trace(
     with open(trace_path, "w") as handle:
         json.dump(payload, handle, indent=None, separators=(",", ":"))
         handle.write("\n")
-    if cleanup and os.path.isdir(shard_dir):
-        for entry in os.listdir(shard_dir):
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(shard_dir, entry))
-        with contextlib.suppress(OSError):
-            os.rmdir(shard_dir)
+    cleanup_shards(shard_dir)
     return len(events)
 
 
-def load_trace_events(path: str) -> List[dict]:
-    """Events of an exported trace (object or bare-array Chrome format)."""
+def load_trace(path: str) -> Tuple[List[dict], dict]:
+    """Events and run metadata (``otherData``) of an exported trace, in
+    the object or bare-array Chrome format."""
     with open(path) as handle:
         data = json.load(handle)
+    metadata: dict = {}
     if isinstance(data, dict):
         events = data.get("traceEvents", [])
+        metadata = data.get("otherData") or {}
     elif isinstance(data, list):
         events = data
     else:
         raise ValueError(f"{path!r} is not a Chrome trace file")
-    return [e for e in events if isinstance(e, dict)]
+    return [e for e in events if isinstance(e, dict)], metadata
+
+
+def load_trace_events(path: str) -> List[dict]:
+    """Events of an exported trace (object or bare-array Chrome format)."""
+    return load_trace(path)[0]

@@ -4,10 +4,11 @@ A *golden cell* is one pinned workload x configuration simulation whose
 per-cycle current, voltage and resonant-event streams are canonically
 hashed and committed to ``tests/goldens/goldens.json``.  The simulation
 stack is deterministic end to end (seeded trace generation, pure float
-arithmetic), so the hashes must be byte-identical across runs, across the
-sequential and ``--workers N`` execution backends, and across supported
-Python versions -- any drift means a semantic change leaked into a hot
-path and every table in EXPERIMENTS.md is suspect until it is explained.
+arithmetic), so the hashes must be byte-identical across runs, whether
+the cells run in one process or fan out to ``--workers N`` processes of
+:func:`compute_goldens`' own pool, and across supported Python versions
+-- any drift means a semantic change leaked into a hot path and every
+table in EXPERIMENTS.md is suspect until it is explained.
 
 Canonical encoding: floats are rendered with :meth:`float.hex` (exact, no
 shortest-repr ambiguity), events as ``cycle:polarity:count`` lines; each

@@ -364,13 +364,15 @@ def _worker_run_cell(
     and at completion; the parent's supervisor treats a ``run``-stage
     stamp older than ``heartbeat_stale_s`` as a hung worker.
 
-    Returns ``(metrics, failure, telemetry, computed_base)``: the worker's
-    metrics registry is reset at cell start and snapshotted at cell end,
-    so ``telemetry`` is exactly this cell's counter deltas for the parent
-    to :meth:`~repro.obs.metrics.MetricsRegistry.merge` -- additive and
-    order-independent, so the merged totals do not depend on completion
-    order.  ``computed_base`` is the base result at ``seed`` when the
-    worker ran it, for the parent's session to hold.
+    Returns ``(metrics, failure, telemetry, computed_base, store_report)``:
+    the worker's metrics registry is reset at cell start and snapshotted
+    at cell end, so ``telemetry`` is exactly this cell's counter deltas
+    for the parent to :meth:`~repro.obs.metrics.MetricsRegistry.merge` --
+    additive and order-independent, so the merged totals do not depend on
+    completion order.  ``computed_base`` is the base result at ``seed``
+    when the worker ran it, for the parent's session to hold.
+    ``store_report`` is ``(stats, incidents)`` of the cell's private trace
+    store, or None without one, for the parent's store to account.
     """
     # Function-level import: the runner module imports this one.
     from repro.sim.runner import BenchmarkRunner, ResilienceConfig
@@ -411,7 +413,11 @@ def _worker_run_cell(
         computed = None if base is not None else runner.session.bases.get(
             base_key
         )
-        return metrics, failure, telemetry, computed
+        store = runner.session.trace_store
+        store_report = (
+            None if store is None else (store.stats, store.drain_incidents())
+        )
+        return metrics, failure, telemetry, computed, store_report
     finally:
         profiler = obs_profile.active_profiler()
         if profiler is not None:
@@ -601,10 +607,18 @@ def _run_on_pool(job: SweepJob, cells: _CellQueue, workers: int) -> None:
         inflight[future] = cell
 
     def collect(cell, outcome):
-        """Merge a finished cell's telemetry and hold its base run;
-        returns ``(metrics, failure)``."""
-        metrics, failure, telemetry, computed = outcome
+        """Merge a finished cell's telemetry and trace-store accounting and
+        hold its base run; returns ``(metrics, failure)``."""
+        metrics, failure, telemetry, computed, store_report = outcome
         _merge_worker_telemetry(telemetry)
+        if store_report is not None:
+            # Straight into the session store's books: the registry
+            # counters already arrived with the telemetry.
+            stats, incidents = store_report
+            store = runner.session.trace_store
+            for stat, value in stats.items():
+                store.stats[stat] += value
+            store.incidents.extend(incidents)
         if computed is not None:
             runner.session.bases.setdefault(runner.base_key(*cell), computed)
         return metrics, failure

@@ -876,7 +876,8 @@ class BenchmarkRunner:
 
         ``seeds`` widens the grid: every benchmark runs once per seed
         (default ``(None,)``, today's single-run behaviour), with each
-        (benchmark, seed) pair checkpointed as its own cell.
+        (benchmark, seed) pair checkpointed as its own cell.  A benchmark
+        or seed named twice is one cell: the first mention sets its place.
 
         The pending cells form one queue
         (:func:`~repro.sim.backends.run_pending`), run in-process at one
@@ -912,11 +913,12 @@ class BenchmarkRunner:
             with _maybe_span(tracer, "setup"):
                 resilience = resilience or self.session.resilience
                 names = (
-                    list(benchmarks) if benchmarks is not None
-                    else sorted(SPEC2K)
+                    list(dict.fromkeys(benchmarks))
+                    if benchmarks is not None else sorted(SPEC2K)
                 )
                 seed_list: List[Optional[int]] = (
-                    list(seeds) if seeds is not None else [None]
+                    list(dict.fromkeys(seeds)) if seeds is not None
+                    else [None]
                 )
                 if not seed_list:
                     raise ConfigurationError(
@@ -1004,8 +1006,9 @@ class BenchmarkRunner:
                 # fingerprints identical to a cold one.  Guard failures
                 # become incidents: the result is still correct (full
                 # simulation ran), but the operator should know the store
-                # is rotting.  Pool workers keep their own stores;
-                # their counts arrive via the merged obs telemetry.
+                # is rotting.  Pool workers keep their own stores and
+                # send each cell's stats and incidents back into this
+                # one, so the deltas count every cell at any worker count.
                 for stat, value in trace_store.stats.items():
                     timings[f"trace_{stat}"] = float(
                         value - trace_stats_before[stat]

@@ -5,11 +5,10 @@ logging/warn dedup) and wired into real sweeps: spans and counters from a
 sequential run, shard merging across a real worker pool, determinism of
 the instrumented sweep against an uninstrumented one, the checkpoint
 summary sidecar, the disabled path's freedom from per-cycle calls, and
-the ``tools/trace_report.py`` renderer.
+the terminal summary of ``python -m repro obs report``.
 """
 
 import dataclasses
-import importlib.util
 import json
 import logging
 import os
@@ -19,7 +18,7 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.core import ResonanceTuningController
 from repro.obs.log import (
     configure_logging,
@@ -438,18 +437,15 @@ class TestSummaryExport:
 
 
 # ----------------------------------------------------------------------
-# trace_report tool
+# Terminal summary of `repro obs report`
 # ----------------------------------------------------------------------
 
-def _load_trace_report():
-    path = (
-        pathlib.Path(__file__).resolve().parents[1]
-        / "tools" / "trace_report.py"
-    )
-    spec = importlib.util.spec_from_file_location("trace_report", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _obs_report(trace, tmp_path) -> int:
+    """Run ``python -m repro obs report`` on ``trace``, page in tmp_path."""
+    return cli.main([
+        "obs", "report", "--trace", str(trace),
+        "--out", str(tmp_path / "report.html"),
+    ])
 
 
 class TestTraceReport:
@@ -458,19 +454,16 @@ class TestTraceReport:
         with BenchmarkRunner(SMALL) as runner:
             runner.sweep(tuning_factory, benchmarks=BENCHMARKS)
         obs.finalize()
-        report = _load_trace_report()
-        assert report.main([str(tmp_path / "trace.json")]) == 0
+        assert _obs_report(tmp_path / "trace.json", tmp_path) == 0
         out = capsys.readouterr().out
         assert "phase breakdown" in out
         assert "slowest cells" in out
         assert "execute" in out
 
     def test_report_rejects_missing_file(self, tmp_path, capsys):
-        report = _load_trace_report()
-        assert report.main([str(tmp_path / "nope.json")]) == 2
+        assert _obs_report(tmp_path / "nope.json", tmp_path) == 2
 
-    def test_supervision_and_retry_sections(self):
-        report = _load_trace_report()
+    def test_supervision_and_retry_sections(self, tmp_path, capsys):
         events = [
             {"ph": "i", "name": "retry", "cat": "supervision",
              "args": {"benchmark": "swim", "technique": "tuning"},
@@ -478,30 +471,43 @@ class TestTraceReport:
             {"ph": "i", "name": "pool_rebuild", "cat": "supervision",
              "args": {}, "pid": 1, "ts": 2.0},
         ]
-        text = report.render_report(events)
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"traceEvents": events}))
+        assert _obs_report(trace, tmp_path) == 0
+        text = capsys.readouterr().out
         assert "retry hotspots" in text
         assert "swim / tuning" in text
         assert "pool_rebuild" in text
 
     def test_empty_shard_dir_exits_cleanly(self, tmp_path, capsys):
-        report = _load_trace_report()
         shard_dir = tmp_path / "trace.json.shards"
         shard_dir.mkdir()
-        assert report.main([str(shard_dir)]) == 0
+        assert _obs_report(shard_dir, tmp_path) == 0
         assert "no spans recorded" in capsys.readouterr().out
 
     def test_missing_shard_dir_exits_cleanly(self, tmp_path, capsys):
-        report = _load_trace_report()
         missing = tmp_path / "never-written.shards"
-        assert report.main([str(missing)]) == 0
+        assert _obs_report(missing, tmp_path) == 0
         assert "no spans recorded" in capsys.readouterr().out
 
     def test_unexported_trace_falls_back_to_shards(self, tmp_path, capsys):
         # A --trace-out path whose process died before export: the
         # shards exist, the merged file does not.
-        report = _load_trace_report()
         trace_path = tmp_path / "trace.json"
         shard_dir = trace_path.parent / "trace.json.shards"
         shard_dir.mkdir()
-        assert report.main([str(trace_path)]) == 0
+        assert _obs_report(trace_path, tmp_path) == 0
         assert "no spans recorded" in capsys.readouterr().out
+
+    def test_unexported_trace_with_spans_gets_summary_and_page(
+        self, tmp_path, capsys
+    ):
+        # The spans a killed run left in its shards are reported in full.
+        trace_path = tmp_path / "trace.json"
+        tracer = Tracer(shard_dir_for(str(trace_path)))
+        with tracer.span("cell swim", cat="cell"):
+            pass
+        tracer.close()
+        assert _obs_report(trace_path, tmp_path) == 0
+        assert "slowest cells (top 1)" in capsys.readouterr().out
+        assert (tmp_path / "report.html").exists()

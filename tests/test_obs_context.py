@@ -353,21 +353,32 @@ class TestOpsReport:
         assert "<script>alert" not in html_text
         assert "<img" not in html_text
 
+    def test_report_reads_a_bare_array_trace(self, tmp_path):
+        # The other Chrome format: no object, so no metadata either.
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps([
+            {"ph": "X", "name": "cell swim", "cat": "cell",
+             "ts": 0.0, "dur": 5.0, "pid": 1, "tid": 1, "args": {}},
+        ]))
+        report = build_report(str(trace))
+        assert report["event_count"] == 1
+        assert report["metadata"] == {}
+
     def test_cli_entrypoint_writes_html(self, tmp_path, capsys):
-        from repro.obs import report as obs_report
+        from repro import cli
         trace = tmp_path / "trace.json"
         trace.write_text(json.dumps({"traceEvents": []}))
         out = tmp_path / "report.html"
-        assert obs_report.main(
-            ["--trace", str(trace), "--out", str(out)]
+        assert cli.main(
+            ["obs", "report", "--trace", str(trace), "--out", str(out)]
         ) == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
 
     def test_cli_entrypoint_rejects_missing_trace(self, tmp_path, capsys):
-        from repro.obs import report as obs_report
-        assert obs_report.main(
-            ["--trace", str(tmp_path / "nope.json"),
+        from repro import cli
+        assert cli.main(
+            ["obs", "report", "--trace", str(tmp_path / "nope.json"),
              "--out", str(tmp_path / "r.html")]
         ) == 2
         assert "cannot read" in capsys.readouterr().err

@@ -136,6 +136,33 @@ class TestBaseCache:
         assert longer is not short
         assert longer.cycles > short.cycles
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_benchmark_and_seed_run_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # Pool workers fork from this process with the patch in place and
+        # count into the same file.
+        runs = tmp_path / "runs"
+        run = Simulation.run
+
+        def counted(self, *args, **kwargs):
+            with open(runs, "a") as handle:
+                handle.write(f"{self.controller.name}\n")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", counted)
+        config = SweepConfig(n_cycles=1000, warmup_cycles=100)
+        with BenchmarkRunner(config) as runner:
+            summary = runner.sweep(
+                tuning_factory, benchmarks=["gzip", "gzip"], seeds=[7, 7],
+                resilience=ResilienceConfig(workers=workers),
+            )
+        assert sorted(runs.read_text().split()) == [
+            "base", "resonance-tuning"
+        ]
+        assert [m.benchmark for m in summary.per_benchmark] == ["gzip"]
+        assert summary.timings["cells_total"] == 1.0
+
 
 # ----------------------------------------------------------------------
 # Base-cache prefetch before a sequential sweep

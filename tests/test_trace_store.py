@@ -30,7 +30,7 @@ from repro.errors import TraceStoreError
 from repro.faults import ResonantAttacker
 from repro.faults.chaos import flip_bit, truncate_file
 from repro.oracles import golden
-from repro.sim import BenchmarkRunner, SweepConfig
+from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 from repro.trace import (
     STORE_VERSION,
     TraceCapture,
@@ -568,30 +568,40 @@ class TestRunnerFallback:
         healed = BenchmarkRunner(SMALL, trace_store=store_dir).run_base("gzip")
         assert healed == plain
 
-    def test_sweep_surfaces_corruption_as_incident(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_surfaces_corruption_as_incident(self, tmp_path, workers):
+        # Two benchmarks, so two workers really fan out: each pool cell's
+        # private store must report back into the sweep's.
+        benchmarks = ("gzip", "swim")
         store_dir = str(tmp_path / "store")
         plain = BenchmarkRunner(SMALL).sweep(
-            null_factory, benchmarks=("gzip",)
+            null_factory, benchmarks=benchmarks
         )
         cold = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
-            null_factory, benchmarks=("gzip",)
+            null_factory, benchmarks=benchmarks
         )
         store = TraceStore(store_dir)
-        _, object_path = _entry_paths(store)
-        truncate_file(object_path, 0.3)
-        warm = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
-            null_factory, benchmarks=("gzip",)
-        )
+        objects = sorted(os.listdir(store.objects_dir))
+        assert len(objects) == len(benchmarks)
+        truncate_file(os.path.join(store.objects_dir, objects[0]), 0.3)
+        flip_bit(os.path.join(store.objects_dir, objects[1]))
+        with BenchmarkRunner(SMALL, trace_store=store_dir) as runner:
+            warm = runner.sweep(
+                null_factory, benchmarks=benchmarks,
+                resilience=ResilienceConfig(workers=workers),
+            )
+        assert warm.timings["workers"] == float(workers)
         assert self._fingerprint(warm) == self._fingerprint(cold)
         assert self._fingerprint(warm) == self._fingerprint(plain)
-        assert warm.timings["trace_guard_failures"] >= 1.0
+        for stat in ("guard_failures", "fallbacks", "records"):
+            assert warm.timings[f"trace_{stat}"] == len(benchmarks), stat
         trace_incidents = [
             incident for incident in warm.incidents
             if incident.error_type == "TraceStoreCorrupt"
         ]
-        assert trace_incidents
-        assert trace_incidents[0].benchmark == "gzip"
-        assert "fell back to full simulation" in trace_incidents[0].message
+        assert sorted(i.benchmark for i in trace_incidents) == list(benchmarks)
+        for incident in trace_incidents:
+            assert "fell back to full simulation" in incident.message
         # Quarantined evidence stays on disk.
         quarantined = [
             name for name in os.listdir(store.objects_dir)

@@ -1,41 +1,36 @@
-"""Tuning probe: measure emergent IPC, current stats, oscillation period and
-violation fraction for each workload profile."""
-import sys, time
-import numpy as np
-from repro.config import TABLE1_SUPPLY, TABLE1_PROCESSOR
-from repro.power import PowerSupply, RLCAnalysis
-from repro.uarch import Processor, SPEC2K, PAPER_IPC, VIOLATING_NAMES
+"""Characterize workload profiles on the base processor.
+
+For each profile prints the fields of
+:func:`repro.uarch.diagnostics.characterize`: the measured IPC (next to
+the paper's), the 2nd/98th-percentile and mean current, the swing, the
+dominant oscillation period (``*`` inside the resonance band) and the
+violation fraction of the measured cycles -- plus whether the paper
+classes the application as violating.
+
+Usage::
+
+    PYTHONPATH=src python tools/probe_workloads.py              # all, 30k cycles
+    PYTHONPATH=src python tools/probe_workloads.py swim,gzip 10000
+"""
+import sys
+import time
+
+from repro.config import TABLE1_SUPPLY
+from repro.power import RLCAnalysis
+from repro.uarch import PAPER_IPC, SPEC2K, VIOLATING_NAMES
+from repro.uarch.diagnostics import characterize
 
 N_CYCLES = int(sys.argv[2]) if len(sys.argv) > 2 else 30000
 names = sys.argv[1].split(",") if len(sys.argv) > 1 and sys.argv[1] != "all" else list(SPEC2K)
 
-def dominant_period(currents):
-    c = np.asarray(currents) - np.mean(currents)
-    spec = np.abs(np.fft.rfft(c * np.hanning(len(c))))
-    freqs = np.fft.rfftfreq(len(c), d=1.0)
-    i = np.argmax(spec[1:]) + 1
-    return 1.0 / freqs[i]
-
-analysis = RLCAnalysis(TABLE1_SUPPLY)
-band = analysis.band
-print(f"band {band.min_period_cycles}-{band.max_period_cycles} cycles; {N_CYCLES} cycles each")
-print(f"{'name':9s} {'IPC':>5s} {'tgt':>5s} {'Imin':>6s} {'Imax':>6s} {'swing':>6s} {'period':>7s} {'violfrac':>9s} {'paper?':>7s}")
+band = RLCAnalysis(TABLE1_SUPPLY).band
+print(f"band {band.min_period_cycles}-{band.max_period_cycles} cycles; {N_CYCLES} measured cycles each")
+print(f"{'name':9s} {'IPC':>5s} {'tgt':>5s} {'Imin':>6s} {'Imax':>6s} {'Imean':>6s} {'swing':>6s} {'period':>7s} {'violfrac':>9s} {'paper?':>7s}")
 for name in names:
     t0 = time.time()
-    prof = SPEC2K[name]
-    proc = Processor.from_profile(prof, n_instructions=max(10000, int(N_CYCLES*4.5)),
-                                  config=TABLE1_PROCESSOR, supply_config=TABLE1_SUPPLY)
-    supply = PowerSupply(TABLE1_SUPPLY, initial_current=TABLE1_PROCESSOR.min_current_amps)
-    currents = []
-    warm = 2000
-    for i in range(N_CYCLES):
-        s = proc.step()
-        supply.step(s.current_amps)
-        if i >= warm: currents.append(s.current_amps)
-    c = np.asarray(currents)
-    lo, hi = np.percentile(c, 2), np.percentile(c, 98)
-    per = dominant_period(c)
-    vf = supply.violation_cycles / N_CYCLES
+    w = characterize(SPEC2K[name], n_cycles=N_CYCLES)
+    inband = "*" if w.period_in_band else " "
     flag = "VIOL" if name in VIOLATING_NAMES else "ok"
-    inband = "*" if band.min_period_cycles <= per <= band.max_period_cycles else " "
-    print(f"{name:9s} {proc.ipc:5.2f} {PAPER_IPC[name]:5.2f} {lo:6.1f} {hi:6.1f} {hi-lo:6.1f} {per:6.1f}{inband} {vf:9.2e} {flag:>7s}  ({time.time()-t0:.1f}s)")
+    print(f"{name:9s} {w.ipc:5.2f} {PAPER_IPC[name]:5.2f} {w.current_low_amps:6.1f} {w.current_high_amps:6.1f}"
+          f" {w.current_mean_amps:6.1f} {w.current_swing_amps:6.1f} {w.dominant_period_cycles:6.1f}{inband}"
+          f" {w.violation_fraction:9.2e} {flag:>7s}  ({time.time()-t0:.1f}s)")
