@@ -15,12 +15,7 @@ Public surface:
 from repro.core.controller import NoiseController, NullController
 from repro.core.detector import Polarity, ResonanceDetector, ResonantEvent
 from repro.core.history import CurrentHistoryRegister, EventHistoryRegister
-from repro.core.kernel import (
-    kernel_enabled,
-    run_detector,
-    run_supply,
-    run_supply_batch,
-)
+from repro.core.kernel import run_detector, run_supply, run_supply_batch
 from repro.core.overheads import DetectorOverheads, estimate_overheads
 from repro.core.sensor import CurrentSensor
 from repro.core.tuning import ResonanceTuningController
@@ -29,7 +24,6 @@ from repro.core.wavelet import WaveletDetector, dyadic_scales_for_band
 __all__ = [
     "NoiseController",
     "NullController",
-    "kernel_enabled",
     "run_detector",
     "run_supply",
     "run_supply_batch",

@@ -25,16 +25,15 @@ advances *whole traces* per call:
   conformance goldens and the Hypothesis differential fuzz in
   ``tests/test_kernel.py`` hold it to bit-for-bit agreement there).
 
-``REPRO_KERNEL=0`` in the environment disables every kernel fast path
-(the scalar loops run instead); this is the escape hatch the
-differential tests in ``tests/test_kernel.py`` use to compare both paths
-end to end.
+Only a plain :class:`~repro.power.supply.PowerSupply` advances on the
+kernel: :func:`run_supply` steps any other supply (a subclass or an
+overlay wrapping one may change ``step``), so every caller that advances
+a supply over a trace gets the kernel-or-step choice from this one place.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -46,24 +45,14 @@ from repro.core.detector import (
     ResonanceDetector,
     ResonantEvent,
 )
+from repro.power.supply import PowerSupply
 
 __all__ = [
-    "KERNEL_ENV",
-    "kernel_enabled",
+    "advances_on_kernel",
     "run_detector",
     "run_supply",
     "run_supply_batch",
 ]
-
-#: Environment variable gating the kernel fast paths ("0"/"false" disables).
-KERNEL_ENV = "REPRO_KERNEL"
-
-
-def kernel_enabled() -> bool:
-    """True unless ``REPRO_KERNEL`` disables the vectorized hot path."""
-    return os.environ.get(KERNEL_ENV, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -250,19 +239,34 @@ def _trace_chains(detector, by_code, code) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # Supply kernel
 # ----------------------------------------------------------------------
+def advances_on_kernel(supply) -> bool:
+    """True when :func:`run_supply` advances ``supply`` on the kernel.
+
+    Only a plain :class:`PowerSupply` does.  A subclass may override
+    ``step``, and an overlay (a fault attacker, a chaos sabotage) adds its
+    own ``step`` while forwarding every other attribute -- the
+    integrator's too -- to the supply it wraps, so the kernel would skip
+    the overlay's work.
+    """
+    return type(supply) is PowerSupply
+
+
 def run_supply(supply, currents) -> np.ndarray:
-    """Advance a ``PowerSupply`` over a whole current trace, bit-exactly.
+    """Advance a supply over a whole current trace, bit-exactly.
 
     Equivalent to ``[supply.step(c) for c in currents]`` -- same voltages
     to the last bit, same violation bookkeeping, same trace recording,
     same ``FaultError``/``SimulationError`` at the same cycle with the
     supply state advanced exactly as far as the scalar loop would have
-    advanced it -- but with the integrator locals hoisted out of the
-    per-cycle loop and the violation statistics computed vectorized.
-    Returns the voltage waveform.
+    advanced it.  A plain ``PowerSupply`` takes the kernel: the
+    integrator locals hoisted out of the per-cycle loop and the violation
+    statistics computed vectorized.  Any other supply is stepped (see
+    :func:`advances_on_kernel`).  Returns the voltage waveform.
     """
     arr = np.asarray(currents, dtype=float)
     currents = arr.tolist()
+    if not advances_on_kernel(supply):
+        return np.asarray([supply.step(u) for u in currents])
     n_cycles = len(currents)
     integrator = supply._integrator
     state = integrator.state
@@ -391,11 +395,12 @@ def run_supply_batch(
 
     Lanes are stacked ``(cycles, lanes)`` and advanced with elementwise
     NumPy ops -- IEEE-identical per lane to that lane's scalar run.  A
-    lane whose inputs are non-finite, whose integration diverges, or
-    whose ``substeps`` differs from the group is replayed through
-    :func:`run_supply` on its own (reproducing the scalar error at the
-    exact cycle); its entry in the returned list is the raised exception
-    instead of the voltage array.
+    lane whose supply does not advance on the kernel (see
+    :func:`advances_on_kernel`), whose inputs are non-finite, whose
+    integration diverges, or whose ``substeps`` differs from the group is
+    run through :func:`run_supply` on its own (reproducing the scalar
+    error at the exact cycle); its entry in the returned list is the
+    raised exception instead of the voltage array.
     """
     n_lanes = len(supplies)
     if n_lanes != len(currents):
@@ -419,7 +424,7 @@ def run_supply_batch(
     # scalar kernel (still far faster than per-cycle ``step`` calls).
     groups: dict = {}
     for lane, (supply, trace) in enumerate(zip(supplies, traces)):
-        if not np.isfinite(trace).all():
+        if not advances_on_kernel(supply) or not np.isfinite(trace).all():
             scalar_lane(lane)
             continue
         groups.setdefault(supply._integrator.substeps, []).append(lane)

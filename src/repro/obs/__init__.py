@@ -220,7 +220,9 @@ def init_worker(spec: Optional[dict]) -> None:
     if spec.get("metrics"):
         set_active_registry(MetricsRegistry())
     profile_shard_dir = spec.get("profile_shard_dir")
-    if profile_shard_dir and active_profiler() is None:
+    if profile_shard_dir:
+        # A forked worker inherits the parent's profiler object, but not
+        # its sampling thread: install a profiler of its own.
         shard_path = os.path.join(
             profile_shard_dir, f"pid-{os.getpid()}.json"
         )

@@ -251,11 +251,6 @@ def _speedscope_payload(processes: List[dict]) -> dict:
     }
 
 
-def speedscope_payload(processes: List[dict]) -> dict:
-    """Public alias: the speedscope JSON document for ``processes``."""
-    return _speedscope_payload(processes)
-
-
 def write_speedscope(path: str, processes: List[dict]) -> None:
     directory = os.path.dirname(path)
     if directory:

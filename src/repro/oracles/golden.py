@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.config import TABLE1_PROCESSOR, TABLE1_SUPPLY, TABLE1_TUNING
-from repro.core import CurrentSensor, ResonanceDetector, ResonanceTuningController
+from repro.core import (
+    CurrentSensor,
+    ResonanceDetector,
+    ResonanceTuningController,
+    run_detector,
+)
 from repro.errors import ConfigurationError, SimulationError
 from repro.power import PowerSupply, RLCAnalysis
 from repro.sim import Simulation
@@ -117,12 +122,10 @@ def _event_stream(currents: Sequence[float]) -> List[str]:
 
     Uses a fresh whole-amp sensor and band detector so the event golden
     covers the detector hot path even for base (uncontrolled) cells.
-    Goes through the vectorized detector kernel when enabled (the kernel
-    is bit-identical to the scalar ``observe`` loop, so the golden hashes
-    are invariant either way -- and the goldens thereby gate the kernel).
+    Goes through the vectorized detector kernel (bit-identical to the
+    scalar ``observe`` loop on the sensor grid, so the goldens gate the
+    kernel).
     """
-    from repro.core import kernel as core_kernel
-
     band = RLCAnalysis(TABLE1_SUPPLY).band
     sensor = CurrentSensor()
     detector = ResonanceDetector(
@@ -131,15 +134,7 @@ def _event_stream(currents: Sequence[float]) -> List[str]:
         max_repetition_tolerance=TABLE1_TUNING.max_repetition_tolerance,
     )
     sensed = [sensor.read(amps) for amps in currents]
-    if core_kernel.kernel_enabled():
-        found = core_kernel.run_detector(detector, sensed)
-    else:
-        found = [
-            event
-            for cycle, amps in enumerate(sensed)
-            for event in [detector.observe(cycle, amps)]
-            if event is not None
-        ]
+    found = run_detector(detector, sensed)
     return [
         f"{event.cycle}:{int(event.polarity)}:{event.count}" for event in found
     ]

@@ -146,16 +146,14 @@ class PowerSupply:
     def run(self, currents: Iterable[float]) -> np.ndarray:
         """Step through a whole current waveform; return the voltage waveform.
 
-        Delegates to the vectorized cycle kernel (bit-identical to the
-        per-cycle ``step`` loop, including error and bookkeeping
-        semantics) unless ``REPRO_KERNEL=0`` disables it or a subclass
-        overrides ``step``.
+        Delegates to :func:`repro.core.kernel.run_supply`: the vectorized
+        cycle kernel (bit-identical to the per-cycle ``step`` loop,
+        including error and bookkeeping semantics) for a plain
+        ``PowerSupply``, the ``step`` loop for a subclass.
         """
         from repro.core import kernel as core_kernel
 
-        if core_kernel.kernel_enabled() and type(self) is PowerSupply:
-            return core_kernel.run_supply(self, list(currents))
-        return np.asarray([self.step(current) for current in currents])
+        return core_kernel.run_supply(self, list(currents))
 
     @property
     def violation_fraction(self) -> float:

@@ -477,8 +477,8 @@ class BenchmarkRunner:
     trace_store:
         Optional trace record/replay store of the runner's private
         session -- a directory path or a :class:`repro.trace.TraceStore`
-        -- for cells whose controller schedule is replayable (see
-        :func:`repro.trace.replay.schedule_token`).
+        -- that records and replays the base processor's runs (cells
+        whose controller is :class:`NullController` itself).
 
     The constructor builds a private session, so a new runner starts cold;
     :meth:`Session.runner` gives a runner over a shared one.
@@ -521,7 +521,6 @@ class BenchmarkRunner:
         self,
         benchmark: str,
         controller: NoiseController,
-        record: bool = False,
         seed: Optional[int] = None,
     ) -> Simulation:
         config = self.config
@@ -536,7 +535,6 @@ class BenchmarkRunner:
             processor,
             self._supply(benchmark),
             controller,
-            record=record,
             benchmark=benchmark,
             warmup_cycles=config.warmup_cycles,
         )
@@ -551,28 +549,19 @@ class BenchmarkRunner:
             supply = self.supply_transform(supply, benchmark)
         return supply
 
-    def _trace_key(
-        self,
-        benchmark: str,
-        controller: NoiseController,
-        seed: Optional[int],
-    ):
-        """Front-end key of one cell, or None when it cannot replay.
+    def _trace_key(self, benchmark: str, seed: Optional[int]):
+        """Front-end key of one base cell, or None when it cannot replay.
 
         The key digests everything that shapes the per-cycle current
         trace: workload profile, effective trace seed, instruction
-        budget, processor config, cycle counts, the controller's
-        directive-schedule token and the supply-overlay token.  Supply
+        budget, processor config, cycle counts, the base processor's
+        ``"null"`` schedule and the supply-overlay token.  Supply
         parameters are deliberately absent -- the base processor's
         currents are supply-independent, so one record serves every
         RLC/detector/response variant.
         """
         from repro.trace import TraceKey, overlay_token
-        from repro.trace.replay import schedule_token
 
-        token = schedule_token(controller)
-        if token is None:
-            return None
         overlay = overlay_token(self.supply_transform)
         if overlay is None:
             return None
@@ -586,7 +575,7 @@ class BenchmarkRunner:
             processor=asdict(config.processor),
             n_cycles=config.n_cycles,
             warmup_cycles=config.warmup_cycles,
-            schedule=token,
+            schedule="null",
             overlay=overlay,
         )
 
@@ -595,10 +584,9 @@ class BenchmarkRunner:
         benchmark: str,
         controller: NoiseController,
         seed: Optional[int] = None,
-        record: bool = False,
     ) -> SimulationResult:
-        """Run one cell: replay a recorded trace when possible, else
-        simulate fully (recording the trace on a store miss).
+        """Run one cell: replay a recorded base trace when possible, else
+        simulate fully (recording a base trace on a store miss).
 
         Replay is guarded: any load-time doubt -- digest mismatch,
         truncation, corruption -- already degraded to ``load() -> None``
@@ -608,14 +596,11 @@ class BenchmarkRunner:
         re-records it.
         """
         store = self.session.trace_store
-        if store is not None:
-            key = self._trace_key(benchmark, controller, seed)
-        else:
-            key = None
+        key = None
+        if store is not None and type(controller) is NullController:
+            key = self._trace_key(benchmark, seed)
         if key is None:
-            simulation = self._build_simulation(
-                benchmark, controller, record=record, seed=seed
-            )
+            simulation = self._build_simulation(benchmark, controller, seed=seed)
             return simulation.run(self.config.n_cycles)
 
         from repro.trace import TraceCapture
@@ -624,16 +609,10 @@ class BenchmarkRunner:
         payload = store.load(key, label=benchmark)
         if payload is not None:
             replay = ReplaySimulation(
-                payload,
-                self._supply(benchmark),
-                controller,
-                record=record,
-                benchmark=benchmark,
+                payload, self._supply(benchmark), controller, benchmark=benchmark
             )
             return replay.run(self.config.n_cycles)
-        simulation = self._build_simulation(
-            benchmark, controller, record=record, seed=seed
-        )
+        simulation = self._build_simulation(benchmark, controller, seed=seed)
         simulation.capture = TraceCapture(key)
         result = simulation.run(self.config.n_cycles)
         if simulation.capture.completed:
@@ -691,7 +670,7 @@ class BenchmarkRunner:
             if self.base_key(benchmark, seed) in self.session.bases:
                 continue
             if store is not None:
-                trace_key = self._trace_key(benchmark, NullController(), seed)
+                trace_key = self._trace_key(benchmark, seed)
                 if trace_key is not None and store.contains(trace_key):
                     continue
             try:
@@ -1009,11 +988,21 @@ class BenchmarkRunner:
                 # is rotting.  Pool workers keep their own stores and
                 # send each cell's stats and incidents back into this
                 # one, so the deltas count every cell at any worker count.
+                # The pool sends them as cells finish: list them in grid
+                # order, so the incidents do not depend on the workers.
                 for stat, value in trace_store.stats.items():
                     timings[f"trace_{stat}"] = float(
                         value - trace_stats_before[stat]
                     )
-                for event in trace_store.drain_incidents():
+                grid_position: Dict[str, int] = {}
+                for position, (name, _) in enumerate(grid):
+                    grid_position.setdefault(name, position)
+                for event in sorted(
+                    trace_store.drain_incidents(),
+                    key=lambda e: grid_position.get(
+                        e.get("benchmark"), len(grid)
+                    ),
+                ):
                     incidents.append(FailureReport(
                         benchmark=event.get("benchmark", "trace-store"),
                         technique=technique,

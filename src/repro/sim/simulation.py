@@ -6,6 +6,12 @@ drives the power supply; the resulting current and voltage are fed back to
 the controller.  This ordering gives every technique an inherent one-cycle
 sensing loop, on top of which techniques model their own sensor and
 actuation delays.
+
+The base processor's :class:`NullController` closes no loop: its
+directives ignore the supply and its ``observe`` does nothing.  Its run
+is *open-loop* and takes two stages instead -- the front end's currents
+first, then the supply over them -- with results bit-identical to the
+per-cycle loop every other controller takes.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ class Simulation:
         #: (warmup + measured) current trace for the record/replay store.
         #: Unlike ``record``, which keeps measured cycles for diagnostics,
         #: a capture must cover warmup too -- replay re-rings the supply
-        #: through it.  The sweep runner attaches one on a store miss.
+        #: through it.  The sweep runner attaches one to a base run on a
+        #: store miss; only the open-loop current stage feeds it.
         self.capture = None
         self._ran = False
 
@@ -77,9 +84,8 @@ class Simulation:
 
         with contextlib.ExitStack() as stack:
             self._enter_run_span(stack, n_cycles)
-            if self.kernel_eligible():
-                stage = self._kernel_collect(n_cycles)
-                snapshot = self._kernel_advance_supply(stage)
+            if type(self.controller) is NullController:
+                snapshot = self._stage_supply(self._stage_currents(n_cycles))
             else:
                 snapshot = self._scalar_cycle_loop(n_cycles)
 
@@ -110,16 +116,13 @@ class Simulation:
             ))
 
     # ------------------------------------------------------------------
-    # Scalar cycle loop (reference semantics; always available via
-    # REPRO_KERNEL=0 and for every controller but the base processor's)
+    # Closed loop: every controller but the base processor's
     # ------------------------------------------------------------------
     def _scalar_cycle_loop(self, n_cycles: int) -> dict:
         processor = self.processor
         supply = self.supply
         controller = self.controller
         record = self.record
-        capture = self.capture
-        stage_capture = None if capture is None else capture.currents.append
         snapshot = self._snapshot()
         for cycle in range(self.warmup_cycles + n_cycles):
             if cycle == self.warmup_cycles:
@@ -127,16 +130,10 @@ class Simulation:
                 # neither pin first_violation_cycle nor merge a
                 # boundary-spanning violation into a warmup-started
                 # event.
-                reset_tracking = getattr(
-                    supply, "reset_violation_tracking", None
-                )
-                if reset_tracking is not None:
-                    reset_tracking()
+                supply.reset_violation_tracking()
                 snapshot = self._snapshot()
             directives = controller.directives(cycle)
             stats = processor.step(directives)
-            if stage_capture is not None:
-                stage_capture(stats.current_amps)
             voltage = supply.step(stats.current_amps)
             controller.observe(cycle, stats.current_amps, voltage, stats)
             if record and cycle >= self.warmup_cycles:
@@ -145,26 +142,23 @@ class Simulation:
         return snapshot
 
     # ------------------------------------------------------------------
-    # Kernel fast path (repro.core.kernel): run the processor trace
-    # first, then advance the supply in bulk -- bit-identical to the
-    # scalar loop for the base processor.
+    # Open loop: stage the front end's currents, then advance the supply
+    # over them -- bit-identical to the closed loop for the base processor.
     # ------------------------------------------------------------------
     def kernel_eligible(self) -> bool:
-        """Can this run take the vectorized kernel fast path?
+        """Does this run advance its supply on the vectorized kernel?
 
-        Requires the kernel to be enabled (``REPRO_KERNEL``), the base
-        processor's :class:`NullController` (its directives do not depend
-        on the supply and its ``observe`` is a no-op, so the processor
-        trace can run first), and a plain :class:`PowerSupply`
-        (subclasses may override ``step`` and must get the scalar loop).
+        Requires the base processor's :class:`NullController` (its run is
+        open-loop) and a supply that
+        :func:`repro.core.kernel.advances_on_kernel` takes: a plain
+        :class:`PowerSupply`.  Other open-loop runs step their supply.
         """
         return (
-            core_kernel.kernel_enabled()
-            and type(self.controller) is NullController
-            and type(self.supply) is PowerSupply
+            type(self.controller) is NullController
+            and core_kernel.advances_on_kernel(self.supply)
         )
 
-    def _kernel_collect(self, n_cycles: int):
+    def _stage_currents(self, n_cycles: int):
         """Stage 1: run the processor trace and capture the currents.
 
         The processor is still stepped cycle by cycle (its pipeline is
@@ -186,24 +180,26 @@ class Simulation:
             self.capture.currents.extend(currents)
         return currents, snapshot
 
-    def _kernel_advance_supply(self, stage) -> dict:
-        """Stage 2: bulk supply advance, split at the warmup boundary.
+    def _stage_supply(self, stage) -> dict:
+        """Stage 2: advance the supply, split at the warmup boundary.
 
-        Exactly mirrors the scalar loop: the warmup prefix rings the
+        Exactly mirrors the closed loop: the warmup prefix rings the
         supply, the violation tracking resets at the boundary, the
         boundary snapshot picks up the supply counters as of that reset,
         and only then does the measured region run.
+        :func:`repro.core.kernel.run_supply` takes the kernel or steps the
+        supply, whichever the supply allows.
         """
         currents, _ = stage
         core_kernel.run_supply(self.supply, currents[:self.warmup_cycles])
-        snapshot = self._kernel_boundary(stage)
+        snapshot = self._warmup_boundary(stage)
         measured_volts = core_kernel.run_supply(
             self.supply, currents[self.warmup_cycles:]
         )
-        self._kernel_record(stage, measured_volts)
+        self._record_measured(stage, measured_volts)
         return snapshot
 
-    def _kernel_boundary(self, stage) -> dict:
+    def _warmup_boundary(self, stage) -> dict:
         """Warmup-boundary bookkeeping once the warmup prefix has run."""
         _, snapshot = stage
         supply = self.supply
@@ -212,8 +208,8 @@ class Simulation:
         snapshot["violation_events"] = supply.violation_events
         return snapshot
 
-    def _kernel_record(self, stage, measured_volts) -> None:
-        """Keep a kernel run's measured trace when ``record`` is set."""
+    def _record_measured(self, stage, measured_volts) -> None:
+        """Keep an open-loop run's measured trace when ``record`` is set."""
         if self.record:
             currents, _ = stage
             self.currents.extend(currents[self.warmup_cycles:])
@@ -334,14 +330,13 @@ def run_batch(
     guard=None,
     should_stop=None,
 ) -> List[Union[SimulationResult, BaseException, None]]:
-    """Run several simulations, batching the supply advance across lanes.
+    """Run several simulations, batching the open loop's supply stage.
 
     Every result is bit-identical to what ``simulations[i].run(n_cycles)``
-    would have produced: the per-lane processor traces still run
-    serially (the pipeline is inherently sequential), but the Heun
-    supply recurrences of all lanes advance together through NumPy
-    elementwise ops, which are IEEE-identical per lane to the scalar
-    recurrence.
+    would have produced: each lane's current stage still runs serially
+    (the pipeline is inherently sequential), but the Heun supply
+    recurrences of all lanes advance together through NumPy elementwise
+    ops, which are IEEE-identical per lane to the scalar recurrence.
 
     Per-lane outcomes, index-aligned with ``simulations``:
 
@@ -351,10 +346,10 @@ def run_batch(
     * ``None`` if ``should_stop`` interrupted the batch before the lane
       started (such simulations remain fresh and runnable).
 
-    ``guard`` optionally wraps each lane's trace-collection stage (the
-    dominant cost), for example to enforce a per-lane timeout.  Lanes
-    the kernel cannot take (a controller other than the base processor's,
-    or the kernel disabled) fall back to their own ``run``.
+    ``guard`` optionally wraps each lane's current stage (the dominant
+    cost), for example to enforce a per-lane timeout.  Lanes that do not
+    advance their supply on the kernel (see
+    :meth:`Simulation.kernel_eligible`) fall back to their own ``run``.
     """
     outcomes: List[Union[SimulationResult, BaseException, None]]
     outcomes = [None] * len(simulations)
@@ -377,9 +372,9 @@ def run_batch(
             with contextlib.ExitStack() as stack:
                 sim._enter_run_span(stack, n_cycles)
                 if guard is None:
-                    stage = sim._kernel_collect(n_cycles)
+                    stage = sim._stage_currents(n_cycles)
                 else:
-                    stage = guard(lambda s=sim: s._kernel_collect(n_cycles))
+                    stage = guard(lambda s=sim: s._stage_currents(n_cycles))
             staged.append((lane, sim, stage))
         except Exception as exc:
             outcomes[lane] = exc
@@ -399,7 +394,7 @@ def run_batch(
             if isinstance(warm, BaseException):
                 outcomes[lane] = warm
                 continue
-            snapshot = sim._kernel_boundary(stage)
+            snapshot = sim._warmup_boundary(stage)
             survivors.append((lane, sim, stage, snapshot))
         measured_volts = core_kernel.run_supply_batch(
             [sim.supply for _, sim, _, _ in survivors],
@@ -412,7 +407,7 @@ def run_batch(
                 outcomes[lane] = measured
                 continue
             try:
-                sim._kernel_record(stage, measured)
+                sim._record_measured(stage, measured)
                 outcomes[lane] = sim._assemble_result(snapshot, n_cycles)
             except Exception as exc:  # pragma: no cover - defensive
                 outcomes[lane] = exc

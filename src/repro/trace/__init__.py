@@ -6,7 +6,7 @@ config-digest guard -- full simulation is always the fallback, so a store
 can be cold, corrupt or mismatched without ever changing a result.
 """
 
-from repro.trace.replay import ReplayFrontEnd, ReplaySimulation, schedule_token
+from repro.trace.replay import ReplayFrontEnd, ReplaySimulation
 from repro.trace.store import (
     STORE_VERSION,
     TraceCapture,
@@ -27,5 +27,4 @@ __all__ = [
     "TraceStore",
     "canonical_digest",
     "overlay_token",
-    "schedule_token",
 ]

@@ -153,10 +153,10 @@ class TraceKey:
     Supply parameters are deliberately absent: without noise control the
     processor never observes the supply, so one recorded trace serves
     every supply/RLC/detector/response variant of the same front end --
-    that reuse across the design-space axes is the entire speedup.  The
-    controller participates only through ``schedule``, a token describing
-    its directive schedule (see :func:`repro.trace.replay.schedule_token`;
-    only the base processor's ``"null"`` replays).
+    that reuse across the design-space axes is the entire speedup.  Only
+    the base processor's runs are recorded, so ``schedule`` -- the token
+    naming the controller's directive schedule -- is always ``"null"``;
+    the field stays so that store digests do not move.
     """
 
     benchmark: str
@@ -220,9 +220,9 @@ def _decode(blob: bytes, sha: str, key: TraceKey) -> TracePayload:
 class TraceCapture:
     """Accumulates the full (warmup + measured) current trace of one run.
 
-    Attached to a :class:`~repro.sim.simulation.Simulation` as
-    ``sim.capture``; the scalar loop and the kernel collect stage feed
-    ``currents``, and ``finish`` runs the replayability proof before the
+    Attached to a base run's :class:`~repro.sim.simulation.Simulation` as
+    ``sim.capture``; the open loop's current stage feeds ``currents``,
+    and ``finish`` runs the replayability proof before the
     capture may be persisted: the recorded trace, re-accumulated by
     :func:`energy_ledger`, must reproduce the run's boundary and end
     energies bit-for-bit, and the run must carry no phantom energy

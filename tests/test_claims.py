@@ -2,11 +2,13 @@
 
 One session runs the nine paper artifacts and every extension at
 ``--quick`` once; every ``quick`` claim must be evaluated on those results
-and hold.  Full-scale claims are checked by the full run, which writes
-them to ``claims.txt``.
+and hold, and every artifact must render the bytes pinned under
+``tests/goldens/quick``.  Full-scale claims are checked by the full run,
+which writes them to ``claims.txt``.
 """
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -15,6 +17,11 @@ from repro.experiments import claims, registry
 from repro.sim import Session
 
 NAMES = registry.select(["all", *registry.EXTENSIONS])
+QUICK_GOLDENS = pathlib.Path(__file__).parent / "goldens" / "quick"
+REGENERATE_QUICK = (
+    "PYTHONPATH=src python -m repro experiment all "
+    + " ".join(registry.EXTENSIONS) + " --quick --out tests/goldens/quick"
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +49,18 @@ def test_every_quick_claim_is_evaluated_and_holds(quick_results):
         claim.scale == claims.QUICK for claim in claims.CLAIMS
     )
     assert [v.line() for v in checked if v.status != claims.HELD] == []
+
+
+def test_quick_artifacts_match_their_goldens(quick_results):
+    moved = [
+        name for name in NAMES
+        if quick_results[name].render() + "\n"
+        != (QUICK_GOLDENS / f"{name}.txt").read_text(encoding="utf-8")
+    ]
+    assert moved == [], (
+        f"quick artifacts differ from tests/goldens/quick: {moved}; if the"
+        f" change is meant, regenerate them with `{REGENERATE_QUICK}`"
+    )
 
 
 def test_a_changed_result_value_fails_its_claim(quick_results):

@@ -6,6 +6,10 @@ representable traces (the dyadic sensor grid -- the same contract as
 ``repro.oracles.ReferenceDetector``).  Hypothesis drives both
 implementations over fuzzed band configs, segmented traces, NaN drops and
 mounted fault chains; any divergence is a real bug, never float noise.
+
+End to end, a base run's open loop is pinned to the closed per-cycle
+loop, which a :class:`NullController` subclass takes: it fails the open
+loop's ``type(controller) is NullController`` test.
 """
 
 import dataclasses
@@ -22,14 +26,12 @@ from repro.core import (
     NullController,
     ResonanceDetector,
     ResonanceTuningController,
-    kernel_enabled,
     run_detector,
     run_supply,
     run_supply_batch,
 )
-from repro.core.kernel import KERNEL_ENV
 from repro.errors import FaultError, SimulationError
-from repro.faults import FaultySensor
+from repro.faults import FaultySensor, ResonantAttacker
 from repro.power import PowerSupply
 from repro.sim.simulation import Simulation, run_batch
 from repro.uarch import SPEC2K, Processor
@@ -264,6 +266,26 @@ class TestSupplyBatchKernel:
                 reference.step(float(amps))
         assert _supply_state(batch[1]) == _supply_state(reference)
 
+    def test_overlay_lanes_are_stepped(self):
+        # An overlay forwards its wrapped supply's integrator, so a
+        # stacked advance would skip the overlay's own step.
+        def attacked():
+            return ResonantAttacker(
+                PowerSupply(TABLE1_SUPPLY, initial_current=60.0),
+                amplitude_amps=20.0, seed=1,
+            )
+
+        trace = np.full(300, 60.0)
+        batch = [attacked(), attacked(), PowerSupply(TABLE1_SUPPLY, 60.0)]
+        results = run_supply_batch(batch, [trace] * 3)
+        reference = attacked()
+        expected = [reference.step(float(a)) for a in trace]
+        assert results[0].tolist() == expected
+        assert results[1].tolist() == expected
+        assert batch[0].injected_cycles == reference.injected_cycles > 0
+        plain = PowerSupply(TABLE1_SUPPLY, initial_current=60.0)
+        assert results[2].tolist() == [plain.step(float(a)) for a in trace]
+
     def test_mismatched_lane_counts_rejected(self):
         with pytest.raises(SimulationError):
             run_supply_batch([PowerSupply(TABLE1_SUPPLY)], [])
@@ -275,9 +297,14 @@ class TestSupplyBatchKernel:
 
 
 # ----------------------------------------------------------------------
-# Simulation fast path vs scalar loop (REPRO_KERNEL=0)
+# Open loop vs closed loop for the base processor
 # ----------------------------------------------------------------------
-def _build_simulation(benchmark, controller, seed=None, record=True):
+class ClosedLoopNull(NullController):
+    """The base processor, run through the closed per-cycle loop."""
+
+
+def _build_simulation(benchmark, controller, seed=None, record=True,
+                      supply_class=PowerSupply):
     processor = Processor.from_profile(
         SPEC2K[benchmark],
         n_instructions=30_000,
@@ -285,7 +312,7 @@ def _build_simulation(benchmark, controller, seed=None, record=True):
         supply_config=TABLE1_SUPPLY,
         seed=seed,
     )
-    supply = PowerSupply(TABLE1_SUPPLY, initial_current=35.0)
+    supply = supply_class(TABLE1_SUPPLY, initial_current=35.0)
     return Simulation(
         processor, supply, controller, record=record,
         benchmark=benchmark, warmup_cycles=120,
@@ -298,10 +325,10 @@ def _fingerprint(result):
 
 class TestSimulationFastPath:
     @pytest.mark.parametrize("bench", ["gzip", "swim"])
-    def test_bit_identical_to_scalar_loop(self, bench, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        reference = _build_simulation(bench, NullController()).run(700)
-        monkeypatch.setenv(KERNEL_ENV, "1")
+    def test_bit_identical_to_scalar_loop(self, bench):
+        reference_sim = _build_simulation(bench, ClosedLoopNull())
+        assert not reference_sim.kernel_eligible()
+        reference = reference_sim.run(700)
         fast_sim = _build_simulation(bench, NullController())
         assert fast_sim.kernel_eligible()
         fast = fast_sim.run(700)
@@ -314,39 +341,35 @@ class TestSimulationFastPath:
         sim = _build_simulation("gzip", controller)
         assert not sim.kernel_eligible()
 
-    def test_env_gate_disables_kernel(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "0")
-        assert not kernel_enabled()
-        assert not _build_simulation("gzip", NullController()).kernel_eligible()
-        monkeypatch.setenv(KERNEL_ENV, "1")
-        assert kernel_enabled()
-
     def test_supply_subclass_uses_scalar_loop(self):
         class PatchedSupply(PowerSupply):
-            pass
+            steps = 0
 
-        processor = Processor.from_profile(
-            SPEC2K["gzip"], n_instructions=30_000,
-            config=TABLE1_PROCESSOR, supply_config=TABLE1_SUPPLY,
-        )
-        sim = Simulation(
-            processor, PatchedSupply(TABLE1_SUPPLY), NullController(),
-            benchmark="gzip", warmup_cycles=10,
+            def step(self, cpu_current):
+                self.steps += 1
+                return super().step(cpu_current)
+
+        sim = _build_simulation(
+            "gzip", NullController(), supply_class=PatchedSupply
         )
         assert not sim.kernel_eligible()
+        # The open loop steps a subclass supply, every cycle, and must
+        # still produce the plain supply's run bit for bit.
+        stepped = sim.run(500)
+        assert sim.supply.steps == 120 + 500
+        plain = _build_simulation("gzip", NullController()).run(500)
+        assert _fingerprint(stepped) == _fingerprint(plain)
 
 
 class TestRunBatch:
-    def test_matches_individual_runs(self, monkeypatch):
+    def test_matches_individual_runs(self):
         grid = [("gzip", None), ("swim", 3), ("lucas", None)]
-        monkeypatch.setenv(KERNEL_ENV, "0")
         expected = [
             _fingerprint(
-                _build_simulation(bench, NullController(), seed=seed).run(600)
+                _build_simulation(bench, ClosedLoopNull(), seed=seed).run(600)
             )
             for bench, seed in grid
         ]
-        monkeypatch.setenv(KERNEL_ENV, "1")
         sims = [
             _build_simulation(bench, NullController(), seed=seed)
             for bench, seed in grid

@@ -296,6 +296,46 @@ class TestContextPropagation:
         }
         assert len(pids) >= 2
 
+    def test_pool_workers_profile_their_cells(self, tmp_path):
+        # A forked worker inherits the parent's profiler object but not
+        # its sampling thread, so it must sample with a profiler of its
+        # own: every worker that ran a cell is one process of the
+        # profile, its samples rooted at the cells it ran.
+        profile_path = tmp_path / "profile.json"
+        trace_path = tmp_path / "trace.json"
+        obs.configure(profile_out=str(profile_path), trace_out=str(trace_path))
+        try:
+            with BenchmarkRunner(SMALL) as runner:
+                runner.sweep(
+                    tuning_factory, benchmarks=BENCHMARKS,
+                    resilience=ResilienceConfig(workers=2),
+                )
+        finally:
+            obs.finalize()
+        cell_pids = {
+            event["pid"]
+            for event in load_trace_events(str(trace_path))
+            if event.get("ph") == "X" and event.get("cat") == "cell"
+        }
+        payload = json.loads(profile_path.read_text())
+        names = [frame["name"] for frame in payload["shared"]["frames"]]
+        workers = [
+            prof for prof in payload["profiles"]
+            if prof["name"].startswith("worker ")
+        ]
+        assert sorted(prof["name"] for prof in workers) == sorted(
+            f"worker [{pid}]" for pid in cell_pids
+        )
+        profiled = set()
+        for prof in workers:
+            roots = {
+                names[sample[0]] for sample in prof["samples"]
+                if sample and names[sample[0]].startswith("[cell ")
+            }
+            assert roots, f"{prof['name']} sampled no cell"
+            profiled |= {root[len("[cell "):].split("|")[0] for root in roots}
+        assert profiled == set(BENCHMARKS)
+
     def test_pool_emits_bound_flow_events(self, tmp_path):
         _, events = _traced_sweep(tmp_path, "flow", workers=2)
         starts = {e["id"] for e in events if e.get("ph") == "s"}

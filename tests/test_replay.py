@@ -4,9 +4,10 @@ The contract: a sweep running against a trace store -- cold (recording)
 or warm (replaying) -- produces aggregates **bit-identical** to the same
 sweep with no store at all, across random workloads, supply variants,
 controller variants, all six sensor fault models, resonant-attacker
-overlays, both execution paths (vectorized kernel and ``REPRO_KERNEL=0``
-scalar loop) and every sweep backend.  Replay is an optimization with a
-guard, never an approximation; any byte of drift here is a bug.
+overlays, both supply stages of the open loop (the vectorized kernel for
+a plain supply, per-cycle steps for an overlay) and every sweep backend.
+Replay is an optimization with a guard, never an approximation; any byte
+of drift here is a bug.
 """
 
 import dataclasses
@@ -230,9 +231,9 @@ class TestRunnerReplayDifferential:
     )
     @settings(max_examples=4, deadline=None)
     def test_attacker_overlay_and_supply_variants(self, amplitude, cap_scale):
-        """Attacker-wrapped supplies force the scalar replay loop; the
-        overlay token keys the store so attacked and clean traces never
-        alias."""
+        """Attacker-wrapped supplies are stepped, not advanced on the
+        kernel, in the replayed supply stage too; the overlay token keys
+        the store so attacked and clean traces never alias."""
         config = replace(
             SMALL,
             supply=replace(
@@ -262,14 +263,6 @@ class TestRunnerReplayDifferential:
             assert stats["records"] == 0
             assert stats["hits"] == 0
         assert stored == plain
-
-    def test_scalar_path_replay(self, monkeypatch):
-        """REPRO_KERNEL=0: the per-cycle replay loop, not run_supply."""
-        from repro.core import kernel as core_kernel
-
-        monkeypatch.setenv(core_kernel.KERNEL_ENV, "0")
-        assert not core_kernel.kernel_enabled()
-        run_differential(SMALL, tuning_factory, ("swim",))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.config import TABLE1_PROCESSOR
 from repro.errors import TraceStoreError
 from repro.faults import ResonantAttacker
-from repro.faults.chaos import flip_bit, truncate_file
+from repro.faults.chaos import HangAlways, flip_bit, truncate_file
 from repro.oracles import golden
 from repro.sim import BenchmarkRunner, ResilienceConfig, SweepConfig
 from repro.trace import (
@@ -571,21 +571,26 @@ class TestRunnerFallback:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_surfaces_corruption_as_incident(self, tmp_path, workers):
         # Two benchmarks, so two workers really fan out: each pool cell's
-        # private store must report back into the sweep's.
+        # private store must report back into the sweep's.  Stalling
+        # gzip's supply makes the pool finish swim first; the incidents
+        # must still come in grid order.
         benchmarks = ("gzip", "swim")
+        stall = HangAlways("gzip", after_cycles=100, sleep_s=0.3)
         store_dir = str(tmp_path / "store")
-        plain = BenchmarkRunner(SMALL).sweep(
+        plain = BenchmarkRunner(SMALL, supply_transform=stall).sweep(
             null_factory, benchmarks=benchmarks
         )
-        cold = BenchmarkRunner(SMALL, trace_store=store_dir).sweep(
-            null_factory, benchmarks=benchmarks
-        )
+        cold = BenchmarkRunner(
+            SMALL, supply_transform=stall, trace_store=store_dir
+        ).sweep(null_factory, benchmarks=benchmarks)
         store = TraceStore(store_dir)
         objects = sorted(os.listdir(store.objects_dir))
         assert len(objects) == len(benchmarks)
         truncate_file(os.path.join(store.objects_dir, objects[0]), 0.3)
         flip_bit(os.path.join(store.objects_dir, objects[1]))
-        with BenchmarkRunner(SMALL, trace_store=store_dir) as runner:
+        with BenchmarkRunner(
+            SMALL, supply_transform=stall, trace_store=store_dir
+        ) as runner:
             warm = runner.sweep(
                 null_factory, benchmarks=benchmarks,
                 resilience=ResilienceConfig(workers=workers),
@@ -599,7 +604,7 @@ class TestRunnerFallback:
             incident for incident in warm.incidents
             if incident.error_type == "TraceStoreCorrupt"
         ]
-        assert sorted(i.benchmark for i in trace_incidents) == list(benchmarks)
+        assert [i.benchmark for i in trace_incidents] == list(benchmarks)
         for incident in trace_incidents:
             assert "fell back to full simulation" in incident.message
         # Quarantined evidence stays on disk.
